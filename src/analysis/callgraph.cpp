@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 
 namespace minjie::analysis {
 
@@ -36,33 +37,22 @@ scopeContains(const std::string &outer, const std::string &inner)
 void
 ProgramModel::build(const std::vector<TuIndex> &tus)
 {
-    std::vector<const TuIndex *> ptrs;
-    ptrs.reserve(tus.size());
-    for (const TuIndex &tu : tus)
-        ptrs.push_back(&tu);
-    build(ptrs);
-}
-
-void
-ProgramModel::build(const std::vector<const TuIndex *> &tus)
-{
     nodes_.clear();
-    byName_.clear();
-    unordered_.clear();
-    unorderedByTu_.clear();
-    varTypes_.clear();
+    unstableOrder_.clear();
+    // variable name -> declared type names seen anywhere (union over
+    // TUs; a name reused with different types keeps every hint)
+    std::map<std::string, std::set<std::string>> varTypes;
+    std::map<std::string, std::vector<uint32_t>> byName;
 
-    for (const TuIndex *tu : tus) {
-        for (const std::string &n : tu->unorderedNames) {
-            unordered_.insert(n);
-            unorderedByTu_[tu->path].insert(n);
-        }
-        for (const auto &[var, type] : tu->varTypes)
-            varTypes_[var].insert(type);
-        for (const FunctionIndex &fn : tu->functions) {
+    for (const TuIndex &tu : tus) {
+        unstableOrder_.insert(tu.unstableOrderNames.begin(),
+                              tu.unstableOrderNames.end());
+        for (const auto &[var, type] : tu.varTypes)
+            varTypes[var].insert(type);
+        for (const FunctionIndex &fn : tu.functions) {
             Node node;
             node.fn = &fn;
-            node.path = tu->path;
+            node.path = tu.path;
             nodes_.push_back(std::move(node));
         }
     }
@@ -78,7 +68,7 @@ ProgramModel::build(const std::vector<const TuIndex *> &tus)
               });
 
     for (uint32_t id = 0; id < nodes_.size(); ++id)
-        byName_[nodes_[id].fn->name].push_back(id);
+        byName[nodes_[id].fn->name].push_back(id);
 
     // Resolve edges. Candidates share the bare name; then:
     //  - a qualifier chain at the call site narrows to definitions
@@ -99,11 +89,9 @@ ProgramModel::build(const std::vector<const TuIndex *> &tus)
         size_t cut = callerScope.rfind("::");
         callerScope =
             cut == std::string::npos ? "" : callerScope.substr(0, cut);
-        for (uint32_t ci = 0;
-             ci < static_cast<uint32_t>(node.fn->calls.size()); ++ci) {
-            const CallEvent &c = node.fn->calls[ci];
-            auto it = byName_.find(c.name);
-            if (it == byName_.end())
+        for (const CallEvent &c : node.fn->calls) {
+            auto it = byName.find(c.name);
+            if (it == byName.end())
                 continue;
             std::vector<uint32_t> targets;
             if (!c.qualHint.empty()) {
@@ -114,9 +102,9 @@ ProgramModel::build(const std::vector<const TuIndex *> &tus)
                 if (targets.empty())
                     targets = it->second; // alias/using: stay broad
             } else if (c.member) {
-                auto vt = c.recv.empty() ? varTypes_.end()
-                                         : varTypes_.find(c.recv);
-                if (vt == varTypes_.end()) {
+                auto vt = c.recv.empty() ? varTypes.end()
+                                         : varTypes.find(c.recv);
+                if (vt == varTypes.end()) {
                     targets = it->second;
                 } else {
                     for (uint32_t t : it->second) {
@@ -144,7 +132,7 @@ ProgramModel::build(const std::vector<const TuIndex *> &tus)
                 }
             }
             for (uint32_t t : targets)
-                node.callees.push_back({t, c.line, ci});
+                node.callees.push_back({t, c.line});
         }
         std::sort(node.callees.begin(), node.callees.end(),
                   [](const Edge &a, const Edge &b) {
@@ -159,26 +147,6 @@ ProgramModel::build(const std::vector<const TuIndex *> &tus)
                         }),
             node.callees.end());
     }
-}
-
-const std::vector<uint32_t> &
-ProgramModel::byName(const std::string &name) const
-{
-    static const std::vector<uint32_t> none;
-    auto it = byName_.find(name);
-    return it == byName_.end() ? none : it->second;
-}
-
-bool
-ProgramModel::isUnorderedElsewhere(const std::string &name,
-                                   const std::string &path) const
-{
-    if (unordered_.count(name) == 0)
-        return false;
-    for (const auto &[tu, names] : unorderedByTu_)
-        if (tu != path && names.count(name) != 0)
-            return true;
-    return false;
 }
 
 std::vector<ProgramModel::Parent>

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -32,13 +31,11 @@ struct Edge
 {
     uint32_t target = 0; ///< callee node id
     uint32_t line = 0;   ///< call-site line in the caller
-    uint32_t call = 0;   ///< index into fn.calls of the site
 };
 
 /** One function definition in the merged program. Holds a pointer
  *  into the TuIndexes passed to build(), which must outlive the
- *  model — copying every FunctionIndex would double the warm-run
- *  cost of the incremental cache. */
+ *  model. */
 struct Node
 {
     const FunctionIndex *fn = nullptr;
@@ -52,27 +49,14 @@ class ProgramModel
     /** Merge @p tus (any order) into a deterministic graph. */
     void build(const std::vector<TuIndex> &tus);
 
-    /** Zero-copy variant: @p tus must outlive the call (the graph
-     *  still copies what it keeps; only the pass-in copy is saved). */
-    void build(const std::vector<const TuIndex *> &tus);
-
     const std::vector<Node> &nodes() const { return nodes_; }
 
-    /** Node ids of every definition named @p name (sorted). */
-    const std::vector<uint32_t> &byName(const std::string &name) const;
-
-    /** True when @p name is declared as a std::unordered_* container
-     *  anywhere in the program. */
-    bool isUnordered(const std::string &name) const
+    /** True when @p name is declared anywhere in the program as a
+     *  container with a host-dependent iteration order. */
+    bool hasUnstableOrder(const std::string &name) const
     {
-        return unordered_.count(name) != 0;
+        return unstableOrder_.count(name) != 0;
     }
-
-    /** True when some TU other than @p path declares @p name as an
-     *  unordered container (the cross-TU case a per-file rule cannot
-     *  see). */
-    bool isUnorderedElsewhere(const std::string &name,
-                              const std::string &path) const;
 
     /** BFS parent link; node -2 marks a root, -1 unreached. */
     struct Parent
@@ -103,12 +87,7 @@ class ProgramModel
 
   private:
     std::vector<Node> nodes_;
-    std::map<std::string, std::vector<uint32_t>> byName_;
-    std::set<std::string> unordered_;
-    std::map<std::string, std::set<std::string>> unorderedByTu_;
-    /// variable name -> declared type names seen anywhere (union over
-    /// TUs; a name reused with different types keeps every hint)
-    std::map<std::string, std::set<std::string>> varTypes_;
+    std::set<std::string> unstableOrder_;
 };
 
 } // namespace minjie::analysis

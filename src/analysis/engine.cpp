@@ -4,8 +4,9 @@
 #include <filesystem>
 #include <map>
 
-#include "analysis/baseline.h"
 #include "analysis/callgraph.h"
+#include "analysis/index.h"
+#include "analysis/rules.h"
 #include "analysis/suppress.h"
 
 namespace minjie::analysis {
@@ -87,14 +88,8 @@ collectFiles(const EngineConfig &cfg)
     return out;
 }
 
-Engine::Engine(EngineConfig cfg)
-    : cfg_(std::move(cfg)), rules_(makeDefaultRules()),
-      graphRules_(makeGraphRules())
-{
-}
-
 bool
-Engine::idSelected(std::string_view id) const
+Engine::selected(std::string_view id) const
 {
     if (cfg_.onlyRules.empty())
         return true;
@@ -104,173 +99,17 @@ Engine::idSelected(std::string_view id) const
     return false;
 }
 
-bool
-Engine::ruleApplies(const Rule &r, const std::string &relPath) const
-{
-    if (cfg_.ignoreScopes)
-        return true;
-    for (const std::string &ex : r.exemptFiles())
-        if (relPath == ex)
-            return false;
-    const auto &scope = r.scope();
-    if (scope.empty())
-        return true;
-    for (const std::string &prefix : scope)
-        if (hasPrefix(relPath, prefix))
-            return true;
-    return false;
-}
-
-CachedTu
-Engine::lintOneFile(const SourceFile &file) const
-{
-    CachedTu tu;
-    tu.path = file.path();
-    tu.hash = fnv1a(file.text());
-
-    LexResult lexed = lex(file);
-    RuleContext ctx{file, lexed.tokens, lexed.comments};
-
-    std::vector<Finding> fileFindings;
-    for (const auto &rule : rules_) {
-        if (!idSelected(rule->id()) || !ruleApplies(*rule, file.path()))
-            continue;
-        rule->run(ctx, fileFindings);
-    }
-
-    // Suppression directives apply to rule findings; malformed
-    // directives become findings themselves (never suppressible).
-    std::vector<Finding> supDiags;
-    Suppressions sup(file.path(), lexed.comments, file, supDiags);
-    tu.supEntries = sup.entries();
-    for (Finding &f : fileFindings) {
-        if (sup.allows(f.line, f.ruleId))
-            ++tu.suppressedInline;
-        else
-            tu.findings.push_back(std::move(f));
-    }
-    if (idSelected("MJ-SUP-001"))
-        for (Finding &f : supDiags)
-            tu.findings.push_back(std::move(f));
-
-    tu.index = buildIndex(file, lexed);
-    return tu;
-}
-
 EngineResult
 Engine::run() const
 {
-    EngineResult res;
-    Baseline baseline;
-    if (!cfg_.baselinePath.empty())
-        baseline.load(cfg_.baselinePath);
-
-    // The cache stores results of the full default configuration;
-    // filtered runs (rule subsets, ignored scopes) bypass it rather
-    // than poison it.
-    bool useCache = !cfg_.cachePath.empty() && cfg_.onlyRules.empty() &&
-                    !cfg_.ignoreScopes;
-    AnalysisCache cache;
-    if (useCache)
-        cache.load(cfg_.cachePath);
-    AnalysisCache next; // rebuilt fresh so deleted files drop out
-
-    std::vector<Finding> raw;
-    std::vector<const TuIndex *> tus; // point into `next`: map nodes
-                                      // are stable, no index copies
-    std::map<std::string, SourceFile> files;
-    std::map<std::string, std::vector<Suppressions::Entry>> supByPath;
-
+    std::vector<SourceFile> files;
     for (const std::string &rel : collectFiles(cfg_)) {
         SourceFile file("", "");
-        std::string abs = (fs::path(cfg_.root) / rel).string();
-        if (!SourceFile::load(abs, rel, file))
-            continue;
-        ++res.filesScanned;
-
-        uint64_t hash = fnv1a(file.text());
-        CachedTu *hit = useCache ? cache.lookupMutable(rel, hash)
-                                 : nullptr;
-        CachedTu tu;
-        if (hit != nullptr) {
-            // The old cache is discarded after this loop, so hits can
-            // be moved out rather than deep-copied.
-            tu = std::move(*hit);
-        } else {
-            tu = lintOneFile(file);
-            ++res.filesLexed;
-        }
-
-        res.suppressedInline += tu.suppressedInline;
-        for (const Finding &f : tu.findings)
-            raw.push_back(f);
-        supByPath[rel] = tu.supEntries;
-        tus.push_back(&next.put(std::move(tu)).index);
-        files.emplace(rel, std::move(file));
+        if (SourceFile::load((fs::path(cfg_.root) / rel).string(), rel,
+                             file))
+            files.push_back(std::move(file));
     }
-
-    // Whole-program pass: merge indexes, resolve the call graph, run
-    // the interprocedural rules, then apply inline suppressions to
-    // their findings exactly like per-file ones.
-    ProgramModel model;
-    model.build(tus);
-    GraphRuleContext gctx{
-        model, [&files](const std::string &path, uint32_t line) {
-            auto it = files.find(path);
-            if (it == files.end())
-                return std::string();
-            return trimmed(it->second.lineText(line));
-        }};
-    std::vector<Finding> graphRaw;
-    for (const auto &gr : graphRules_) {
-        if (!idSelected(gr->id()))
-            continue;
-        gr->run(gctx, graphRaw);
-    }
-    for (Finding &f : graphRaw) {
-        auto it = supByPath.find(f.path);
-        bool allowed = false;
-        if (it != supByPath.end())
-            for (const Suppressions::Entry &e : it->second)
-                if (e.line == f.line && e.ruleId == f.ruleId) {
-                    allowed = true;
-                    break;
-                }
-        if (allowed)
-            ++res.suppressedInline;
-        else
-            raw.push_back(std::move(f));
-    }
-
-    for (Finding &f : raw) {
-        if (!cfg_.baselinePath.empty() && baseline.matches(f)) {
-            ++res.suppressedBaseline;
-            continue;
-        }
-        res.findings.push_back(std::move(f));
-    }
-
-    sortFindings(res.findings);
-    res.staleBaseline = baseline.unusedEntries();
-    // Rewriting an identical cache is the single biggest warm-run
-    // cost; skip it when nothing was re-lexed and no file vanished.
-    if (useCache &&
-        (res.filesLexed > 0 || next.size() != cache.size()))
-        next.write(cfg_.cachePath);
-    return res;
-}
-
-EngineResult
-Engine::runOnFile(const SourceFile &file) const
-{
-    EngineResult res;
-    res.filesScanned = 1;
-    res.filesLexed = 1;
-    CachedTu tu = lintOneFile(file);
-    res.suppressedInline = tu.suppressedInline;
-    res.findings = std::move(tu.findings);
-    sortFindings(res.findings);
-    return res;
+    return runOnFiles(files);
 }
 
 EngineResult
@@ -279,52 +118,41 @@ Engine::runOnFiles(const std::vector<SourceFile> &files) const
     EngineResult res;
     std::vector<Finding> raw;
     std::vector<TuIndex> tus;
+    std::map<std::string, Suppressions> supByPath;
     std::map<std::string, const SourceFile *> byPath;
-    std::map<std::string, std::vector<Suppressions::Entry>> supByPath;
 
     for (const SourceFile &file : files) {
         ++res.filesScanned;
-        ++res.filesLexed;
-        CachedTu tu = lintOneFile(file);
-        res.suppressedInline += tu.suppressedInline;
-        for (const Finding &f : tu.findings)
-            raw.push_back(f);
-        supByPath[file.path()] = tu.supEntries;
-        tus.push_back(std::move(tu.index));
         byPath[file.path()] = &file;
+        LexResult lexed = lex(file);
+        if (selected("MJ-LAY-001"))
+            checkLayout(file, lexed.tokens, raw);
+        // Malformed directives are findings themselves, never
+        // suppressible.
+        std::vector<Finding> supDiags;
+        supByPath.emplace(file.path(),
+                          Suppressions(file.path(), lexed.comments,
+                                       supDiags));
+        if (selected("MJ-SUP-001"))
+            for (Finding &f : supDiags)
+                res.findings.push_back(std::move(f));
+        tus.push_back(buildIndex(file, lexed));
     }
 
     ProgramModel model;
     model.build(tus);
-    GraphRuleContext gctx{
-        model, [&byPath](const std::string &path, uint32_t line) {
-            auto it = byPath.find(path);
-            if (it == byPath.end())
-                return std::string();
-            return trimmed(it->second->lineText(line));
-        }};
-    std::vector<Finding> graphRaw;
-    for (const auto &gr : graphRules_) {
-        if (!idSelected(gr->id()))
-            continue;
-        gr->run(gctx, graphRaw);
-    }
-    for (Finding &f : graphRaw) {
+    runGraphRules(
+        model, [this](std::string_view id) { return selected(id); }, raw);
+
+    for (Finding &f : raw) {
         auto it = supByPath.find(f.path);
-        bool allowed = false;
-        if (it != supByPath.end())
-            for (const Suppressions::Entry &e : it->second)
-                if (e.line == f.line && e.ruleId == f.ruleId) {
-                    allowed = true;
-                    break;
-                }
-        if (allowed)
+        if (it != supByPath.end() && it->second.allows(f.line, f.ruleId))
             ++res.suppressedInline;
         else
-            raw.push_back(std::move(f));
+            res.findings.push_back(std::move(f));
     }
-
-    res.findings = std::move(raw);
+    for (Finding &f : res.findings)
+        f.snippet = trimmed(byPath.at(f.path)->lineText(f.line));
     sortFindings(res.findings);
     return res;
 }

@@ -1,11 +1,9 @@
 /**
  * @file
- * The lint engine: walks the tree, tokenizes each source file, runs
- * every per-file rule in scope, merges the per-TU symbol indexes into
- * a whole-program call graph, runs the interprocedural rules over it,
- * then applies inline suppressions and the baseline. An optional
- * content-hash-keyed cache skips the per-file work for unchanged
- * files, making warm repo-wide runs a small fraction of cold ones.
+ * The lint engine: walks the tree, tokenizes and indexes each source
+ * file, merges the per-TU indexes into a whole-program call graph,
+ * runs the graph rules over it plus the per-file layout check, then
+ * applies inline suppressions.
  */
 
 #ifndef MINJIE_ANALYSIS_ENGINE_H
@@ -13,12 +11,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "analysis/finding.h"
-#include "analysis/rule.h"
-#include "analysis/rules_graph.h"
+#include "analysis/source.h"
 
 namespace minjie::analysis {
 
@@ -27,59 +25,32 @@ struct EngineConfig
     std::string root;                  ///< repo root (absolute or cwd-rel)
     std::vector<std::string> scanDirs = {"src", "tools"};
     std::vector<std::string> excludePrefixes; ///< repo-relative prefixes
-    std::string baselinePath;          ///< empty = no baseline
-    std::string cachePath;             ///< empty = no incremental cache
     std::vector<std::string> onlyRules; ///< restrict to these ids
-    bool ignoreScopes = false; ///< run every rule on every file (tests)
 };
 
 struct EngineResult
 {
     std::vector<Finding> findings;      ///< unsuppressed, sorted
     uint64_t filesScanned = 0;
-    uint64_t filesLexed = 0; ///< cache misses (== filesScanned when cold)
     uint64_t suppressedInline = 0;
-    uint64_t suppressedBaseline = 0;
-    std::vector<std::string> staleBaseline; ///< unused baseline entries
 };
 
 class Engine
 {
   public:
-    explicit Engine(EngineConfig cfg);
+    explicit Engine(EngineConfig cfg) : cfg_(std::move(cfg)) {}
 
-    /** Scan the configured tree (per-file + interprocedural pass). */
+    /** Lint every file under the configured scan dirs. */
     EngineResult run() const;
 
-    /** Lint a single in-memory file with the per-file rules only
-     *  (unit tests / fixtures). */
-    EngineResult runOnFile(const SourceFile &file) const;
-
-    /** Full pipeline — per-file rules, call graph, graph rules — over
-     *  in-memory files (multi-TU fixtures in tests). No baseline, no
-     *  cache. */
+    /** Lint @p files as the whole program (multi-TU fixtures in
+     *  tests). */
     EngineResult runOnFiles(const std::vector<SourceFile> &files) const;
 
-    const std::vector<std::unique_ptr<Rule>> &rules() const
-    {
-        return rules_;
-    }
-
-    const std::vector<std::unique_ptr<GraphRule>> &graphRules() const
-    {
-        return graphRules_;
-    }
-
   private:
-    bool idSelected(std::string_view id) const;
-    bool ruleApplies(const Rule &r, const std::string &relPath) const;
-
-    /** Lex + per-file rules + suppressions + index for one file. */
-    CachedTu lintOneFile(const SourceFile &file) const;
+    bool selected(std::string_view id) const;
 
     EngineConfig cfg_;
-    std::vector<std::unique_ptr<Rule>> rules_;
-    std::vector<std::unique_ptr<GraphRule>> graphRules_;
 };
 
 /** Repo-relative paths of every lintable file under cfg's scan dirs,

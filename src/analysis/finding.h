@@ -1,6 +1,6 @@
 /**
  * @file
- * A single lint finding plus its stable fingerprint.
+ * A single lint finding.
  */
 
 #ifndef MINJIE_ANALYSIS_FINDING_H
@@ -14,29 +14,18 @@ namespace minjie::analysis {
 
 struct Finding
 {
-    std::string ruleId;  ///< e.g. "MJ-DET-001"
+    std::string ruleId;  ///< e.g. "MJ-DET2-001"
     std::string path;    ///< repo-relative, '/'-separated
     uint32_t line = 0;   ///< 1-based
     uint32_t col = 0;    ///< 1-based
     std::string message;
     std::string snippet; ///< source line, whitespace-trimmed
 
-    /** Interprocedural witness: the call chain proving reachability,
-     *  one "qualName (path:line)" frame per hop, root first. Empty
-     *  for per-file findings. Excluded from fingerprint() so a
-     *  baseline entry survives unrelated call-graph churn. */
+    /** Graph-rule witness: the call chain proving reachability, one
+     *  "qualName (path:line)" frame per hop, root first. Empty for
+     *  per-file findings. */
     std::vector<std::string> callPath;
-
-    /**
-     * Line-number-independent identity used by the baseline file: a
-     * finding survives unrelated edits above it as long as the rule,
-     * file, and (whitespace-normalized) flagged line are unchanged.
-     */
-    uint64_t fingerprint() const;
 };
-
-/** FNV-1a, the repo-wide cheap stable hash. */
-uint64_t fnv1a(std::string_view s, uint64_t seed = 0xcbf29ce484222325ULL);
 
 } // namespace minjie::analysis
 

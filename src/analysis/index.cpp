@@ -2,12 +2,12 @@
  * @file
  * Token-stream symbol indexer. One linear pass per TU:
  *
- *   1. flat scans collect declared std::unordered_* / mutex names;
+ *   1. a flat scan collects the names of host-ordered containers and
+ *      receiver-type hints;
  *   2. a scope-tracking pass finds namespace / class nesting and
  *      function definitions (`name(params) trailer {`), then records
- *      events inside each body: calls (with the lock set held at the
- *      call), lock acquisitions, nondeterminism sources, container
- *      iterations, and arch-state stores.
+ *      events inside each body: calls, nondeterminism sources,
+ *      container iterations, fork hazards, and arch-state stores.
  *
  * The indexer is heuristic by design: it never resolves types or
  * overloads, and unparseable constructs degrade to "no event", never
@@ -51,20 +51,14 @@ isDeclKeyword(std::string_view s)
                        "sizeof", "case", "do", "else", "goto"});
 }
 
-/** Host-RNG calls banned on deterministic paths (see MJ-DET-001). */
+/** Host-RNG and wall-clock calls banned on deterministic paths. */
 bool
-isRngCall(std::string_view s)
+isNondetCall(std::string_view s)
 {
     return isAnyOf(s, {"rand", "srand", "random", "srandom", "rand_r",
-                       "drand48", "lrand48"});
-}
-
-/** Wall-clock calls banned on deterministic paths (see MJ-DET-002). */
-bool
-isClockCall(std::string_view s)
-{
-    return isAnyOf(s, {"time", "clock", "gettimeofday", "localtime",
-                       "gmtime", "ctime", "mktime", "clock_gettime"});
+                       "drand48", "lrand48", "time", "clock",
+                       "gettimeofday", "localtime", "gmtime", "ctime",
+                       "mktime", "clock_gettime"});
 }
 
 bool
@@ -83,14 +77,6 @@ isUnorderedContainer(std::string_view s)
 }
 
 bool
-isMutexType(std::string_view s)
-{
-    return isAnyOf(s, {"mutex", "recursive_mutex", "shared_mutex",
-                       "timed_mutex", "recursive_timed_mutex",
-                       "pthread_mutex_t"});
-}
-
-bool
 isLockGuardType(std::string_view s)
 {
     return isAnyOf(s,
@@ -98,8 +84,17 @@ isLockGuardType(std::string_view s)
                     "shared_lock"});
 }
 
-/** Mirrors rules_probe.cpp's PROTECTED_CSRS (the DiffTest-compared
- *  fields); keep the two lists in sync when extending either. */
+/** FILE* writers whose bytes sit in a user-space buffer. */
+bool
+isBufferedStdio(std::string_view s)
+{
+    return isAnyOf(s, {"printf", "puts", "putchar", "vprintf", "fprintf",
+                       "vfprintf", "fputs", "fputc", "fwrite"});
+}
+
+/** The CsrFile fields DiffTest compares verbatim; the cycle / instret
+ *  counters are excluded (they have dedicated diff-rules and are
+ *  legitimately bumped inline on hot paths). */
 bool
 isProtectedCsr(std::string_view s)
 {
@@ -154,6 +149,38 @@ matchAngle(const std::vector<Token> &toks, size_t open)
             break;
     }
     return toks.size();
+}
+
+/** True when the first template argument between @p open ('<') and
+ *  @p close is a pointer type: an ordered container keyed by it
+ *  iterates in allocation-address order. */
+bool
+firstArgIsPointer(const std::vector<Token> &toks, size_t open, size_t close)
+{
+    int depth = 0;
+    for (size_t j = open + 1; j < close; ++j) {
+        if (toks[j].is("<") || toks[j].is("(") || toks[j].is("["))
+            ++depth;
+        else if (toks[j].is(">") || toks[j].is(")") || toks[j].is("]"))
+            --depth;
+        else if (depth == 0 && toks[j].is(","))
+            return false;
+        else if (depth == 0 && toks[j].is("*"))
+            return true;
+    }
+    return false;
+}
+
+/** True when the argument list opened at @p open names @p ident. */
+bool
+argsMention(const std::vector<Token> &toks, size_t open,
+            std::string_view ident)
+{
+    size_t close = matchParen(toks, open);
+    for (size_t k = open + 1; k < close; ++k)
+        if (toks[k].isIdent(ident))
+            return true;
+    return false;
 }
 
 /** Walk a qualifier chain backwards from the ident at @p i:
@@ -259,43 +286,12 @@ findBodyBrace(const std::vector<Token> &toks, size_t afterClose)
     return npos;
 }
 
-/** A held lock plus the brace depth its guard was declared at. */
-struct HeldLock
+template <typename T>
+void
+sortUnique(std::vector<T> &v)
 {
-    std::string name;
-    int depth; ///< guard dies when braceDepth drops below this
-};
-
-std::vector<std::string>
-heldNames(const std::vector<HeldLock> &held)
-{
-    std::vector<std::string> out;
-    out.reserve(held.size());
-    for (const HeldLock &h : held)
-        out.push_back(h.name);
-    return out;
-}
-
-/** Source text of the first argument after '(' at @p open (up to the
- *  first top-level ',' or the closing ')'). */
-std::string
-firstArgText(const std::vector<Token> &toks, size_t open)
-{
-    std::string out;
-    int depth = 0;
-    for (size_t i = open + 1; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.is("(") || t.is("[") || t.is("{"))
-            ++depth;
-        else if (t.is(")") || t.is("]") || t.is("}")) {
-            if (depth == 0)
-                break;
-            --depth;
-        } else if (t.is(",") && depth == 0)
-            break;
-        out += t.text;
-    }
-    return out;
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 } // namespace
@@ -308,23 +304,22 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
     const auto &toks = lexed.tokens;
     const size_t n = toks.size();
 
-    // Pass 1: declared unordered containers and lock objects. The
-    // pattern `type < ... > name` / `mutex name` is scope-agnostic on
+    // Pass 1: declared host-ordered containers and receiver-type
+    // hints. The pattern `type < ... > name` is scope-agnostic on
     // purpose: a member declared in a header must resolve iteration
     // sites in other TUs.
     for (size_t i = 0; i < n; ++i) {
         if (toks[i].kind != Tok::Ident)
             continue;
-        if (isUnorderedContainer(toks[i].text) && i + 1 < n &&
-            toks[i + 1].is("<")) {
+        if (i + 1 < n && toks[i + 1].is("<") &&
+            (isUnorderedContainer(toks[i].text) ||
+             isAnyOf(toks[i].text, {"map", "set", "multimap", "multiset"}))) {
             size_t close = matchAngle(toks, i + 1);
-            if (close + 1 < n && toks[close + 1].kind == Tok::Ident)
-                tu.unorderedNames.emplace_back(toks[close + 1].text);
+            if (close + 1 < n && toks[close + 1].kind == Tok::Ident &&
+                (isUnorderedContainer(toks[i].text) ||
+                 firstArgIsPointer(toks, i + 1, close)))
+                tu.unstableOrderNames.emplace_back(toks[close + 1].text);
         }
-        if (isMutexType(toks[i].text) && i + 1 < n &&
-            toks[i + 1].kind == Tok::Ident &&
-            (i + 2 >= n || toks[i + 2].is(";") || toks[i + 2].is(",")))
-            tu.lockNames.emplace_back(toks[i + 1].text);
         // Receiver-type hints: `Type name ;|=|{|,|)` (optionally with
         // template args and */& between). Noisy entries are fine —
         // they only ever NARROW member-call resolution.
@@ -354,18 +349,8 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                                          std::string(toks[i].text));
         }
     }
-    std::sort(tu.varTypes.begin(), tu.varTypes.end());
-    tu.varTypes.erase(
-        std::unique(tu.varTypes.begin(), tu.varTypes.end()),
-        tu.varTypes.end());
-    std::sort(tu.unorderedNames.begin(), tu.unorderedNames.end());
-    tu.unorderedNames.erase(std::unique(tu.unorderedNames.begin(),
-                                        tu.unorderedNames.end()),
-                            tu.unorderedNames.end());
-    std::sort(tu.lockNames.begin(), tu.lockNames.end());
-    tu.lockNames.erase(
-        std::unique(tu.lockNames.begin(), tu.lockNames.end()),
-        tu.lockNames.end());
+    sortUnique(tu.varTypes);
+    sortUnique(tu.unstableOrderNames);
 
     // Pass 2: scopes, function definitions, and body events.
     struct Scope
@@ -377,7 +362,10 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
     int depth = 0;
     FunctionIndex *fn = nullptr; ///< active function, else null
     int fnBodyDepth = 0;
-    std::vector<HeldLock> held;
+    // RNG engines and clocks declared outside any body (globals, class
+    // members) belong to a pseudo-function rooted wherever the file is.
+    FunctionIndex fileScope;
+    fileScope.qualName = fileScope.name = "(file scope)";
 
     auto openNamedScope = [&](size_t i) -> size_t {
         // namespace A::B { ... } | class/struct/union/enum X ... { ... }
@@ -432,18 +420,17 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
         }
         if (t.is("}")) {
             --depth;
-            while (!held.empty() && held.back().depth > depth)
-                held.pop_back();
-            if (fn && depth < fnBodyDepth) {
+            if (fn && depth < fnBodyDepth)
                 fn = nullptr;
-                held.clear();
-            }
             while (!scopes.empty() && scopes.back().bodyDepth > depth)
                 scopes.pop_back();
             continue;
         }
 
         if (!fn) {
+            if (t.kind == Tok::Ident && isNondetType(t.text))
+                fileScope.detSources.push_back(
+                    {"std::" + std::string(t.text), t.line});
             if (t.isIdent("namespace") || t.isIdent("class") ||
                 t.isIdent("struct") || t.isIdent("union") ||
                 t.isIdent("enum")) {
@@ -476,7 +463,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                 tu.functions.push_back(std::move(f));
                 fn = &tu.functions.back();
                 fnBodyDepth = depth + 1;
-                held.clear();
                 // Record initializer-list calls (`ctor() : a_(g()) {`)
                 // as entry calls, then resume at the body brace.
                 for (size_t k = close + 1; k + 1 < body; ++k)
@@ -499,124 +485,58 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
         // ---- inside a function body ----
         if (t.kind != Tok::Ident)
             continue;
-
-        // Lock guard: lock_guard<...> g(m); scoped_lock locks all args.
-        if (isLockGuardType(t.text)) {
-            size_t j = i + 1;
-            if (j < n && toks[j].is("<")) {
-                size_t c = matchAngle(toks, j);
-                if (c == n)
-                    continue;
-                j = c + 1;
-            }
-            if (j < n && toks[j].kind == Tok::Ident)
-                ++j; // variable name
-            if (j >= n || !toks[j].is("("))
-                continue;
-            size_t close = matchParen(toks, j);
-            // Each comma-separated argument is one acquired lock.
-            std::vector<std::string> before = heldNames(held);
-            size_t argStart = j;
-            while (argStart < close) {
-                std::string lockName = firstArgText(toks, argStart);
-                if (!lockName.empty()) {
-                    LockEvent e;
-                    e.lockName = lockName;
-                    e.line = t.line;
-                    e.heldBefore = before;
-                    fn->locks.push_back(std::move(e));
-                    held.push_back({lockName, depth});
-                }
-                int d = 0;
-                ++argStart;
-                while (argStart < close) {
-                    const Token &a = toks[argStart];
-                    if (a.is("(") || a.is("[") || a.is("{") || a.is("<"))
-                        ++d;
-                    else if (a.is(")") || a.is("]") || a.is("}") ||
-                             a.is(">"))
-                        --d;
-                    else if (a.is(",") && d == 0)
-                        break;
-                    ++argStart;
-                }
-            }
-            i = close;
-            continue;
-        }
-
-        // Explicit m.lock() / m.unlock() / pthread_mutex_lock(&m).
-        if ((t.isIdent("lock") || t.isIdent("lock_shared")) && i >= 2 &&
-            (toks[i - 1].is(".") || toks[i - 1].is("->")) &&
-            toks[i - 2].kind == Tok::Ident && i + 1 < n &&
-            toks[i + 1].is("(")) {
-            std::string lockName(toks[i - 2].text);
-            LockEvent e;
-            e.lockName = lockName;
-            e.line = t.line;
-            e.heldBefore = heldNames(held);
-            fn->locks.push_back(std::move(e));
-            held.push_back({lockName, fnBodyDepth});
-            continue;
-        }
-        if ((t.isIdent("unlock") || t.isIdent("unlock_shared")) &&
-            i >= 2 &&
-            (toks[i - 1].is(".") || toks[i - 1].is("->")) &&
-            toks[i - 2].kind == Tok::Ident) {
-            std::string name(toks[i - 2].text);
-            for (size_t k = held.size(); k-- > 0;)
-                if (held[k].name == name) {
-                    held.erase(held.begin() +
-                               static_cast<ptrdiff_t>(k));
-                    break;
-                }
-            continue;
-        }
-        if (t.isIdent("pthread_mutex_lock") && i + 1 < n &&
-            toks[i + 1].is("(")) {
-            std::string arg = firstArgText(toks, i + 1);
-            if (!arg.empty() && arg[0] == '&')
-                arg.erase(0, 1);
-            LockEvent e;
-            e.lockName = arg;
-            e.line = t.line;
-            e.heldBefore = heldNames(held);
-            fn->locks.push_back(std::move(e));
-            held.push_back({arg, fnBodyDepth});
-            // falls through: also recorded as a call below
-        }
-        if (t.isIdent("pthread_mutex_unlock") && i + 1 < n &&
-            toks[i + 1].is("(")) {
-            std::string arg = firstArgText(toks, i + 1);
-            if (!arg.empty() && arg[0] == '&')
-                arg.erase(0, 1);
-            for (size_t k = held.size(); k-- > 0;)
-                if (held[k].name == arg) {
-                    held.erase(held.begin() +
-                               static_cast<ptrdiff_t>(k));
-                    break;
-                }
-        }
-
-        // Nondeterminism sources.
         bool prevMember =
             i > 0 && (toks[i - 1].is(".") || toks[i - 1].is("->"));
         bool isCall = i + 1 < n && toks[i + 1].is("(");
-        if (!prevMember && isCall &&
-            (isRngCall(t.text) || isClockCall(t.text))) {
-            DetEvent e;
-            e.what = std::string(t.text) + "()";
-            e.line = t.line;
-            fn->detSources.push_back(std::move(e));
-        } else if (!prevMember && isNondetType(t.text)) {
-            DetEvent e;
-            e.what = "std::" + std::string(t.text);
-            e.line = t.line;
-            fn->detSources.push_back(std::move(e));
-        }
+        bool plainCall = isCall && !prevMember;
+        bool stdQualified =
+            i >= 2 && toks[i - 1].is("::") && toks[i - 2].isIdent("std");
+        std::string name(t.text);
+
+        // Determinism: host RNG and wall-clock reads.
+        if (plainCall && isNondetCall(t.text))
+            fn->detSources.push_back({name + "()", t.line});
+        else if (!prevMember && isNondetType(t.text))
+            fn->detSources.push_back({"std::" + name, t.line});
+
+        // Fork safety: work that is unsafe to duplicate across fork().
+        // stderr is unbuffered, so stdio aimed at it is tolerated.
+        if ((stdQualified && isAnyOf(t.text, {"thread", "jthread",
+                                              "async"})) ||
+            (plainCall && t.is("pthread_create")))
+            fn->forkHazards.push_back(
+                {name + " spawns a thread the fork child will not "
+                        "inherit",
+                 t.line});
+        else if (isLockGuardType(t.text) ||
+                 (plainCall && t.is("pthread_mutex_lock")) ||
+                 (prevMember && isCall &&
+                  isAnyOf(t.text, {"lock", "lock_shared"})))
+            fn->forkHazards.push_back(
+                {name + " takes a lock: a mutex held by another thread "
+                        "at fork() stays locked forever in the child",
+                 t.line});
+        else if (plainCall && isBufferedStdio(t.text) &&
+                 !argsMention(toks, i + 1, "stderr"))
+            fn->forkHazards.push_back(
+                {name + "() buffers in user space; bytes pending at "
+                        "fork() are emitted by parent and child",
+                 t.line});
+        else if (plainCall && t.is("fflush") &&
+                 !argsMention(toks, i + 1, "stderr"))
+            fn->forkHazards.push_back(
+                {"fflush() emits bytes another process may also hold "
+                 "buffered; purge, don't flush, inherited stdio state",
+                 t.line});
+        else if (plainCall &&
+                 isAnyOf(t.text, {"exit", "atexit", "at_quick_exit"}))
+            fn->forkHazards.push_back(
+                {name + "() runs atexit handlers and flushes inherited "
+                        "stdio; a fork child must _exit()",
+                 t.line});
 
         // Range-for iteration: for ( decl : expr ).
-        if (t.isIdent("for") && i + 1 < n && toks[i + 1].is("(")) {
+        if (t.isIdent("for") && isCall) {
             size_t close = matchParen(toks, i + 1);
             bool classic = false;
             size_t colon = 0;
@@ -654,52 +574,37 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
             fn->iterUses.push_back(std::move(e));
         }
 
-        // Arch-state stores (mirrors MJ-PRB patterns).
+        // Arch-state stores: `.x[i] = v`, `->f[i] |= v`, `csr.mepc = v`.
         if ((t.isIdent("x") || t.isIdent("f")) && prevMember &&
             i + 1 < n && toks[i + 1].is("[")) {
             size_t close = matchParen(toks, i + 1);
-            if (close + 1 < n && isAssignPunct(toks[close + 1])) {
-                WriteEvent e;
-                e.what = std::string(t.text) + "[] store";
-                e.line = t.line;
-                fn->archWrites.push_back(std::move(e));
-            }
+            if (close + 1 < n && isAssignPunct(toks[close + 1]))
+                fn->archWrites.push_back({name + "[] store", t.line});
         }
         if (t.isIdent("csr") && i + 3 < n && toks[i + 1].is(".") &&
             toks[i + 2].kind == Tok::Ident &&
             isProtectedCsr(toks[i + 2].text) &&
-            isAssignPunct(toks[i + 3])) {
-            WriteEvent e;
-            e.what = "csr." + std::string(toks[i + 2].text) + " store";
-            e.line = t.line;
-            fn->archWrites.push_back(std::move(e));
-        }
+            isAssignPunct(toks[i + 3]))
+            fn->archWrites.push_back(
+                {"csr." + std::string(toks[i + 2].text) + " store",
+                 t.line});
 
         // Call sites (after the special forms above).
         if (isCall && !isCallKeyword(t.text)) {
             CallEvent c;
-            c.name = std::string(t.text);
+            c.name = name;
             c.line = t.line;
             c.member = prevMember;
             if (!prevMember)
                 c.qualHint = qualChainBefore(toks, i);
             else if (i >= 2 && toks[i - 2].kind == Tok::Ident)
                 c.recv = std::string(toks[i - 2].text);
-            // The fork rules tolerate stderr-directed stdio; keep the
-            // argument text for exactly those calls so the graph rule
-            // can apply the same tolerance.
-            if (isAnyOf(t.text, {"fprintf", "vfprintf", "fputs",
-                                 "fputc", "fflush", "fwrite"})) {
-                size_t close = matchParen(toks, i + 1);
-                for (size_t k = i + 2;
-                     k < close && c.firstArg.size() < 64; ++k)
-                    c.firstArg += toks[k].text;
-            }
-            c.heldLocks = heldNames(held);
             fn->calls.push_back(std::move(c));
         }
     }
 
+    if (!fileScope.detSources.empty())
+        tu.functions.push_back(std::move(fileScope));
     return tu;
 }
 

@@ -1,16 +1,16 @@
 /**
  * @file
- * Per-translation-unit symbol index: the facts the interprocedural
- * pass needs, extracted once per file from the existing token stream.
+ * Per-translation-unit symbol index: the facts the graph rules need,
+ * extracted once per file from the token stream.
  *
  * The index deliberately stays syntactic — no type resolution, no
- * overload sets. Each function definition carries the event lists the
- * graph rules consume (call sites with held locks, lock acquisitions,
- * nondeterminism sources, container iterations, arch-state writes),
- * and each TU contributes the container/lock object names it declares.
- * Cross-TU meaning (which names are unordered, which calls resolve to
- * which definitions) is assigned later by ProgramModel so a cached
- * index stays valid as long as its file's bytes are unchanged.
+ * overload sets. Each function definition carries its call sites plus
+ * one event list per contract (nondeterminism sources and container
+ * iterations, fork hazards, arch-state writes), and each TU
+ * contributes the names of the containers it declares with a
+ * host-dependent iteration order. Cross-TU meaning (which iterations
+ * hit such a container, which calls resolve to which definitions) is
+ * assigned later by ProgramModel.
  */
 
 #ifndef MINJIE_ANALYSIS_INDEX_H
@@ -31,41 +31,25 @@ struct CallEvent
 {
     std::string name;     ///< unqualified callee name
     std::string qualHint; ///< `A::B` qualifier chain, "" when absent
-    std::string firstArg; ///< first-arg text for stdio calls ("" else)
     std::string recv;     ///< member-call receiver name ("" when not a
                           ///< single identifier)
     uint32_t line = 0;
     bool member = false;  ///< receiver-dot/arrow call (`obj.f()`)
-    std::vector<std::string> heldLocks; ///< locks held at the call
 };
 
-/** A lock acquisition (guard construction or explicit .lock()). */
-struct LockEvent
+/** A construct a contract forbids on its paths. */
+struct Hazard
 {
-    std::string lockName; ///< source text of the locked object
-    uint32_t line = 0;
-    std::vector<std::string> heldBefore; ///< locks already held
-};
-
-/** A direct nondeterminism source (host RNG, wall clock, ...). */
-struct DetEvent
-{
-    std::string what; ///< e.g. "rand()", "std::mt19937"
+    std::string what; ///< e.g. "rand()", "x[] store", or for fork
+                      ///< hazards the full reason
     uint32_t line = 0;
 };
 
 /** Container iteration whose order matters if the container turns out
- *  to be unordered (resolved cross-TU by ProgramModel). */
+ *  to be host-ordered (resolved cross-TU by ProgramModel). */
 struct IterEvent
 {
     std::vector<std::string> names; ///< candidate container names
-    uint32_t line = 0;
-};
-
-/** A direct architectural-state store (regfile / protected CSR). */
-struct WriteEvent
-{
-    std::string what; ///< e.g. "x[] store", "csr.mstatus store"
     uint32_t line = 0;
 };
 
@@ -76,10 +60,10 @@ struct FunctionIndex
     std::string name;     ///< last component
     uint32_t line = 0;    ///< line of the name token
     std::vector<CallEvent> calls;
-    std::vector<LockEvent> locks;
-    std::vector<DetEvent> detSources;
-    std::vector<IterEvent> iterUses;
-    std::vector<WriteEvent> archWrites;
+    std::vector<Hazard> detSources;  ///< host RNG, wall clock
+    std::vector<IterEvent> iterUses; ///< range-for / begin() sites
+    std::vector<Hazard> forkHazards; ///< threads, locks, stdio, exit
+    std::vector<Hazard> archWrites;  ///< raw regfile / CSR stores
 };
 
 /** Everything indexed from one file. */
@@ -87,8 +71,9 @@ struct TuIndex
 {
     std::string path; ///< repo-relative
     std::vector<FunctionIndex> functions; ///< in definition order
-    std::vector<std::string> unorderedNames; ///< names declared std::unordered_*
-    std::vector<std::string> lockNames;      ///< names declared as mutexes
+    /** Names declared as std::unordered_* or pointer-keyed ordered
+     *  containers: their iteration order is host-dependent. */
+    std::vector<std::string> unstableOrderNames;
     /** (variable, type) pairs from `Type name;`-shaped declarations —
      *  the receiver-type hints that narrow member-call resolution. */
     std::vector<std::pair<std::string, std::string>> varTypes;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "analysis/rules.h"
 #include "common/jsonw.h"
 
 namespace minjie::analysis {
@@ -28,16 +29,12 @@ renderHuman(const EngineResult &res)
     }
     std::snprintf(buf, sizeof(buf),
                   "minjie-lint: %zu finding%s in %llu files "
-                  "(%llu inline-suppressed, %llu baselined)\n",
+                  "(%llu inline-suppressed)\n",
                   res.findings.size(),
                   res.findings.size() == 1 ? "" : "s",
                   static_cast<unsigned long long>(res.filesScanned),
-                  static_cast<unsigned long long>(res.suppressedInline),
-                  static_cast<unsigned long long>(
-                      res.suppressedBaseline));
+                  static_cast<unsigned long long>(res.suppressedInline));
     out += buf;
-    for (const std::string &stale : res.staleBaseline)
-        out += "minjie-lint: stale baseline entry: " + stale + "\n";
     return out;
 }
 
@@ -47,9 +44,7 @@ renderJson(const EngineResult &res)
     JsonWriter jw;
     jw.beginObject();
     jw.key("files_scanned").value(res.filesScanned);
-    jw.key("files_lexed").value(res.filesLexed);
     jw.key("suppressed_inline").value(res.suppressedInline);
-    jw.key("suppressed_baseline").value(res.suppressedBaseline);
     jw.key("findings").beginArray();
     for (const Finding &f : res.findings) {
         jw.beginObject();
@@ -68,16 +63,12 @@ renderJson(const EngineResult &res)
         jw.endObject();
     }
     jw.endArray();
-    jw.key("stale_baseline").beginArray();
-    for (const std::string &s : res.staleBaseline)
-        jw.value(s);
-    jw.endArray();
     jw.endObject();
     return jw.str();
 }
 
 std::string
-renderSarif(const EngineResult &res, const Engine &engine)
+renderSarif(const EngineResult &res)
 {
     JsonWriter jw;
     jw.beginObject();
@@ -93,19 +84,11 @@ renderSarif(const EngineResult &res, const Engine &engine)
     jw.key("informationUri")
         .value("README.md#static-analysis--sanitizers");
     jw.key("rules").beginArray();
-    for (const auto &rule : engine.rules()) {
+    for (const RuleInfo &rule : ruleCatalog()) {
         jw.beginObject();
-        jw.key("id").value(std::string(rule->id()));
+        jw.key("id").value(std::string(rule.id));
         jw.key("shortDescription").beginObject();
-        jw.key("text").value(std::string(rule->summary()));
-        jw.endObject();
-        jw.endObject();
-    }
-    for (const auto &rule : engine.graphRules()) {
-        jw.beginObject();
-        jw.key("id").value(std::string(rule->id()));
-        jw.key("shortDescription").beginObject();
-        jw.key("text").value(std::string(rule->summary()));
+        jw.key("text").value(std::string(rule.summary));
         jw.endObject();
         jw.endObject();
     }
@@ -134,7 +117,7 @@ renderSarif(const EngineResult &res, const Engine &engine)
         jw.endObject(); // physicalLocation
         jw.endObject();
         jw.endArray(); // locations
-        // Interprocedural findings carry their call-path witness as a
+        // Graph-rule findings carry their call-path witness as a
         // SARIF codeFlow so viewers can step the chain.
         if (!f.callPath.empty()) {
             jw.key("codeFlows").beginArray();

@@ -20,8 +20,8 @@ std::string renderHuman(const EngineResult &res);
 /** Compact JSON: findings array + counters. */
 std::string renderJson(const EngineResult &res);
 
-/** SARIF 2.1.0 with rule metadata from @p engine's registry. */
-std::string renderSarif(const EngineResult &res, const Engine &engine);
+/** SARIF 2.1.0 with rule metadata from the rule catalog. */
+std::string renderSarif(const EngineResult &res);
 
 } // namespace minjie::analysis
 

@@ -24,7 +24,6 @@ trim(std::string_view s)
 
 Suppressions::Suppressions(const std::string &path,
                            const std::vector<Comment> &comments,
-                           const SourceFile &file,
                            std::vector<Finding> &diagnostics)
 {
     for (const Comment &cm : comments) {
@@ -50,8 +49,6 @@ Suppressions::Suppressions(const std::string &path,
                                                    : "a justification") +
                         "; write `lint:allow <RULE-ID> <why this is "
                         "safe>`";
-            std::string_view lt = file.lineText(cm.line);
-            f.snippet = std::string(trim(lt));
             diagnostics.push_back(std::move(f));
             continue;
         }

@@ -39,7 +39,7 @@ Logger::log(LogLevel level, const char *fmt, ...)
     std::fprintf(out, "[%s] %s\n", names[static_cast<int>(level)], body);
     // stderr is unbuffered; a file sink is not. Flush it so no bytes
     // pend across a LightSSS fork(), where they would be written by
-    // both the parent and the snapshot child (lint MJ-FRK-003).
+    // both the parent and the snapshot child (lint MJ-FRK2-001).
     if (out != stderr)
         std::fflush(out);
     lines_.fetch_add(1, std::memory_order_relaxed);

@@ -80,11 +80,8 @@ class GlobalMemory
     // Bounded by the maximum stores in flight across all cores (ROB +
     // fetch buffers); 2048 covers two 256-entry windows of pure stores.
     static constexpr size_t HISTORY_DEPTH = 2048;
-    // lint:allow MJ-DET-003 lookup-only map, never iterated; hit on every store
     std::unordered_map<Addr, uint64_t> mem_;   ///< 8B slot contents
-    // lint:allow MJ-DET-003 lookup-only map, never iterated; hit on every store
     std::unordered_map<Addr, uint64_t> known_; ///< written-byte masks
-    // lint:allow MJ-DET-003 lookup-only map, never iterated; hit on every store
     std::unordered_map<Addr, std::deque<uint64_t>> history_;
     uint64_t stores_ = 0;
 };

@@ -41,7 +41,7 @@ class PermissionScoreboard
     // line -> (cache name -> permission). Keyed by the per-instance
     // cache name, not the object pointer: iteration feeds violation
     // reports, so the order must not depend on allocation addresses
-    // (lint MJ-DET-003/004).
+    // (lint MJ-DET2-001).
     std::map<Addr, std::map<std::string, Perm, std::less<>>> perms_;
     std::vector<std::string> violations_;
     uint64_t checked_ = 0;

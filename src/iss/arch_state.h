@@ -54,7 +54,7 @@ struct ArchState
 
     /**
      * Write an fp register (raw NaN-boxed bit pattern). The single
-     * sanctioned store path into f[] (lint MJ-PRB-002): every value
+     * sanctioned store path into f[] (lint MJ-PRB2-001): every value
      * DiffTest compares flows through here, so probes and future
      * write-tracing hook one place. Callers still mark mstatus.FS
      * dirty via CsrFile::setFsDirty().

@@ -78,7 +78,7 @@ class CsrFile
 
     /**
      * OR fp exception flags into fflags: the sanctioned accumulation
-     * path for the executors (lint MJ-PRB-003). fflags is pure status
+     * path for the executors (lint MJ-PRB2-001). fflags is pure status
      * — every bit is writable — so no WARL legalization applies.
      */
     void
@@ -89,7 +89,7 @@ class CsrFile
 
     /**
      * Install an mstatus image produced by trap entry / trap return
-     * sequencing (lint MJ-PRB-003). The value must already be legal:
+     * sequencing (lint MJ-PRB2-001). The value must already be legal:
      * callers edit individual fields of the current image, they do
      * not launder arbitrary writes past write()'s legalization.
      */

@@ -90,7 +90,6 @@ class PackWriter
     uint64_t weightDen_;
     std::vector<Entry> table_;
     std::vector<uint8_t> pool_;
-    // lint:allow MJ-DET-003 lookup-only dedup buckets, never iterated
     std::unordered_map<uint64_t, std::vector<uint64_t>> hashToIdx_;
     size_t totalRefs_ = 0;
 };

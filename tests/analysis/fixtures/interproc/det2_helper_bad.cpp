@@ -1,6 +1,6 @@
 // MJ-DET2 fixture, bad helper TU: loaded under src/util/, outside the
-// per-file MJ-DET scope. The host-RNG call is invisible to per-file
-// rules yet poisons every deterministic caller.
+// MJ-DET2 scope. The host-RNG call is not on a deterministic path by
+// location, yet poisons every deterministic caller.
 
 namespace minjie::util {
 

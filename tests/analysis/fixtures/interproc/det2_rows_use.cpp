@@ -1,7 +1,6 @@
 // MJ-DET2 fixture, iteration TU: loaded under src/campaign/. This TU
-// never mentions "unordered", so the per-file MJ-DET-003 cannot flag
-// it; the container is declared std::unordered_map in
-// det2_rows_decl.cpp (another TU).
+// never mentions "unordered"; the container is declared
+// std::unordered_map in det2_rows_decl.cpp (another TU).
 
 namespace minjie::campaign {
 

@@ -1,5 +1,5 @@
 // MJ-FRK2 fixture, bad helper TU: loaded under src/util/, outside the
-// per-file MJ-FRK scope, so only the call graph can see that printf's
+// MJ-FRK2 scope, so only the call graph can see that printf's
 // user-space buffering is reachable from the LightSSS fork path.
 
 namespace minjie::util {

@@ -1,7 +1,6 @@
 // MJ-FRK2 fixture, clean helper TU: same shape as frk2_helper_bad.cpp
 // but stderr-directed. stderr is unbuffered, so reaching it from the
-// fork path is fine — the graph rule must apply the same stderr
-// tolerance as the per-file MJ-FRK-003.
+// fork path is fine — the graph rule must tolerate it.
 
 namespace minjie::util {
 

@@ -1,5 +1,5 @@
 // MJ-PRB2 fixture, bad helper TU: loaded under src/util/, outside the
-// per-file MJ-PRB scope. The raw x[] store bypasses the
+// MJ-PRB2 scope. The raw x[] store bypasses the
 // ArchState/CsrFile choke point (and its DiffTest probes) yet is
 // reachable from engine code.
 

@@ -1,4 +1,4 @@
-// Seeded MJ-PRB-* violations: direct architectural-state stores that
+// Seeded MJ-PRB2-001 violations: direct architectural-state stores that
 // bypass the ArchState / CsrFile accessors (the DiffTest probe choke
 // points). Fixture data only — never compiled; see fixtures/
 // determinism.cpp for the scheme.
@@ -6,9 +6,9 @@
 void
 fixture_probe(iss::ArchState &st, const DecodedInst &di, uint64_t v)
 {
-    st.x[di.rd] = v;            // MJ-PRB-001
-    st.f[di.rd] |= v;           // MJ-PRB-002
-    st.csr.mstatus = v;         // MJ-PRB-003
+    st.x[di.rd] = v;            // MJ-PRB2-001
+    st.f[di.rd] |= v;           // MJ-PRB2-001
+    st.csr.mstatus = v;         // MJ-PRB2-001
     st.setX(di.rd, v);          // accessor: clean
     uint64_t r = st.x[di.rd];   // read: clean
     (void)r;

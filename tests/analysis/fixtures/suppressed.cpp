@@ -4,9 +4,9 @@
 void
 fixture_suppressed()
 {
-    // lint:allow MJ-DET-001 fixture: justified directive on prior line
+    // lint:allow MJ-DET2-001 fixture: justified directive on prior line
     int a = rand();                 // suppressed
-    int b = rand(); // lint:allow MJ-DET-001 same-line directive
-    int c = rand(); // lint:allow MJ-DET-001
+    int b = rand(); // lint:allow MJ-DET2-001 same-line directive
+    int c = rand(); // lint:allow MJ-DET2-001
     (void)a; (void)b; (void)c;
 }

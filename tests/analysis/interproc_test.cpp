@@ -1,10 +1,10 @@
 /**
- * Interprocedural rule-family tests driven by the multi-TU fixtures
- * in tests/analysis/fixtures/interproc/. Each family gets a known-bad
+ * Graph-rule tests driven by the multi-TU fixtures in
+ * tests/analysis/fixtures/interproc/. Each contract gets a known-bad
  * set — asserting the exact rule id, finding site, and call-path
  * witness — and a known-clean set proving the sanctioned escape hatch
- * (stderr, Rng:: sink, accessor choke point, consistent lock order)
- * really silences the rule, not just the matcher.
+ * (stderr, Rng:: sink, accessor choke point) really silences the rule,
+ * not just the matcher.
  */
 
 #include <gtest/gtest.h>
@@ -150,7 +150,7 @@ TEST(Interproc, DeterministicPathReachesHostRngInHelper)
 TEST(Interproc, CrossTuUnorderedIterationIsFlagged)
 {
     // The unordered declaration and the iteration live in different
-    // TUs; neither alone trips a per-file rule.
+    // TUs; only the merged program connects them.
     auto res = lint({
         loadFixture("det2_rows_decl.cpp", "src/util/row_table.h"),
         loadFixture("det2_rows_use.cpp", "src/campaign/rows_use.cpp"),
@@ -207,50 +207,6 @@ TEST(Interproc, StoreBehindAccessorChokePointIsSanctioned)
         loadFixture("prb2_clean_root.cpp", "src/nemu/exec_clean.cpp"),
         loadFixture("prb2_clean_choke.cpp", "src/iss/arch_state.cpp"),
         loadFixture("prb2_clean_helper.cpp", "src/util/poke.cpp"),
-    });
-    EXPECT_TRUE(res.findings.empty())
-        << res.findings[0].ruleId << ": " << res.findings[0].message;
-}
-
-// ------------------------------------------------------------------ LCK
-
-TEST(Interproc, IntraproceduralLockOrderCycle)
-{
-    auto res = lint({
-        loadFixture("lck_cycle.cpp", "src/campaign/pool_fixture.cpp"),
-    });
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-LCK-001"], 1);
-    ASSERT_EQ(res.findings.size(), 1u);
-    const Finding &f = res.findings[0];
-    EXPECT_NE(f.message.find("poolMu"), std::string::npos) << f.message;
-    EXPECT_NE(f.message.find("statsMu"), std::string::npos)
-        << f.message;
-    ASSERT_FALSE(f.callPath.empty());
-}
-
-TEST(Interproc, CrossTuLockOrderCycleThroughCall)
-{
-    // publishResult() holds poolMu while calling noteStat() — defined
-    // in another TU — where statsMu is taken; drainStats() orders the
-    // pair the other way. Neither TU alone contains both orders.
-    auto res = lint({
-        loadFixture("lck_inter_a.cpp", "src/campaign/pool_a.cpp"),
-        loadFixture("lck_inter_b.cpp", "src/campaign/stats_b.cpp"),
-    });
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-LCK-001"], 1);
-    ASSERT_EQ(res.findings.size(), 1u);
-    const Finding &f = res.findings[0];
-    EXPECT_NE(f.message.find("lock-order cycle"), std::string::npos)
-        << f.message;
-    ASSERT_FALSE(f.callPath.empty());
-}
-
-TEST(Interproc, ConsistentLockOrderIsClean)
-{
-    auto res = lint({
-        loadFixture("lck_clean.cpp", "src/campaign/pool_fixture.cpp"),
     });
     EXPECT_TRUE(res.findings.empty())
         << res.findings[0].ruleId << ": " << res.findings[0].message;

@@ -1,10 +1,8 @@
 /**
- * The repo-is-lint-clean gate, as a unit test: run the full engine —
- * per-file rules plus the interprocedural pass — over the checked-out
- * src/, tools/, and tests/ trees with the checked-in baseline and
- * require zero unsuppressed findings and zero stale baseline entries.
- * The minjie-lint CLI registers the same check as the
- * `lint_repo_clean` ctest; this version produces gtest-grade
+ * The repo-is-lint-clean gate, as a unit test: run the full engine
+ * over the checked-out src/, tools/, and tests/ trees and require zero
+ * unsuppressed findings. The minjie-lint CLI registers the same check
+ * as the `lint_repo_clean` ctest; this version produces gtest-grade
  * diagnostics when it fires.
  */
 
@@ -22,8 +20,6 @@ repoConfig()
     cfg.root = MINJIE_SOURCE_DIR;
     cfg.scanDirs = {"src", "tools", "tests"};
     cfg.excludePrefixes = {"tests/analysis/fixtures"};
-    cfg.baselinePath =
-        std::string(MINJIE_SOURCE_DIR) + "/.minjie-lint-baseline";
     return cfg;
 }
 
@@ -36,25 +32,18 @@ TEST(RepoClean, ZeroUnsuppressedFindings)
         ADD_FAILURE() << f.path << ":" << f.line << ": [" << f.ruleId
                       << "] " << f.message << "\n    " << f.snippet;
     EXPECT_TRUE(res.findings.empty());
-    for (const std::string &s : res.staleBaseline)
-        ADD_FAILURE() << "stale baseline entry: " << s;
 }
 
 TEST(RepoClean, InterproceduralPassCoversRepo)
 {
     // The graph pass must actually have run over the merged program:
-    // a regression that silently dropped the interprocedural rules
-    // (or the indexes feeding them) would leave ZeroUnsuppressed
-    // green while checking nothing. Restricting to the MJ-*2/MJ-LCK
-    // families re-runs the pipeline bypassing the cache path, and the
-    // two defects this pass originally caught stay pinned by their
-    // justified inline suppressions.
+    // a regression that silently dropped the graph rules (or the
+    // indexes feeding them) would leave ZeroUnsuppressed green while
+    // checking nothing. The two defects this pass originally caught
+    // stay pinned by their justified inline suppressions.
     EngineConfig cfg = repoConfig();
-    cfg.onlyRules = {"MJ-FRK2-001", "MJ-DET2-001", "MJ-PRB2-001",
-                     "MJ-LCK-001"};
-    Engine engine(cfg);
-    EXPECT_EQ(engine.graphRules().size(), 4u);
-    auto res = engine.run();
+    cfg.onlyRules = {"MJ-FRK2-001", "MJ-DET2-001", "MJ-PRB2-001"};
+    auto res = Engine(cfg).run();
     for (const Finding &f : res.findings)
         ADD_FAILURE() << f.path << ":" << f.line << ": [" << f.ruleId
                       << "] " << f.message;

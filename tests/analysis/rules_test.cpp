@@ -1,7 +1,7 @@
 /**
- * Rule-family tests driven by the seeded-violation fixtures in
+ * Rule tests driven by the seeded-violation fixtures in
  * tests/analysis/fixtures/. Each fixture is loaded under a path inside
- * the family's scope and must trigger exactly the rule ids its
+ * its contract's scope and must trigger exactly the findings its
  * comments claim — no more, no fewer. The same fixtures under an
  * out-of-scope or exempt path must be silent, proving the scoping
  * logic and not just the matchers.
@@ -13,6 +13,7 @@
 #include <string>
 
 #include "analysis/engine.h"
+#include "analysis/rules.h"
 
 namespace minjie::analysis {
 namespace {
@@ -44,22 +45,34 @@ idCounts(const EngineResult &res)
     return m;
 }
 
-Engine
-plainEngine()
+EngineResult
+lintOne(const std::string &name, const std::string &scopedRel)
 {
-    return Engine(EngineConfig{});
+    return Engine(EngineConfig{}).runOnFiles({loadFixture(name, scopedRel)});
+}
+
+/** Lines of the findings, in report order. */
+std::vector<uint32_t>
+lines(const EngineResult &res)
+{
+    std::vector<uint32_t> out;
+    for (const Finding &f : res.findings)
+        out.push_back(f.line);
+    return out;
 }
 
 TEST(Rules, DeterminismFixtureFiresExactIds)
 {
-    auto res = plainEngine().runOnFile(
-        loadFixture("determinism.cpp", "src/campaign/fixture.cpp"));
+    auto res = lintOne("determinism.cpp", "src/campaign/fixture.cpp");
     auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-DET-001"], 2); // rand(), mt19937
-    EXPECT_EQ(ids["MJ-DET-002"], 2); // time(), steady_clock
-    EXPECT_EQ(ids["MJ-DET-003"], 1); // unordered_map
-    EXPECT_EQ(ids["MJ-DET-004"], 1); // map<const Block *, ...>
-    EXPECT_EQ(res.findings.size(), 6u);
+    // rand(), mt19937, time(), steady_clock, the iterations over the
+    // unordered and the pointer-keyed container, and the file-scope
+    // random_device; the declarations alone and the ordered iteration
+    // are clean.
+    EXPECT_EQ(ids["MJ-DET2-001"], 7);
+    EXPECT_EQ(res.findings.size(), 7u);
+    EXPECT_EQ(lines(res),
+              (std::vector<uint32_t>{11, 12, 13, 14, 19, 21, 28}));
 }
 
 TEST(Rules, DeterminismScopeCoversXiangshan)
@@ -67,85 +80,70 @@ TEST(Rules, DeterminismScopeCoversXiangshan)
     // Regression for the scope extension that came with the scheduler
     // fast paths: the DUT timing model must be bit-reproducible (the
     // sched_diff rig depends on it), so src/xiangshan/ is inside the
-    // MJ-DET contract and fires exactly like src/campaign/.
-    auto res = plainEngine().runOnFile(
-        loadFixture("determinism.cpp", "src/xiangshan/fixture.cpp"));
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-DET-001"], 2);
-    EXPECT_EQ(ids["MJ-DET-002"], 2);
-    EXPECT_EQ(ids["MJ-DET-003"], 1);
-    EXPECT_EQ(ids["MJ-DET-004"], 1);
-    EXPECT_EQ(res.findings.size(), 6u);
+    // MJ-DET2 contract and fires exactly like src/campaign/.
+    auto res = lintOne("determinism.cpp", "src/xiangshan/fixture.cpp");
+    EXPECT_EQ(idCounts(res)["MJ-DET2-001"], 7);
+    EXPECT_EQ(res.findings.size(), 7u);
 }
 
 TEST(Rules, DeterminismScopeIsEnforced)
 {
     // Same content outside the deterministic paths: no contract, no
     // findings (src/uarch is free to use host RNG).
-    auto res = plainEngine().runOnFile(
-        loadFixture("determinism.cpp", "src/uarch/fixture.cpp"));
+    auto res = lintOne("determinism.cpp", "src/uarch/fixture.cpp");
     EXPECT_TRUE(res.findings.empty());
 }
 
 TEST(Rules, ProbeFixtureFiresExactIds)
 {
-    auto res = plainEngine().runOnFile(
-        loadFixture("probe.cpp", "src/nemu/fixture.cpp"));
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-PRB-001"], 1); // st.x[...] =
-    EXPECT_EQ(ids["MJ-PRB-002"], 1); // st.f[...] |=
-    EXPECT_EQ(ids["MJ-PRB-003"], 1); // st.csr.mstatus =
-    EXPECT_EQ(res.findings.size(), 3u);
+    auto res = lintOne("probe.cpp", "src/nemu/fixture.cpp");
+    EXPECT_EQ(idCounts(res)["MJ-PRB2-001"], 3); // x[] =, f[] |=, mstatus =
+    ASSERT_EQ(res.findings.size(), 3u);
+    EXPECT_NE(res.findings[0].message.find("x[] store"), std::string::npos);
+    EXPECT_NE(res.findings[1].message.find("f[] store"), std::string::npos);
+    EXPECT_NE(res.findings[2].message.find("csr.mstatus store"),
+              std::string::npos);
 }
 
 TEST(Rules, ProbeAccessorHomesAreExempt)
 {
     // arch_state.h IS the accessor; the rule must not flag the
     // implementation it funnels everything into.
-    auto res = plainEngine().runOnFile(
-        loadFixture("probe.cpp", "src/iss/arch_state.h"));
+    auto res = lintOne("probe.cpp", "src/iss/arch_state.h");
     EXPECT_TRUE(res.findings.empty());
 }
 
 TEST(Rules, ForkFixtureFiresExactIds)
 {
-    auto res = plainEngine().runOnFile(
-        loadFixture("fork.cpp", "src/lightsss/fixture.cpp"));
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-FRK-001"], 1); // std::thread
-    EXPECT_EQ(ids["MJ-FRK-002"], 1); // std::mutex
-    EXPECT_EQ(ids["MJ-FRK-003"], 1); // printf (stderr fprintf is clean)
-    EXPECT_EQ(res.findings.size(), 3u);
+    auto res = lintOne("fork.cpp", "src/lightsss/fixture.cpp");
+    // std::thread, lock_guard, printf, fflush(stdout), exit(); the
+    // stderr-directed writes are clean.
+    EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 5);
+    EXPECT_EQ(res.findings.size(), 5u);
+    EXPECT_EQ(lines(res), (std::vector<uint32_t>{8, 9, 10, 12, 14}));
 }
 
 TEST(Rules, ForkRulesCoverSampleEngineScope)
 {
     // Regression for the scope extension that came with the sampled
     // simulation engine: src/sample/ forks one worker per SimPoint
-    // slice, so the per-file fork rules apply there verbatim.
-    auto res = plainEngine().runOnFile(
-        loadFixture("fork.cpp", "src/sample/fixture.cpp"));
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-FRK-001"], 1);
-    EXPECT_EQ(ids["MJ-FRK-002"], 1);
-    EXPECT_EQ(ids["MJ-FRK-003"], 1);
-    EXPECT_EQ(res.findings.size(), 3u);
+    // slice, so its functions are fork-path roots too.
+    auto res = lintOne("fork.cpp", "src/sample/fixture.cpp");
+    EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 5);
+    EXPECT_EQ(res.findings.size(), 5u);
 }
 
 TEST(Rules, ForkRulesStopAtLightsssBoundary)
 {
     // The campaign driver quiesces before snapshots; threads and
     // mutexes are legal there.
-    auto res = plainEngine().runOnFile(
-        loadFixture("fork.cpp", "src/campaign/fixture.cpp"));
-    for (const Finding &f : res.findings)
-        EXPECT_NE(f.ruleId.substr(0, 6), "MJ-FRK") << f.ruleId;
+    auto res = lintOne("fork.cpp", "src/campaign/fixture.cpp");
+    EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 0);
 }
 
 TEST(Rules, LayoutFixtureFlagsOnlyUnpinnedStruct)
 {
-    auto res = plainEngine().runOnFile(
-        loadFixture("layout.cpp", "src/nemu/fixture.h"));
+    auto res = lintOne("layout.cpp", "src/nemu/fixture.h");
     ASSERT_EQ(res.findings.size(), 1u);
     EXPECT_EQ(res.findings[0].ruleId, "MJ-LAY-001");
     EXPECT_NE(res.findings[0].message.find("Unpinned"),
@@ -154,37 +152,39 @@ TEST(Rules, LayoutFixtureFlagsOnlyUnpinnedStruct)
 
 TEST(Rules, SuppressedFixtureHonorsAndPolicesDirectives)
 {
-    auto res = plainEngine().runOnFile(
-        loadFixture("suppressed.cpp", "src/campaign/fixture.cpp"));
+    auto res = lintOne("suppressed.cpp", "src/campaign/fixture.cpp");
     // Two justified directives suppress their rand() calls; the bare
     // one suppresses nothing and is itself reported.
     EXPECT_EQ(res.suppressedInline, 2u);
     auto ids = idCounts(res);
     EXPECT_EQ(ids["MJ-SUP-001"], 1);
-    EXPECT_EQ(ids["MJ-DET-001"], 1); // the one the bare allow missed
+    EXPECT_EQ(ids["MJ-DET2-001"], 1); // the one the bare allow missed
     EXPECT_EQ(res.findings.size(), 2u);
 }
 
 TEST(Rules, RuleFilterRestrictsOutput)
 {
     EngineConfig cfg;
-    cfg.onlyRules = {"MJ-DET-003"};
-    auto res = Engine(cfg).runOnFile(
-        loadFixture("determinism.cpp", "src/campaign/fixture.cpp"));
+    cfg.onlyRules = {"MJ-LAY-001"};
+    auto res = Engine(cfg).runOnFiles(
+        {loadFixture("determinism.cpp", "src/campaign/fixture.cpp"),
+         loadFixture("layout.cpp", "src/nemu/fixture.h")});
     ASSERT_EQ(res.findings.size(), 1u);
-    EXPECT_EQ(res.findings[0].ruleId, "MJ-DET-003");
+    EXPECT_EQ(res.findings[0].ruleId, "MJ-LAY-001");
 }
 
 TEST(Rules, EveryFamilyIsRegistered)
 {
-    auto e = plainEngine();
+    // One rule per contract: each family prefix appears exactly once.
     std::map<std::string, int> families;
-    for (const auto &r : e.rules())
-        ++families[std::string(r->id().substr(0, 6))];
-    EXPECT_EQ(families["MJ-DET"], 4);
-    EXPECT_EQ(families["MJ-PRB"], 3);
-    EXPECT_EQ(families["MJ-FRK"], 3);
-    EXPECT_EQ(families["MJ-LAY"], 1);
+    for (const RuleInfo &r : ruleCatalog())
+        ++families[std::string(r.id.substr(0, r.id.rfind('-')))];
+    EXPECT_EQ(families,
+              (std::map<std::string, int>{{"MJ-DET2", 1},
+                                          {"MJ-FRK2", 1},
+                                          {"MJ-LAY", 1},
+                                          {"MJ-PRB2", 1},
+                                          {"MJ-SUP", 1}}));
 }
 
 } // namespace

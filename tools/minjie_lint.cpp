@@ -3,11 +3,10 @@
  * minjie-lint: static invariant analyzer for the co-simulation stack.
  *
  * Scans src/ and tools/ for violations of the repo's determinism,
- * probe-accessor, fork-safety, and layout contracts (see
- * src/analysis/rule.h for the rule families).
+ * fork-safety, probe-accessor, and layout contracts (see
+ * src/analysis/rules.h for the rule catalog).
  *
- * Exit codes: 0 clean, 1 findings (or stale baseline entries),
- * 2 usage / I/O error.
+ * Exit codes: 0 clean, 1 findings, 2 usage / I/O error.
  */
 
 #include <cstdio>
@@ -16,11 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/baseline.h"
 #include "analysis/engine.h"
 #include "analysis/report.h"
-#include "common/clock.h"
-#include "common/jsonw.h"
+#include "analysis/rules.h"
 
 namespace {
 
@@ -38,21 +35,8 @@ usage(FILE *to)
                               "prefix\n"
         "  --format FMT        human | json | sarif (default: human)\n"
         "  --output FILE       write the report here instead of stdout\n"
-        "  --baseline FILE     suppress findings recorded in FILE\n"
-        "  --update-baseline   rewrite the baseline from current "
-                              "findings\n"
-        "  --baseline-budget N fail when the baseline holds more than "
-                              "N entries\n"
-        "  --cache FILE        reuse per-file results for unchanged "
-                              "files\n"
-        "  --bench-out FILE    time a cold and an incremental run, "
-                              "write JSON\n"
-        "  --bench-gate PCT    with --bench-out: fail when the "
-                              "incremental\n"
-        "                      run exceeds PCT%% of the cold run\n"
         "  --rule ID           run only this rule (repeatable)\n"
-        "  --all-scopes        apply every rule to every file\n"
-        "  --list-rules        print the rule registry and exit\n");
+        "  --list-rules        print the rule catalog and exit\n");
 }
 
 } // namespace
@@ -65,10 +49,6 @@ main(int argc, char **argv)
     cfg.scanDirs.clear();
     std::string format = "human";
     std::string output;
-    std::string benchOut;
-    long benchGatePct = -1;
-    long baselineBudget = -1;
-    bool updateBaseline = false;
     bool listRules = false;
 
     auto needArg = [&](int &i) -> const char * {
@@ -92,22 +72,8 @@ main(int argc, char **argv)
             format = needArg(i);
         } else if (!std::strcmp(a, "--output")) {
             output = needArg(i);
-        } else if (!std::strcmp(a, "--baseline")) {
-            cfg.baselinePath = needArg(i);
-        } else if (!std::strcmp(a, "--update-baseline")) {
-            updateBaseline = true;
-        } else if (!std::strcmp(a, "--baseline-budget")) {
-            baselineBudget = std::strtol(needArg(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--cache")) {
-            cfg.cachePath = needArg(i);
-        } else if (!std::strcmp(a, "--bench-out")) {
-            benchOut = needArg(i);
-        } else if (!std::strcmp(a, "--bench-gate")) {
-            benchGatePct = std::strtol(needArg(i), nullptr, 10);
         } else if (!std::strcmp(a, "--rule")) {
             cfg.onlyRules.push_back(needArg(i));
-        } else if (!std::strcmp(a, "--all-scopes")) {
-            cfg.ignoreScopes = true;
         } else if (!std::strcmp(a, "--list-rules")) {
             listRules = true;
         } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
@@ -122,121 +88,17 @@ main(int argc, char **argv)
     if (cfg.scanDirs.empty())
         cfg.scanDirs = {"src", "tools"};
 
-    Engine engine(cfg);
-
     if (listRules) {
-        for (const auto &rule : engine.rules()) {
-            std::printf("%-12s %s\n",
-                        std::string(rule->id()).c_str(),
-                        std::string(rule->summary()).c_str());
-            for (const std::string &dir : rule->scope())
+        for (const RuleInfo &rule : ruleCatalog()) {
+            std::printf("%-12s %s\n", std::string(rule.id).c_str(),
+                        std::string(rule.summary).c_str());
+            for (const std::string &dir : rule.scope)
                 std::printf("             scope: %s\n", dir.c_str());
         }
         return 0;
     }
 
-    EngineResult res;
-    if (updateBaseline) {
-        // Collect unbaselined findings, then record them all.
-        std::string keep = cfg.baselinePath;
-        cfg.baselinePath.clear();
-        Engine fresh(cfg);
-        res = fresh.run();
-        if (keep.empty()) {
-            std::fprintf(stderr,
-                         "minjie-lint: --update-baseline needs "
-                         "--baseline FILE\n");
-            return 2;
-        }
-        if (!Baseline::write(keep, res.findings)) {
-            std::fprintf(stderr,
-                         "minjie-lint: cannot write baseline %s\n",
-                         keep.c_str());
-            return 2;
-        }
-        std::printf("minjie-lint: recorded %zu finding%s into %s\n",
-                    res.findings.size(),
-                    res.findings.size() == 1 ? "" : "s", keep.c_str());
-        return 0;
-    }
-
-    if (!benchOut.empty()) {
-        // Cold/incremental benchmark: drop the cache, run once to
-        // repopulate it, run again warm. The warm run's result feeds
-        // the normal report path below (findings are identical).
-        if (cfg.cachePath.empty()) {
-            std::fprintf(stderr,
-                         "minjie-lint: --bench-out needs --cache\n");
-            return 2;
-        }
-        std::remove(cfg.cachePath.c_str());
-        minjie::Stopwatch sw;
-        EngineResult cold = engine.run();
-        uint64_t coldUs = sw.elapsedUs();
-        sw.reset();
-        res = engine.run();
-        uint64_t warmUs = sw.elapsedUs();
-
-        minjie::JsonWriter jw;
-        jw.beginObject();
-        jw.key("files").value(res.filesScanned);
-        jw.key("cold_files_lexed").value(cold.filesLexed);
-        jw.key("incremental_files_lexed").value(res.filesLexed);
-        jw.key("cold_us").value(coldUs);
-        jw.key("incremental_us").value(warmUs);
-        jw.key("incremental_over_cold")
-            .value(coldUs == 0 ? 0.0
-                               : static_cast<double>(warmUs) /
-                                     static_cast<double>(coldUs));
-        jw.endObject();
-        FILE *bf = std::fopen(benchOut.c_str(), "w");
-        if (!bf) {
-            std::fprintf(stderr, "minjie-lint: cannot open %s\n",
-                         benchOut.c_str());
-            return 2;
-        }
-        std::fputs(jw.str().c_str(), bf);
-        std::fclose(bf);
-        std::printf("minjie-lint: cold %llu us, incremental %llu us "
-                    "-> %s\n",
-                    static_cast<unsigned long long>(coldUs),
-                    static_cast<unsigned long long>(warmUs),
-                    benchOut.c_str());
-        if (benchGatePct >= 0 &&
-            warmUs * 100 > coldUs * static_cast<uint64_t>(benchGatePct)) {
-            std::fprintf(stderr,
-                         "minjie-lint: incremental run is %.0f%% of "
-                         "cold, gate is %ld%% — the cache stopped "
-                         "paying for itself\n",
-                         coldUs == 0 ? 0.0
-                                     : 100.0 * static_cast<double>(warmUs) /
-                                           static_cast<double>(coldUs),
-                         benchGatePct);
-            return 1;
-        }
-    } else {
-        res = engine.run();
-    }
-
-    // Baseline ratchet: the budget caps how many findings may hide in
-    // the baseline file. CI pins 0, so growing the baseline instead of
-    // fixing (or justifying an inline allow) fails the build.
-    if (baselineBudget >= 0 && !cfg.baselinePath.empty()) {
-        Baseline bl;
-        if (!bl.load(cfg.baselinePath)) {
-            std::fprintf(stderr, "minjie-lint: cannot read baseline %s\n",
-                         cfg.baselinePath.c_str());
-            return 2;
-        }
-        if (bl.size() > static_cast<size_t>(baselineBudget)) {
-            std::fprintf(stderr,
-                         "minjie-lint: baseline holds %zu entries, "
-                         "budget is %ld — fix the findings or raise "
-                         "the budget with justification\n",
-                         bl.size(), baselineBudget);
-            return 1;
-        }
-    }
+    EngineResult res = Engine(cfg).run();
 
     std::string report;
     if (format == "human")
@@ -244,7 +106,7 @@ main(int argc, char **argv)
     else if (format == "json")
         report = renderJson(res);
     else if (format == "sarif")
-        report = renderSarif(res, engine);
+        report = renderSarif(res);
     else {
         std::fprintf(stderr, "minjie-lint: unknown format %s\n",
                      format.c_str());
@@ -270,5 +132,5 @@ main(int argc, char **argv)
                         output.c_str());
     }
 
-    return res.findings.empty() && res.staleBaseline.empty() ? 0 : 1;
+    return res.findings.empty() ? 0 : 1;
 }
