@@ -129,9 +129,13 @@ Checkpoint
 serialize(const iss::ArchState &st, const mem::PhysMem &mem,
           uint64_t instCount)
 {
+    constexpr size_t PAGE = mem::PhysMem::PAGE_SIZE;
     Checkpoint cp;
     cp.instCount = instCount;
     auto &v = cp.bytes;
+    // Sized once for the worst case (no zero page): a multi-megabyte
+    // image is never regrown, and the unused tail is never touched.
+    v.reserve(archHeaderBytes() + 8 + mem.allocatedPages() * (8 + PAGE));
 
     serializeArch(v, st);
 
@@ -145,9 +149,7 @@ serialize(const iss::ArchState &st, const mem::PhysMem &mem,
         if (pageIsZero(data))
             return;
         put64(v, base);
-        size_t off = v.size();
-        v.resize(off + mem::PhysMem::PAGE_SIZE);
-        std::memcpy(v.data() + off, data, mem::PhysMem::PAGE_SIZE);
+        v.insert(v.end(), data, data + PAGE);
         ++pages;
     });
     std::memcpy(v.data() + countOff, &pages, 8);

@@ -78,13 +78,36 @@ class PhysMem
         return true;
     }
 
-    /** Bulk copy-in used by the program loader. */
+    /** Bulk copy-in (program loader, checkpoint restore): one memcpy
+     *  per page-sized chunk. */
     void
     load(Addr addr, const void *src, size_t len)
     {
         const auto *s = static_cast<const uint8_t *>(src);
-        for (size_t i = 0; i < len; ++i)
-            *bytePtr(addr + i) = s[i];
+        while (len) {
+            size_t n = std::min<size_t>(len, PAGE_SIZE - (addr & PAGE_MASK));
+            std::memcpy(bytePtr(addr), s, n);
+            addr += n;
+            s += n;
+            len -= n;
+        }
+    }
+
+    /**
+     * Back the page at page-aligned @p base with the read-only bytes at
+     * @p src without copying them. The first touch of the page through
+     * any accessor, read or write, copies them into a private page, so
+     * no pointer handed out by hostPage/pagePtr ever aliases @p src.
+     * @p src must stay valid until the next clear().
+     */
+    void
+    mapPage(Addr base, const uint8_t *src)
+    {
+        Slot &slot = pages_[base >> PAGE_SHIFT];
+        if (slot.page)
+            std::memcpy(slot.page->data(), src, PAGE_SIZE);
+        else
+            slot.src = src;
     }
 
     /**
@@ -112,12 +135,13 @@ class PhysMem
      *  pointer (hostPage/pagePtr). */
     uint64_t epoch() const { return epoch_; }
 
-    /** Number of pages currently allocated. */
+    /** Number of pages currently allocated, mapped ones included. */
     size_t allocatedPages() const { return pages_.size(); }
 
     /**
      * Visit every allocated page in ascending address order (for
-     * checkpoints and SSS snapshots). Sorted visitation is load-bearing:
+     * checkpoints and SSS snapshots); a mapped page never touched is
+     * visited through its source. Sorted visitation is load-bearing:
      * consumers serialize the pages, and two runs that touched the same
      * pages in different orders must produce identical images.
      */
@@ -131,11 +155,15 @@ class PhysMem
         for (const auto &[pfn, page] : pages_)
             pfns.push_back(pfn);
         std::sort(pfns.begin(), pfns.end());
-        for (Addr pfn : pfns)
-            fn(pfn << PAGE_SHIFT, pages_.find(pfn)->second->data());
+        for (Addr pfn : pfns) {
+            const Slot &slot = pages_.find(pfn)->second;
+            fn(pfn << PAGE_SHIFT,
+               slot.page ? slot.page->data() : slot.src);
+        }
     }
 
-    /** Drop all contents (used when restoring a checkpoint). */
+    /** Drop all contents and mapped sources (used when restoring a
+     *  checkpoint). */
     void
     clear()
     {
@@ -148,23 +176,34 @@ class PhysMem
   private:
     using Page = std::vector<uint8_t>;
 
+    /** A private page, or until its first touch a mapped source. */
+    struct Slot
+    {
+        std::unique_ptr<Page> page;
+        const uint8_t *src = nullptr;
+    };
+
     uint8_t *
     bytePtr(Addr addr)
     {
         Addr pfn = addr >> PAGE_SHIFT;
         if (pfn != lastPfn_) {
-            auto &slot = pages_[pfn];
-            if (!slot)
-                slot = std::make_unique<Page>(PAGE_SIZE, 0);
+            Slot &slot = pages_[pfn];
+            if (!slot.page) {
+                slot.page = slot.src ? std::make_unique<Page>(
+                                           slot.src, slot.src + PAGE_SIZE)
+                                     : std::make_unique<Page>(PAGE_SIZE, 0);
+                slot.src = nullptr;
+            }
             lastPfn_ = pfn;
-            lastPage_ = slot->data();
+            lastPage_ = slot.page->data();
         }
         return lastPage_ + (addr & PAGE_MASK);
     }
 
     Addr base_;
     uint64_t size_;
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    std::unordered_map<Addr, Slot> pages_;
     Addr lastPfn_ = ~0ULL;
     uint8_t *lastPage_ = nullptr;
     uint64_t epoch_ = 0;

@@ -1,11 +1,13 @@
 #include "sample/engine.h"
 
+#include <cerrno>
 #include <cstring>
-#include <deque>
 
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #if defined(__GLIBC__)
+#include <malloc.h>    // malloc_trim
 #include <stdio_ext.h> // __fpurge: discard inherited stdio buffers
 #endif
 
@@ -111,7 +113,9 @@ decodeSlice(const std::vector<uint8_t> &blob, SliceResult &r)
     r.counters.values.clear();
     for (uint64_t i = 0; i < n; ++i) {
         uint64_t len = get64(blob, off);
-        if (off + len + 8 > blob.size())
+        // len is untrusted: compare it against the room left, which
+        // cannot wrap, rather than computing off + len.
+        if (off + 8 > blob.size() || len > blob.size() - off - 8)
             return false;
         std::string key(reinterpret_cast<const char *>(blob.data()) +
                             off,
@@ -191,12 +195,24 @@ childMain(const PackReader &pack, size_t idx, const SampleConfig &cfg,
     ::_exit(0);
 }
 
-/** Reap the oldest in-flight worker into its result slot. */
+/** Reap whichever in-flight worker reports first into its result
+ *  slot, so one long slice does not hold back the refill. */
 void
-reapOne(std::deque<Inflight> &inflight, std::vector<SliceResult> &out)
+reapOne(std::vector<Inflight> &inflight, std::vector<SliceResult> &out)
 {
-    Inflight f = inflight.front();
-    inflight.pop_front();
+    std::vector<pollfd> fds;
+    fds.reserve(inflight.size());
+    for (const Inflight &f : inflight)
+        fds.push_back({f.fd, POLLIN, 0});
+    int ready;
+    do {
+        ready = ::poll(fds.data(), fds.size(), -1);
+    } while (ready < 0 && errno == EINTR);
+    size_t k = 0; // poll failed: block on the oldest instead
+    while (ready > 0 && k + 1 < fds.size() && fds[k].revents == 0)
+        ++k;
+    Inflight f = inflight[k];
+    inflight.erase(inflight.begin() + static_cast<ptrdiff_t>(k));
     std::vector<uint8_t> blob = readAll(f.fd);
     ::close(f.fd);
     int status = 0;
@@ -223,7 +239,13 @@ runSampled(const PackReader &pack, const SampleConfig &cfg)
         for (size_t i = 0; i < n; ++i)
             rep.slices[i] = runSlice(pack, i, cfg);
     } else {
-        std::deque<Inflight> inflight;
+#if defined(__GLIBC__)
+        // fork() copies the page-table entries of every resident heap
+        // page, freed ones included (e.g. the checkpoint images just
+        // packed): hand those back first so no worker inherits them.
+        ::malloc_trim(0);
+#endif
+        std::vector<Inflight> inflight;
         size_t next = 0;
         while (next < n || !inflight.empty()) {
             if (next < n && inflight.size() < cfg.workers) {

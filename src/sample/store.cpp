@@ -256,9 +256,10 @@ PackReader::parse()
     weightDen_ = rd64(data_ + 24);
     pagePoolOff_ = rd64(data_ + 32);
     nPoolPages_ = rd64(data_ + 40);
-    if ((HEADER_U64 + TABLE_U64 * nCheckpoints_) * 8 > len_)
+    // Counts are untrusted: bound them by division so nothing wraps.
+    if (nCheckpoints_ > (len_ / 8 - HEADER_U64) / TABLE_U64)
         return false;
-    if (pagePoolOff_ > len_ || nPoolPages_ * PAGE > len_ - pagePoolOff_)
+    if (pagePoolOff_ > len_ || nPoolPages_ > (len_ - pagePoolOff_) / PAGE)
         return false;
     return true;
 }
@@ -300,18 +301,25 @@ PackReader::restoreInto(size_t i, iss::ArchState &state,
     uint64_t entryOff = rd64(te + 24);
     uint64_t nEntries = rd64(te + 32);
     size_t archLen = checkpoint::archHeaderBytes();
-    if (archOff + archLen > len_ || entryOff + nEntries * 16 > len_)
+    if (archOff > len_ || archLen > len_ - archOff || entryOff > len_ ||
+        nEntries > (len_ - entryOff) / 16)
         return false;
+    // Every entry is checked before one is mapped: mapped pool
+    // pointers are only dereferenced later, on first touch.
+    const uint8_t *entries = data_ + entryOff;
+    for (uint64_t e = 0; e < nEntries; ++e) {
+        if ((rd64(entries + e * 16) & mem::PhysMem::PAGE_MASK) != 0 ||
+            rd64(entries + e * 16 + 8) >= nPoolPages_)
+            return false;
+    }
     if (!checkpoint::restoreArch(data_ + archOff, archLen, state))
         return false;
 
     mem.clear();
     for (uint64_t e = 0; e < nEntries; ++e) {
-        uint64_t base = rd64(data_ + entryOff + e * 16);
-        uint64_t idx = rd64(data_ + entryOff + e * 16 + 8);
-        if (idx >= nPoolPages_)
-            return false;
-        mem.load(base, data_ + pagePoolOff_ + idx * PAGE, PAGE);
+        uint64_t idx = rd64(entries + e * 16 + 8);
+        mem.mapPage(rd64(entries + e * 16),
+                    data_ + pagePoolOff_ + idx * PAGE);
     }
     return true;
 }

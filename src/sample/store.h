@@ -121,8 +121,13 @@ class PackReader
      *  reduction itself never leaves integer arithmetic). */
     double weight(size_t i) const;
 
-    /** Restore checkpoint @p i into @p state / @p mem. Clears @p mem
-     *  first; elided zero pages read back as zero-fill. */
+    /**
+     * Restore checkpoint @p i into @p state / @p mem. Clears @p mem
+     * first; elided zero pages read back as zero-fill. Pages are mapped
+     * from the pool and copied on first touch (PhysMem::mapPage), so
+     * this pack must stay open until @p mem is next cleared.
+     * @return false, with @p mem untouched, on a malformed entry.
+     */
     bool restoreInto(size_t i, iss::ArchState &state,
                      mem::PhysMem &mem) const;
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/clock.h"
 #include "nemu/nemu.h"
 #include "iss/system.h"
@@ -154,6 +156,52 @@ TEST(Nemu, BlockHookSeesBasicBlocks)
     // block may be in flight when the run stops).
     EXPECT_LE(insts, r.executed);
     EXPECT_GT(insts, r.executed - 10);
+}
+
+TEST(Nemu, HostTlbOnDemandPagedPage)
+{
+    // A page mapped from a read-only source (as a pack restore maps it)
+    // is copied on first touch, so both host-TLB ways must point at the
+    // private copy: load, store, load again, then a store and a load
+    // that hit the TLB.
+    wl::Layout layout;
+    std::vector<uint8_t> src(4096);
+    for (size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<uint8_t>(i * 3 + 1);
+    const std::vector<uint8_t> orig = src;
+    uint64_t before;
+    std::memcpy(&before, src.data() + 64, 8);
+
+    wl::Asm a(layout.codeBase);
+    a.li(wl::s0, layout.dataBase);
+    a.li(wl::t2, 0x0123456789abcdefULL);
+    a.load(isa::Op::Ld, wl::t1, 64, wl::s0);
+    a.store(isa::Op::Sd, wl::t2, 64, wl::s0);
+    a.load(isa::Op::Ld, wl::t3, 64, wl::s0);
+    a.itype(isa::Op::Addi, wl::t2, wl::t2, 1);
+    a.store(isa::Op::Sd, wl::t2, 64, wl::s0);
+    a.load(isa::Op::Ld, wl::t4, 64, wl::s0);
+    a.exit(0);
+    wl::Program prog;
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+
+    System sys(32);
+    prog.loadInto(sys.dram);
+    sys.dram.mapPage(layout.dataBase, src.data());
+    Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+    nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+    ASSERT_TRUE(nemu.run(1000).halted);
+
+    const auto &st = nemu.state();
+    EXPECT_EQ(st.x[wl::t1], before);
+    EXPECT_EQ(st.x[wl::t3], 0x0123456789abcdefULL);
+    EXPECT_EQ(st.x[wl::t4], 0x0123456789abcdf0ULL);
+    EXPECT_EQ(nemu.stats().hostTlbFills, 2u) << "one fill per way";
+    EXPECT_EQ(src, orig) << "a store reached the mapped source";
+    uint64_t v = 0;
+    ASSERT_TRUE(sys.dram.read(layout.dataBase + 64, 8, v));
+    EXPECT_EQ(v, 0x0123456789abcdf0ULL);
 }
 
 TEST(Nemu, FastPathIsFasterThanSpike)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "checkpoint/generator.h"
 #include "iss/system.h"
@@ -50,6 +51,11 @@ TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
         mem::PhysMem memB(0x80000000, 1 << 26);
         ASSERT_TRUE(cp::restore(gen.checkpoints[i], a, memA));
         ASSERT_TRUE(pack.restoreInto(i, b, memB));
+        // The demand-paged memory, untouched, serializes to the very
+        // image it was packed from and holds the eager restore's pages.
+        EXPECT_EQ(memB.allocatedPages(), memA.allocatedPages());
+        EXPECT_TRUE(cp::serialize(b, memB).bytes == gen.checkpoints[i].bytes)
+            << "checkpoint " << i;
 
         EXPECT_EQ(a.pc, b.pc) << "checkpoint " << i;
         EXPECT_EQ(a.instret, b.instret);
@@ -146,10 +152,51 @@ TEST(SampleStore, RejectsGarbageAndTruncation)
     EXPECT_FALSE(r.openMemory(std::vector<uint8_t>(64, 0xab)));
     EXPECT_FALSE(r.openMemory({}));
 
-    auto bytes = sample::packFromGen(makeGen());
+    const auto good = sample::packFromGen(makeGen());
+    auto bytes = good;
     bytes.resize(bytes.size() / 2); // chop the page pool
     EXPECT_FALSE(r.openMemory(std::move(bytes)));
     EXPECT_FALSE(r.openFile("/nonexistent/pack.mjk"));
+
+    // Crafted counts whose products or sums wrap 64 bits into a small,
+    // plausible size must be rejected, not trusted.
+    auto patched = [&](size_t off, uint64_t x) {
+        auto v = good;
+        std::memcpy(v.data() + off, &x, 8);
+        return v;
+    };
+    // Byte offsets of the patched fields (store.h layout).
+    constexpr size_t N_CHECKPOINTS = 16, N_POOL_PAGES = 40;
+    constexpr size_t TABLE0 = 48; // first table entry
+    constexpr size_t ARCH_OFF = TABLE0 + 16, ENTRY_OFF = TABLE0 + 24,
+                     N_ENTRIES = TABLE0 + 32;
+    // 5 * n wraps to 4: the table "fits" in 80 bytes.
+    EXPECT_FALSE(r.openMemory(patched(N_CHECKPOINTS, 0x3333333333333334ULL)));
+    EXPECT_FALSE(r.openMemory(patched(N_CHECKPOINTS, ~0ULL)));
+    // n * 4096 wraps to 0.
+    EXPECT_FALSE(r.openMemory(patched(N_POOL_PAGES, 1ULL << 52)));
+    EXPECT_FALSE(r.openMemory(patched(N_POOL_PAGES, ~0ULL)));
+
+    // Per-entry fields are checked at restore time; a rejected restore
+    // leaves the target memory as it was.
+    struct Bad
+    {
+        size_t off;
+        uint64_t value;
+    };
+    uint64_t entry0; // checkpoint 0's first {base, poolIdx} entry
+    std::memcpy(&entry0, good.data() + ENTRY_OFF, 8);
+    for (Bad bad : {Bad{N_ENTRIES, 1ULL << 60}, Bad{N_ENTRIES, ~0ULL},
+                    Bad{ARCH_OFF, ~0ULL - 8}, Bad{ENTRY_OFF, ~0ULL - 8},
+                    Bad{entry0, 0x80000001}, Bad{entry0 + 8, ~0ULL}}) {
+        sample::PackReader p;
+        ASSERT_TRUE(p.openMemory(patched(bad.off, bad.value)));
+        iss::ArchState st;
+        mem::PhysMem m(0x80000000, 1 << 26);
+        m.write(0x80000000, 8, 42);
+        EXPECT_FALSE(p.restoreInto(0, st, m)) << bad.off;
+        EXPECT_EQ(m.allocatedPages(), 1u) << bad.off;
+    }
 }
 
 TEST(SampleEngine, SliceBlobRoundtrip)
@@ -171,6 +218,13 @@ TEST(SampleEngine, SliceBlobRoundtrip)
 
     sample::SliceResult bad;
     EXPECT_FALSE(sample::decodeSlice({1, 2, 3}, bad));
+
+    // A key length of ~0 must fail the decode, not wrap the bounds
+    // check and throw from the string constructor.
+    auto blob = sample::encodeSlice(s);
+    const uint64_t huge = ~0ULL;
+    std::memcpy(blob.data() + 40, &huge, 8); // first key's length
+    EXPECT_FALSE(sample::decodeSlice(blob, bad));
 }
 
 TEST(SampleEngine, WorkerCountInvariance)
