@@ -2,16 +2,15 @@
  * @file
  * Figure 9 + Section III-D3: the architectural checkpoint flow.
  *
- * Demonstrates and measures: checkpoint generation speed with NEMU
- * (paper: >300 MIPS; CoreMark-PRO checkpoints), restore into the
- * XIANGSHAN cycle model, and resume-equivalence of the format.
+ * Demonstrates and measures: checkpoint generation speed with NEMU per
+ * pass (paper: >300 MIPS; CoreMark-PRO checkpoints), the `.mjk` pack's
+ * page pool, and restore into the XIANGSHAN cycle model.
  */
 
 #include "bench_util.h"
 
 #include "checkpoint/generator.h"
-#include "iss/system.h"
-#include "nemu/nemu.h"
+#include "sample/store.h"
 
 using namespace bench;
 using namespace minjie;
@@ -35,30 +34,37 @@ main()
                 static_cast<unsigned long long>(gen.totalInsts));
     std::printf("checkpoints generated: %zu (paper artifact: 8)\n",
                 gen.checkpoints.size());
-    std::printf("BBV profiling speed:   %7.1f MIPS (instrumented "
-                "interpreter)\n",
-                gen.profileMips);
-    std::printf("generation speed:      %7.1f MIPS (paper: >300 MIPS)\n",
-                gen.generateMips);
+    std::printf("%-22s %9s %10s   (paper: >300 MIPS)\n", "", "MIPS",
+                "seconds");
+    std::printf("%-22s %9.1f %10.4f\n", "pass 1: BBV profile",
+                gen.profileMips, gen.profileSec);
+    std::printf("%-22s %9.1f %10.4f\n", "pass 2: snapshots",
+                gen.generateMips, gen.generateSec);
+    std::printf("pack: %zu pool pages, %zu page references, %zu pages "
+                "hashed\n",
+                gen.pack.poolPages(), gen.pack.totalPageRefs(),
+                gen.pack.pagesHashed());
 
-    std::printf("\n%-6s %14s %10s %12s\n", "ckpt", "inst offset",
-                "weight", "image bytes");
-    hr('-', 48);
-    for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
-        const auto &cp = gen.checkpoints[i];
-        std::printf("%-6zu %14llu %9.1f%% %12zu\n", i,
-                    static_cast<unsigned long long>(cp.instCount),
-                    cp.weight * 100.0, cp.bytes.size());
+    sample::PackReader pack;
+    if (!pack.openMemory(sample::packFromGen(gen))) {
+        std::printf("pack parse FAILED\n");
+        return 1;
     }
+    std::printf("\n%-6s %14s %10s\n", "ckpt", "inst offset", "weight");
+    hr('-', 32);
+    for (size_t i = 0; i < pack.count(); ++i)
+        std::printf("%-6zu %14llu %9.1f%%\n", i,
+                    static_cast<unsigned long long>(pack.instCount(i)),
+                    pack.weight(i) * 100.0);
 
     // Restore-and-run on XIANGSHAN (the "XIANGSHAN is able to restore
     // and run the generated RISC-V checkpoint" artifact step).
     std::printf("\nrestoring checkpoint 0 into the XIANGSHAN cycle "
                 "model...\n");
     xs::Soc soc(xs::CoreConfig::nh());
-    if (!gen.checkpoints.empty() &&
-        restore(gen.checkpoints[0], soc.core(0).oracleState(),
-                soc.system().dram)) {
+    if (pack.count() > 0 &&
+        pack.restoreInto(0, soc.core(0).oracleState(),
+                         soc.system().dram)) {
         auto r = soc.runUntilInstrs(fast ? 5'000 : 50'000, 100'000'000);
         std::printf("ran %llu instructions in %llu cycles (ipc %.3f): "
                     "%s\n",

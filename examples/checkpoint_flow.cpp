@@ -2,8 +2,9 @@
  * @file
  * The Section III-D performance-evaluation workflow:
  *
- *   profile (NEMU + BBV)  ->  SimPoint clustering  ->  checkpoints  ->
- *   restore each into a XIANGSHAN instance  ->  weighted CPI estimate,
+ *   profile (NEMU + BBV)  ->  SimPoint clustering  ->  `.mjk` pack  ->
+ *   restore each checkpoint into a XIANGSHAN instance  ->  weighted
+ *   CPI estimate with exact integer weights,
  *
  * compared against the full-program cycle simulation (the paper's RTL
  * simulation deviates 5-10% from hardware; our estimate's error is
@@ -13,9 +14,11 @@
  * Build & run:  ./build/examples/checkpoint_flow
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "checkpoint/generator.h"
+#include "sample/store.h"
 #include "xiangshan/soc.h"
 
 using namespace minjie;
@@ -51,12 +54,18 @@ main()
     // ---- parallel-style estimation (sequential here; the paper
     // spreads ~1K checkpoints over five 128-core servers) ----
     std::printf("[3/3] restoring checkpoints into XIANGSHAN...\n");
-    std::vector<double> cpis, weights;
-    for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
-        const auto &cp = gen.checkpoints[i];
+    sample::PackReader pack;
+    if (!pack.openMemory(sample::packFromGen(gen))) {
+        std::printf("      pack parse FAILED\n");
+        return 1;
+    }
+    // Exact-integer reduction: weighted cycles over weighted
+    // instructions, each slice scaled by its weight numerator.
+    uint64_t wCycles = 0, wInstrs = 0;
+    for (size_t i = 0; i < pack.count(); ++i) {
         xs::Soc soc(xs::CoreConfig::nh());
-        if (!restore(cp, soc.core(0).oracleState(),
-                     soc.system().dram)) {
+        if (!pack.restoreInto(i, soc.core(0).oracleState(),
+                              soc.system().dram)) {
             std::printf("      checkpoint %zu: restore FAILED\n", i);
             return 1;
         }
@@ -65,19 +74,22 @@ main()
         Cycle warmCycles = soc.core(0).perf().cycles;
         InstCount warmInstrs = soc.core(0).perf().instrs;
         soc.runUntilInstrs(warmInstrs + 50'000, 100'000'000);
-        double cpi =
-            static_cast<double>(soc.core(0).perf().cycles - warmCycles) /
-            static_cast<double>(std::max<InstCount>(
-                1, soc.core(0).perf().instrs - warmInstrs));
-        cpis.push_back(cpi);
-        weights.push_back(cp.weight);
-        std::printf("      checkpoint %zu @%9llu insts  weight %5.1f%%  "
+        uint64_t cycles = soc.core(0).perf().cycles - warmCycles;
+        uint64_t instrs = soc.core(0).perf().instrs - warmInstrs;
+        wCycles += pack.weightNum(i) * cycles;
+        wInstrs += pack.weightNum(i) * instrs;
+        std::printf("      checkpoint %zu @%9llu insts  weight %llu/%llu  "
                     "cpi %.3f\n",
-                    i, static_cast<unsigned long long>(cp.instCount),
-                    cp.weight * 100, cpi);
+                    i, static_cast<unsigned long long>(pack.instCount(i)),
+                    static_cast<unsigned long long>(pack.weightNum(i)),
+                    static_cast<unsigned long long>(pack.weightDen()),
+                    static_cast<double>(cycles) /
+                        static_cast<double>(std::max<uint64_t>(1, instrs)));
     }
 
-    double estCpi = weightedCpi(cpis, weights);
+    double estCpi = wInstrs ? static_cast<double>(wCycles) /
+                                  static_cast<double>(wInstrs)
+                            : 0.0;
     double estIpc = estCpi > 0 ? 1.0 / estCpi : 0;
     std::printf("\nweighted estimate: ipc %.3f   full run: ipc %.3f   "
                 "deviation: %+.1f%%\n",

@@ -33,15 +33,19 @@ get64(const uint8_t *data, size_t len, size_t &off)
 }
 
 uint64_t
-get64(const std::vector<uint8_t> &v, size_t &off)
+rd64(const uint8_t *p)
 {
-    return get64(v.data(), v.size(), off);
+    uint64_t x;
+    std::memcpy(&x, p, 8);
+    return x;
 }
 
-/** All-zero scan, 8 bytes at a time (pages are 8-aligned). */
+} // namespace
+
 bool
 pageIsZero(const uint8_t *data)
 {
+    // 8 bytes at a time (pages are 8-aligned).
     uint64_t acc = 0;
     for (unsigned i = 0; i < mem::PhysMem::PAGE_SIZE; i += 8) {
         uint64_t w;
@@ -52,8 +56,6 @@ pageIsZero(const uint8_t *data)
     }
     return true;
 }
-
-} // namespace
 
 size_t
 archHeaderBytes()
@@ -94,9 +96,12 @@ serializeArch(std::vector<uint8_t> &v, const iss::ArchState &st)
 bool
 restoreArch(const uint8_t *data, size_t len, iss::ArchState &st)
 {
-    size_t off = 0;
-    if (len < archHeaderBytes() || get64(data, len, off) != MAGIC)
+    // Both checks come before any field is written.
+    constexpr size_t CSR_COUNT_OFF = (ARCH_FIELDS - N_CSRS - 1) * 8;
+    if (len < archHeaderBytes() || rd64(data) != MAGIC ||
+        rd64(data + CSR_COUNT_OFF) != N_CSRS)
         return false;
+    size_t off = 8;
 
     st.pc = get64(data, len, off);
     for (auto &r : st.x)
@@ -108,8 +113,7 @@ restoreArch(const uint8_t *data, size_t len, iss::ArchState &st)
     st.resAddr = get64(data, len, off);
     st.instret = get64(data, len, off);
 
-    if (get64(data, len, off) != N_CSRS)
-        return false;
+    off += 8; // CSR count, checked above
     auto &c = st.csr;
     uint64_t *dst[] = {
         &c.mstatus, &c.misa, &c.medeleg, &c.mideleg, &c.mie, &c.mtvec,
@@ -159,20 +163,31 @@ serialize(const iss::ArchState &st, const mem::PhysMem &mem,
 bool
 restore(const Checkpoint &cp, iss::ArchState &st, mem::PhysMem &mem)
 {
+    constexpr size_t PAGE = mem::PhysMem::PAGE_SIZE;
+    constexpr size_t RECORD = 8 + PAGE;
     const auto &v = cp.bytes;
+    size_t off = archHeaderBytes();
+    if (v.size() < off + 8)
+        return false;
+    // The page count is untrusted: bound it by division, then demand
+    // the exact length, so no product or sum below can wrap.
+    uint64_t pages = rd64(v.data() + off);
+    off += 8;
+    size_t room = v.size() - off;
+    if (pages > room / RECORD || room != pages * RECORD)
+        return false;
+    for (uint64_t p = 0; p < pages; ++p) {
+        Addr base = rd64(v.data() + off + p * RECORD);
+        if ((base & mem::PhysMem::PAGE_MASK) != 0 ||
+            !mem.contains(base, PAGE))
+            return false;
+    }
     if (!restoreArch(v.data(), v.size(), st))
         return false;
-    size_t off = archHeaderBytes();
 
     mem.clear();
-    uint64_t pages = get64(v, off);
-    for (uint64_t p = 0; p < pages; ++p) {
-        Addr base = get64(v, off);
-        if (off + mem::PhysMem::PAGE_SIZE > v.size())
-            return false;
-        mem.load(base, v.data() + off, mem::PhysMem::PAGE_SIZE);
-        off += mem::PhysMem::PAGE_SIZE;
-    }
+    for (uint64_t p = 0; p < pages; ++p, off += RECORD)
+        mem.load(rd64(v.data() + off), v.data() + off + 8, PAGE);
     return true;
 }
 

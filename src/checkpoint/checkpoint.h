@@ -29,8 +29,6 @@ struct Checkpoint
 
     /** Instructions executed before this checkpoint was taken. */
     uint64_t instCount = 0;
-    /** SimPoint weight (fraction of execution it represents). */
-    double weight = 1.0;
 
     bool valid() const { return !bytes.empty(); }
 };
@@ -48,9 +46,13 @@ void serializeArch(std::vector<uint8_t> &v, const iss::ArchState &state);
 
 /**
  * Decode an architectural-state header at @p data into @p state.
- * @return false when @p len is short or the magic does not match.
+ * @return false, with @p state untouched, when @p len is short or the
+ * magic or CSR count does not match.
  */
 bool restoreArch(const uint8_t *data, size_t len, iss::ArchState &state);
+
+/** True when the 4 KiB page at @p data is all zeros. */
+bool pageIsZero(const uint8_t *data);
 
 /** Serialize @p state and every allocated page of @p mem. All-zero
  *  pages are elided from the image; restore() re-creates them as
@@ -59,8 +61,11 @@ Checkpoint serialize(const iss::ArchState &state,
                      const mem::PhysMem &mem, uint64_t instCount = 0);
 
 /**
- * Restore @p cp into @p state / @p mem.
- * @return false on a malformed image.
+ * Restore @p cp into @p state / @p mem. The whole image is validated
+ * first: its exact length, and every page base page-aligned inside
+ * @p mem's DRAM range.
+ * @return false, with @p state and @p mem untouched, on a malformed
+ * image.
  */
 bool restore(const Checkpoint &cp, iss::ArchState &state,
              mem::PhysMem &mem);

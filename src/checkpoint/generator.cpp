@@ -8,6 +8,16 @@
 
 namespace minjie::checkpoint {
 
+namespace {
+
+double
+mips(InstCount insts, double sec)
+{
+    return sec > 0 ? static_cast<double>(insts) / sec / 1e6 : 0;
+}
+
+} // namespace
+
 GenResult
 generateCheckpoints(const workload::Program &prog,
                     InstCount intervalInsts, unsigned maxK,
@@ -15,51 +25,48 @@ generateCheckpoints(const workload::Program &prog,
 {
     GenResult out;
 
-    // ---- pass 1: profile with BBV collection (step-path NEMU) ----
-    BbvCollector bbv(intervalInsts);
+    // ---- pass 1: profile BBVs in NEMU's threaded engine ----
+    std::vector<Bbv> bbvs;
     {
         iss::System sys(256);
         prog.loadInto(sys.dram);
         nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
         nemu.setHaltFn([&] { return sys.simctrl.exited(); });
-        nemu.setBlockHook(
-            [&](Addr pc, uint32_t len) { bbv.onBlock(pc, len); });
+        nemu.profileBbvs(intervalInsts);
 
         Stopwatch sw;
-        auto r = nemu.Interp::run(maxInsts);
-        bbv.finish();
+        auto r = nemu.run(maxInsts);
+        bbvs = nemu.takeBbvs();
         out.totalInsts = r.executed;
-        double sec = sw.elapsedSec();
-        out.profileMips =
-            sec > 0 ? static_cast<double>(r.executed) / sec / 1e6 : 0;
+        out.profileSec = sw.elapsedSec();
+        out.profileMips = mips(r.executed, out.profileSec);
     }
 
     // ---- SimPoint clustering ----
-    out.simpoints = simpoint(bbv.intervals(), maxK);
+    out.simpoints = simpoint(bbvs, maxK);
 
     // Short-program edge: a run that retires fewer than intervalInsts
     // instructions after its last control transfer (or none at all)
     // reports no complete BBV interval, and clustering nothing would
     // return an empty GenResult. Fall back to a single whole-run
-    // checkpoint of weight 1.0 — interval 0 makes pass 2 snapshot the
+    // checkpoint of weight 1/1 — interval 0 makes pass 2 snapshot the
     // initial state, so restoring it replays the entire execution.
     if (out.simpoints.intervals.empty()) {
         out.simpoints.intervals = {0};
-        out.simpoints.weights = {1.0};
+        out.simpoints.sizes = {1};
         out.simpoints.assignment = {0};
     }
 
-    // ---- pass 2: re-run fast and snapshot at interval boundaries ----
+    // ---- pass 2: re-run fast, snapshot boundaries into the pack ----
+    const SimPoints &sp = out.simpoints;
     std::vector<std::pair<InstCount, size_t>> boundaries;
-    for (size_t i = 0; i < out.simpoints.intervals.size(); ++i) {
+    for (size_t i = 0; i < sp.intervals.size(); ++i)
         boundaries.push_back(
-            {static_cast<InstCount>(out.simpoints.intervals[i]) *
-                 intervalInsts,
-             i});
-    }
+            {static_cast<InstCount>(sp.intervals[i]) * intervalInsts, i});
     std::sort(boundaries.begin(), boundaries.end());
 
-    out.checkpoints.resize(out.simpoints.intervals.size());
+    out.checkpoints.resize(sp.intervals.size());
+    out.pack = PackWriter(sp.weightDen(), sp.intervals.size());
     iss::System sys(256);
     prog.loadInto(sys.dram);
     nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
@@ -72,13 +79,12 @@ generateCheckpoints(const workload::Program &prog,
             auto r = nemu.run(target - executed);
             executed += r.executed;
         }
-        Checkpoint cp = serialize(nemu.state(), sys.dram, executed);
-        cp.weight = out.simpoints.weights[cpIdx];
-        out.checkpoints[cpIdx] = std::move(cp);
+        out.pack.snapshot(cpIdx, nemu.state(), sys.dram, executed,
+                          sp.sizes[cpIdx]);
+        out.checkpoints[cpIdx] = executed;
     }
-    double sec = sw.elapsedSec();
-    out.generateMips =
-        sec > 0 ? static_cast<double>(executed) / sec / 1e6 : 0;
+    out.generateSec = sw.elapsedSec();
+    out.generateMips = mips(executed, out.generateSec);
     return out;
 }
 

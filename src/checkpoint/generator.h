@@ -2,14 +2,14 @@
  * @file
  * Checkpoint generation flow (paper Section III-D3): profile a program
  * with NEMU collecting BBVs, select representative intervals with
- * SimPoint, then re-run at full interpreter speed and serialize a
- * checkpoint at each selected interval boundary.
+ * SimPoint, then re-run at full interpreter speed and snapshot each
+ * selected interval boundary straight into a `.mjk` pack.
  */
 
 #ifndef MINJIE_CHECKPOINT_GENERATOR_H
 #define MINJIE_CHECKPOINT_GENERATOR_H
 
-#include "checkpoint/checkpoint.h"
+#include "checkpoint/pack.h"
 #include "checkpoint/simpoint.h"
 #include "workload/programs.h"
 
@@ -17,11 +17,17 @@ namespace minjie::checkpoint {
 
 struct GenResult
 {
-    std::vector<Checkpoint> checkpoints; ///< weights filled in
+    /** Instructions executed before each checkpoint, in SimPoint
+     *  order (the pack's table order). */
+    std::vector<InstCount> checkpoints;
     SimPoints simpoints;
+    /** The checkpoints, weighted simpoints.sizes[i] / weightDen(). */
+    PackWriter pack;
     InstCount totalInsts = 0;
-    double profileMips = 0;  ///< pass-1 (BBV profiling) speed
-    double generateMips = 0; ///< pass-2 (fast re-run) speed
+    double profileSec = 0;   ///< pass 1 (BBV profiling) wall time
+    double profileMips = 0;  ///< pass-1 speed
+    double generateSec = 0;  ///< pass 2 (re-run + snapshots) wall time
+    double generateMips = 0; ///< pass-2 speed
 };
 
 /**

@@ -136,8 +136,7 @@ simpoint(const std::vector<Bbv> &bbvs, unsigned maxK, unsigned dims,
         }
         if (best >= 0) {
             sp.intervals.push_back(static_cast<unsigned>(best));
-            sp.weights.push_back(static_cast<double>(size) /
-                                 static_cast<double>(pts.size()));
+            sp.sizes.push_back(size);
         }
     }
     return sp;

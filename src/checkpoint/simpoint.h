@@ -12,74 +12,30 @@
 #ifndef MINJIE_CHECKPOINT_SIMPOINT_H
 #define MINJIE_CHECKPOINT_SIMPOINT_H
 
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "nemu/nemu.h"
 
 namespace minjie::checkpoint {
 
+/** One interval's basic-block profile, as NEMU's threaded engine
+ *  collects it (Nemu::profileBbvs). */
+using Bbv = nemu::Bbv;
+
 /**
- * One interval's basic-block execution profile. A sorted map: the
- * random projection accumulates floating-point terms in iteration
- * order, so an unordered container would make the clustering depend
- * on the hash-table layout of the host's standard library.
+ * Result of clustering: the selected intervals and their exact integer
+ * weights, sizes[i] / weightDen().
  */
-using Bbv = std::map<Addr, uint64_t>;
-
-/** Collects BBVs from an interpreter block hook. */
-class BbvCollector
-{
-  public:
-    /** @param intervalInsts instructions per interval */
-    explicit BbvCollector(InstCount intervalInsts = 1'000'000)
-        : intervalInsts_(intervalInsts)
-    {
-    }
-
-    /** Feed one executed basic block (hook into Nemu::setBlockHook). */
-    void
-    onBlock(Addr startPc, uint32_t length)
-    {
-        current_[startPc] += length;
-        executed_ += length;
-        if (executed_ >= intervalInsts_) {
-            intervals_.push_back(std::move(current_));
-            current_.clear();
-            executed_ = 0;
-        }
-    }
-
-    /** Close the trailing partial interval (call at end of profiling).
-     *  Idempotent: a second call finds no pending work and changes
-     *  nothing, and the instruction count never carries over into a
-     *  resumed profile. */
-    void
-    finish()
-    {
-        if (!current_.empty())
-            intervals_.push_back(std::move(current_));
-        current_.clear();
-        executed_ = 0;
-    }
-
-    const std::vector<Bbv> &intervals() const { return intervals_; }
-    InstCount intervalInsts() const { return intervalInsts_; }
-
-  private:
-    InstCount intervalInsts_;
-    Bbv current_;
-    InstCount executed_ = 0;
-    std::vector<Bbv> intervals_;
-};
-
-/** Result of clustering: the selected intervals and their weights. */
 struct SimPoints
 {
     std::vector<unsigned> intervals; ///< representative interval indices
-    std::vector<double> weights;     ///< cluster sizes / total
+    std::vector<uint64_t> sizes;     ///< cluster sizes (weight numerators)
     std::vector<unsigned> assignment;///< interval -> cluster
+
+    /** Common weight denominator: the interval count. */
+    uint64_t weightDen() const { return assignment.size(); }
 };
 
 /**
@@ -90,19 +46,6 @@ struct SimPoints
  */
 SimPoints simpoint(const std::vector<Bbv> &bbvs, unsigned maxK,
                    unsigned dims = 15, uint64_t seed = 1);
-
-/** Weighted-CPI performance estimate over measured checkpoints. */
-inline double
-weightedCpi(const std::vector<double> &cpis,
-            const std::vector<double> &weights)
-{
-    double sum = 0, wsum = 0;
-    for (size_t i = 0; i < cpis.size(); ++i) {
-        sum += cpis[i] * weights[i];
-        wsum += weights[i];
-    }
-    return wsum > 0 ? sum / wsum : 0.0;
-}
 
 } // namespace minjie::checkpoint
 

@@ -7,6 +7,7 @@
 #define MINJIE_MEM_PHYSMEM_H
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -20,6 +21,16 @@ namespace minjie::mem {
  * Byte-addressable sparse memory. Pages are allocated on first touch so
  * a 16 GB guest-physical space costs only what the workload dirties —
  * this is also what makes LightSSS fork()/COW snapshots cheap.
+ *
+ * Dirty tracking: every write-capable accessor (write, load, mapPage,
+ * hostPage) marks its page dirty, and so does the first touch that
+ * allocates a page or copies a mapped one; read() and hostPageRO() do
+ * not. clearDirty() empties the set and bumps epoch(), so a host
+ * pointer handed out by hostPage() before the clear — which could
+ * write without marking — is dropped by its holder before the next
+ * write (NEMU checks epoch() at every run()). The checkpoint pack
+ * writer uses the set to re-hash only the pages written since the
+ * previous snapshot.
  */
 class PhysMem
 {
@@ -29,7 +40,10 @@ class PhysMem
     static constexpr Addr PAGE_MASK = PAGE_SIZE - 1;
 
     /** @param base  lowest valid address  @param size  bytes of DRAM */
-    PhysMem(Addr base, uint64_t size) : base_(base), size_(size) {}
+    PhysMem(Addr base, uint64_t size)
+        : base_(base), size_(size), epoch_(nextEpoch())
+    {
+    }
 
     Addr base() const { return base_; }
     uint64_t size() const { return size_; }
@@ -50,14 +64,12 @@ class PhysMem
     {
         if (!contains(addr, size))
             return false;
-        uint8_t *p = pagePtr(addr);
+        data = 0;
         if (((addr & PAGE_MASK) + size) <= PAGE_SIZE) {
-            data = 0;
-            std::memcpy(&data, p, size);
+            std::memcpy(&data, readPtr(addr), size);
         } else {
-            data = 0;
             for (unsigned i = 0; i < size; ++i)
-                data |= static_cast<uint64_t>(*bytePtr(addr + i)) << (8 * i);
+                data |= static_cast<uint64_t>(*readPtr(addr + i)) << (8 * i);
         }
         return true;
     }
@@ -68,12 +80,11 @@ class PhysMem
     {
         if (!contains(addr, size))
             return false;
-        uint8_t *p = pagePtr(addr);
         if (((addr & PAGE_MASK) + size) <= PAGE_SIZE) {
-            std::memcpy(p, &data, size);
+            std::memcpy(writePtr(addr), &data, size);
         } else {
             for (unsigned i = 0; i < size; ++i)
-                *bytePtr(addr + i) = static_cast<uint8_t>(data >> (8 * i));
+                *writePtr(addr + i) = static_cast<uint8_t>(data >> (8 * i));
         }
         return true;
     }
@@ -86,7 +97,7 @@ class PhysMem
         const auto *s = static_cast<const uint8_t *>(src);
         while (len) {
             size_t n = std::min<size_t>(len, PAGE_SIZE - (addr & PAGE_MASK));
-            std::memcpy(bytePtr(addr), s, n);
+            std::memcpy(writePtr(addr), s, n);
             addr += n;
             s += n;
             len -= n;
@@ -97,13 +108,15 @@ class PhysMem
      * Back the page at page-aligned @p base with the read-only bytes at
      * @p src without copying them. The first touch of the page through
      * any accessor, read or write, copies them into a private page, so
-     * no pointer handed out by hostPage/pagePtr ever aliases @p src.
+     * no pointer handed out by hostPage/hostPageRO ever aliases @p src.
      * @p src must stay valid until the next clear().
      */
     void
     mapPage(Addr base, const uint8_t *src)
     {
-        Slot &slot = pages_[base >> PAGE_SHIFT];
+        Addr pfn = base >> PAGE_SHIFT;
+        Slot &slot = pages_[pfn];
+        markDirty(slot, pfn);
         if (slot.page)
             std::memcpy(slot.page->data(), src, PAGE_SIZE);
         else
@@ -111,16 +124,11 @@ class PhysMem
     }
 
     /**
-     * Host pointer to the page containing @p addr (allocating it). Valid
-     * until the next snapshot/restore; used by the fast interpreters.
-     */
-    uint8_t *pagePtr(Addr addr) { return bytePtr(addr); }
-
-    /**
-     * Stable host base pointer of the whole 4K page containing @p addr,
-     * or nullptr when that page is not fully inside DRAM. The pointer
-     * stays valid until clear() — check epoch() across snapshot/restore
-     * boundaries before reusing cached pointers.
+     * Stable writable host base pointer of the whole 4K page containing
+     * @p addr, or nullptr when that page is not fully inside DRAM. Marks
+     * the page dirty. The pointer stays valid until clear(), but may be
+     * written through only until epoch() next changes: a write after
+     * clearDirty() would not be marked.
      */
     uint8_t *
     hostPage(Addr addr)
@@ -128,15 +136,33 @@ class PhysMem
         Addr pageBase = addr & ~PAGE_MASK;
         if (!contains(pageBase, PAGE_SIZE))
             return nullptr;
-        return bytePtr(pageBase);
+        return writePtr(pageBase);
     }
 
-    /** Bumped by clear(); invalidates every previously returned page
-     *  pointer (hostPage/pagePtr). */
+    /** Read-only hostPage(): does not mark the page dirty (unless this
+     *  first touch allocates it). Valid until clear(). */
+    const uint8_t *
+    hostPageRO(Addr addr)
+    {
+        Addr pageBase = addr & ~PAGE_MASK;
+        if (!contains(pageBase, PAGE_SIZE))
+            return nullptr;
+        return readPtr(pageBase);
+    }
+
+    /**
+     * Changed by clear() and clearDirty(). Values are unique across all
+     * PhysMem objects of the process, so an equal epoch() means "the
+     * same memory, with no clear since": cached hostPage() pointers are
+     * still writable and the dirty set covers every write since then.
+     */
     uint64_t epoch() const { return epoch_; }
 
     /** Number of pages currently allocated, mapped ones included. */
     size_t allocatedPages() const { return pages_.size(); }
+
+    /** Number of pages dirtied since the last clearDirty()/clear(). */
+    size_t dirtyPages() const { return dirty_.size(); }
 
     /**
      * Visit every allocated page in ascending address order (for
@@ -155,22 +181,39 @@ class PhysMem
         for (const auto &[pfn, page] : pages_)
             pfns.push_back(pfn);
         std::sort(pfns.begin(), pfns.end());
-        for (Addr pfn : pfns) {
-            const Slot &slot = pages_.find(pfn)->second;
-            fn(pfn << PAGE_SHIFT,
-               slot.page ? slot.page->data() : slot.src);
-        }
+        visit(pfns, fn);
     }
 
-    /** Drop all contents and mapped sources (used when restoring a
-     *  checkpoint). */
+    /** forEachPage() restricted to the dirty pages. */
+    template <typename Fn>
+    void
+    forEachDirtyPage(Fn &&fn) const
+    {
+        std::vector<Addr> pfns = dirty_;
+        std::sort(pfns.begin(), pfns.end());
+        visit(pfns, fn);
+    }
+
+    /** Empty the dirty set; bumps epoch(). */
+    void
+    clearDirty()
+    {
+        for (Addr pfn : dirty_)
+            pages_.find(pfn)->second.dirty = false;
+        dirty_.clear();
+        lastWPfn_ = ~0ULL;
+        epoch_ = nextEpoch();
+    }
+
+    /** Drop all contents, mapped sources and the dirty set (used when
+     *  restoring a checkpoint); bumps epoch(). */
     void
     clear()
     {
         pages_.clear();
-        lastPfn_ = ~0ULL;
-        lastPage_ = nullptr;
-        ++epoch_;
+        dirty_.clear();
+        lastPfn_ = lastWPfn_ = ~0ULL;
+        epoch_ = nextEpoch();
     }
 
   private:
@@ -181,32 +224,89 @@ class PhysMem
     {
         std::unique_ptr<Page> page;
         const uint8_t *src = nullptr;
+        bool dirty = false;
     };
 
-    uint8_t *
-    bytePtr(Addr addr)
+    static uint64_t
+    nextEpoch()
+    {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    void
+    markDirty(Slot &slot, Addr pfn)
+    {
+        if (!slot.dirty) {
+            slot.dirty = true;
+            dirty_.push_back(pfn);
+        }
+    }
+
+    /** The slot of @p pfn with a private page, allocating (or copying
+     *  a mapped source into) one on first touch — which marks it. */
+    Slot &
+    touch(Addr pfn)
+    {
+        Slot &slot = pages_[pfn];
+        if (!slot.page) {
+            slot.page = slot.src ? std::make_unique<Page>(
+                                       slot.src, slot.src + PAGE_SIZE)
+                                 : std::make_unique<Page>(PAGE_SIZE, 0);
+            slot.src = nullptr;
+            markDirty(slot, pfn);
+        }
+        return slot;
+    }
+
+    const uint8_t *
+    readPtr(Addr addr)
     {
         Addr pfn = addr >> PAGE_SHIFT;
         if (pfn != lastPfn_) {
-            Slot &slot = pages_[pfn];
-            if (!slot.page) {
-                slot.page = slot.src ? std::make_unique<Page>(
-                                           slot.src, slot.src + PAGE_SIZE)
-                                     : std::make_unique<Page>(PAGE_SIZE, 0);
-                slot.src = nullptr;
-            }
+            lastPage_ = touch(pfn).page->data();
             lastPfn_ = pfn;
-            lastPage_ = slot.page->data();
         }
         return lastPage_ + (addr & PAGE_MASK);
+    }
+
+    /** Like readPtr(), but marks the page. Its one-entry cache only
+     *  ever holds a page marked since the last clearDirty(), so a hit
+     *  never skips the mark. */
+    uint8_t *
+    writePtr(Addr addr)
+    {
+        Addr pfn = addr >> PAGE_SHIFT;
+        if (pfn != lastWPfn_) {
+            Slot &slot = touch(pfn);
+            markDirty(slot, pfn);
+            lastWPage_ = lastPage_ = slot.page->data();
+            lastWPfn_ = lastPfn_ = pfn;
+        }
+        return lastWPage_ + (addr & PAGE_MASK);
+    }
+
+    /** Call fn(base, bytes) for each page of @p pfns. */
+    template <typename Fn>
+    void
+    visit(const std::vector<Addr> &pfns, Fn &fn) const
+    {
+        for (Addr pfn : pfns) {
+            const Slot &slot = pages_.find(pfn)->second;
+            fn(pfn << PAGE_SHIFT,
+               slot.page ? slot.page->data() : slot.src);
+        }
     }
 
     Addr base_;
     uint64_t size_;
     std::unordered_map<Addr, Slot> pages_;
-    Addr lastPfn_ = ~0ULL;
+    std::vector<Addr> dirty_; ///< pfns with Slot::dirty set
+    Addr lastPfn_ = ~0ULL;    ///< one-entry caches (read, write)
     uint8_t *lastPage_ = nullptr;
-    uint64_t epoch_ = 0;
+    Addr lastWPfn_ = ~0ULL;
+    uint8_t *lastWPage_ = nullptr;
+    uint64_t epoch_;
 };
 
 } // namespace minjie::mem

@@ -1,5 +1,6 @@
 #include "nemu/nemu.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bitutil.h"
@@ -32,8 +33,6 @@ enum Handler : uint8_t {
     H_COUNT,
 };
 
-const void **g_labels = nullptr;
-
 int64_t s64(uint64_t v) { return static_cast<int64_t>(v); }
 int32_t s32(uint64_t v) { return static_cast<int32_t>(v); }
 uint64_t sx32(uint64_t v) { return static_cast<uint64_t>(sext(v, 32)); }
@@ -43,7 +42,7 @@ uint64_t sx32(uint64_t v) { return static_cast<uint64_t>(sext(v, 32)); }
 void
 Nemu::assignHandler(Uop &u, const DecodedInst &di)
 {
-    const void *const *tab = handlerTable();
+    const void *const *tab = handlers();
     auto set = [&](Handler h) { u.handler = tab[h]; };
 
     u.rd = di.rd == 0 ? &sink_ : &st_.x[di.rd];
@@ -182,7 +181,7 @@ Nemu::Nemu(mem::MemPort &bus, mem::PhysMem &dram, HartId hart, Addr entry,
 {
     uops_.reserve(cap_ + 256);
     cold_.reserve(cap_ + 256);
-    handlerTable(); // force label collection before first translation
+    handlerTable(false); // force label collection before first translation
     stampRegime();
     // A guest TLB flush (sfence.vma) must also shoot down the cached
     // host pointers derived from those translations.
@@ -271,7 +270,7 @@ Nemu::translateBlock(Addr pc, Trap &trap)
         Op lop = last.op;
         if (!(isControl(lop) || isSystem(lop) || isFence(lop) ||
               lop == Op::Illegal))
-            last.handler = handlerTable()[H_SLOW];
+            last.handler = handlers()[H_SLOW];
     }
     return first;
 }
@@ -330,10 +329,90 @@ Nemu::stepOnce(ExecInfo *info)
     return et;
 }
 
+void
+Nemu::profileBbvs(InstCount intervalInsts)
+{
+    prof_ = std::make_unique<BbvProfile>();
+    prof_->intervalInsts = intervalInsts;
+    prof_->blockPc = st_.pc;
+    prof_->blockMark = prof_->intervalMark = st_.instret;
+    flushUopCache();
+}
+
+std::vector<Bbv>
+Nemu::takeBbvs()
+{
+    std::vector<Bbv> out;
+    if (!prof_)
+        return out;
+    if (!prof_->touched.empty())
+        bbvCloseInterval();
+    out = std::move(prof_->intervals);
+    prof_.reset();
+    flushUopCache(); // back to the plain handler table
+    return out;
+}
+
+int32_t
+Nemu::bbvSlot(Addr pc)
+{
+    BbvProfile &p = *prof_;
+    auto [it, fresh] =
+        p.slotOf.emplace(pc, static_cast<int32_t>(p.slotPc.size()));
+    if (fresh) {
+        p.slotPc.push_back(pc);
+        p.count.push_back(0);
+    }
+    return it->second;
+}
+
+inline void
+Nemu::bbvEnd(InstCount retired, Addr nextPc)
+{
+    BbvProfile &p = *prof_;
+    int32_t s = p.blockSlot >= 0 ? p.blockSlot : bbvSlot(p.blockPc);
+    if (p.count[static_cast<size_t>(s)] == 0)
+        p.touched.push_back(s);
+    p.count[static_cast<size_t>(s)] += retired - p.blockMark;
+    p.blockMark = retired;
+    if (retired - p.intervalMark >= p.intervalInsts) {
+        bbvCloseInterval();
+        p.intervalMark = retired;
+    }
+    p.blockPc = nextPc;
+    p.blockSlot = -1;
+}
+
+void
+Nemu::bbvCloseInterval()
+{
+    BbvProfile &p = *prof_;
+    std::sort(p.touched.begin(), p.touched.end(),
+              [&](int32_t a, int32_t b) {
+                  return p.slotPc[static_cast<size_t>(a)] <
+                         p.slotPc[static_cast<size_t>(b)];
+              });
+    Bbv bbv;
+    for (int32_t s : p.touched) {
+        auto i = static_cast<size_t>(s);
+        bbv.emplace_hint(bbv.end(), p.slotPc[i], p.count[i]);
+        p.count[i] = 0;
+    }
+    p.touched.clear();
+    p.intervals.push_back(std::move(bbv));
+}
+
+/**
+ * The threaded-code engine. Prof = true is the BBV-profiling
+ * specialization: block ends (control transfers, system instructions,
+ * traps) charge the open block's length to its start pc's slot. The
+ * profiling code compiles away entirely in the plain engine.
+ */
 struct NemuExec
 {
+    template <bool Prof>
     static RunResult
-    engine(Nemu *self, InstCount maxInsts, const void ***tableOut)
+    engine(Nemu *self, InstCount maxInsts, const void *const **tableOut)
     {
         // Label table, collected once on the first (self == nullptr)
         // invocation; order must match enum Handler.
@@ -414,6 +493,28 @@ struct NemuExec
         DISPATCH(); \
     } while (0)
 
+// BBV profiling (Prof only). BBV_END closes the open block at the
+// current uop, which has retired: instret lags by the uops dispatched
+// in this chunk. BBV_START runs once u names the next block's first
+// uop and takes the slot it caches.
+#define BBV_END(nextPc) \
+    do { \
+        if constexpr (Prof) \
+            n.bbvEnd(st.instret + (chunk - budget), (nextPc)); \
+    } while (0)
+#define BBV_START() \
+    do { \
+        if constexpr (Prof) { \
+            int32_t s_ = u->bbvSlot; \
+            if (s_ < 0) { \
+                s_ = n.bbvSlot(u->pc); \
+                if (s_ <= INT16_MAX) \
+                    u->bbvSlot = static_cast<int16_t>(s_); \
+            } \
+            n.prof_->blockSlot = s_; \
+        } \
+    } while (0)
+
 // Resolve a control-transfer edge with block chaining. @p field caches
 // the resolved uop index unless the cache was flushed during translate.
 // With chaining ablated, every control transfer leaves the threaded
@@ -422,6 +523,7 @@ struct NemuExec
 // interpreter block boundary the optimization removes.
 #define CHAIN(field, targetPc) \
     do { \
+        BBV_END(targetPc); \
         if (!chain) { \
             st.pc = (targetPc); \
             goto block_boundary; \
@@ -440,6 +542,7 @@ struct NemuExec
             ++n.stats_.chainResolves; \
         } \
         u = ubase + t; \
+        BBV_START(); \
         DISPATCH(); \
     } while (0)
 
@@ -450,12 +553,14 @@ struct NemuExec
 #define CHAIN_INDIRECT(targetPc) \
     do { \
         Addr tp = (targetPc); \
+        BBV_END(tp); \
         if (!chain) { \
             st.pc = tp; \
             goto block_boundary; \
         } \
         if (u->indirPc == tp) { \
             u = ubase + u->target; \
+            BBV_START(); \
             DISPATCH(); \
         } \
         Nemu::Uop *cu = u; \
@@ -471,6 +576,7 @@ struct NemuExec
         } \
         ++n.stats_.chainResolves; \
         u = ubase + t; \
+        BBV_START(); \
         DISPATCH(); \
     } while (0)
 
@@ -594,8 +700,7 @@ struct NemuExec
     do { \
         Addr addr = *u->rs1 + u->imm; \
         uint64_t data; \
-        const Nemu::HostTlbEnt &he = \
-            n.ldTlb_[(addr >> 12) & Nemu::HTLB_MASK]; \
+        const auto &he = n.ldTlb_[(addr >> 12) & Nemu::HTLB_MASK]; \
         if ((addr & ((size) - 1)) == 0 && he.vpn == (addr >> 12)) { \
             data = 0; \
             std::memcpy(&data, he.host + (addr & 0xfff), (size)); \
@@ -620,8 +725,7 @@ struct NemuExec
 #define STORE(size, value) \
     do { \
         Addr addr = *u->rs1 + u->imm; \
-        const Nemu::HostTlbEnt &he = \
-            n.stTlb_[(addr >> 12) & Nemu::HTLB_MASK]; \
+        const auto &he = n.stTlb_[(addr >> 12) & Nemu::HTLB_MASK]; \
         if ((addr & ((size) - 1)) == 0 && he.vpn == (addr >> 12)) { \
             uint64_t v = (value); \
             std::memcpy(he.host + (addr & 0xfff), &v, (size)); \
@@ -749,6 +853,10 @@ struct NemuExec
             ++st.csr.mcycle;
             ++result.executed;
             chunk = budget; // remaining budget becomes the new chunk
+            if constexpr (Prof) {
+                if (t.pending() || isSystem(op))
+                    n.bbvEnd(st.instret, st.pc);
+            }
             if (flush)
                 n.flushUopCache();
             else if (info.csrWritten)
@@ -776,6 +884,8 @@ struct NemuExec
             st.csr.mcycle += done;
             result.executed += done;
             takeTrap(st, trap, st.pc);
+            if constexpr (Prof)
+                n.bbvEnd(st.instret, st.pc); // the trapping inst retired
             trap = Trap::none();
             result.trapped = true;
             fastmem = fastOn && n.fastMemOk();
@@ -793,6 +903,14 @@ struct NemuExec
             st.csr.mcycle += done;
             result.executed += done;
             takeTrap(st, trap, st.pc);
+            if constexpr (Prof) {
+                // A faulting fetch retires nothing and ends no block;
+                // if no block is open yet, it starts at the handler.
+                if (st.instret == n.prof_->blockMark) {
+                    n.prof_->blockPc = st.pc;
+                    n.prof_->blockSlot = -1;
+                }
+            }
             trap = Trap::none();
             result.trapped = true;
             fastmem = fastOn && n.fastMemOk();
@@ -853,6 +971,8 @@ struct NemuExec
 
 #undef DISPATCH
 #undef NEXT
+#undef BBV_END
+#undef BBV_START
 #undef CHAIN
 #undef CHAIN_INDIRECT
 #undef LOAD
@@ -868,21 +988,28 @@ struct NemuExec
 };
 
 const void *const *
-Nemu::handlerTable()
+Nemu::handlerTable(bool profiling)
 {
-    // Magic static: campaign workers race to translate their first
+    // Magic statics: campaign workers race to translate their first
     // block, so the one-time label collection must be synchronized.
-    static const void *const *labels = [] {
-        NemuExec::engine(nullptr, 0, &g_labels);
-        return const_cast<const void *const *>(g_labels);
+    static const void *const *plain = [] {
+        const void *const *t = nullptr;
+        NemuExec::engine<false>(nullptr, 0, &t);
+        return t;
     }();
-    return labels;
+    static const void *const *prof = [] {
+        const void *const *t = nullptr;
+        NemuExec::engine<true>(nullptr, 0, &t);
+        return t;
+    }();
+    return profiling ? prof : plain;
 }
 
 RunResult
 Nemu::run(InstCount maxInsts)
 {
-    return NemuExec::engine(this, maxInsts, nullptr);
+    return prof_ ? NemuExec::engine<true>(this, maxInsts, nullptr)
+                 : NemuExec::engine<false>(this, maxInsts, nullptr);
 }
 
 } // namespace minjie::nemu

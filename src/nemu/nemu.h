@@ -25,6 +25,10 @@
  *  - pseudo-instruction specialization (e.g. a jal with rd=x0 uses a
  *    link-free handler; li-like addi with rs1=x0 loads the immediate).
  *
+ * BBV profiling for SimPoint (profileBbvs) runs inside the same
+ * threaded engine, as a compile-time specialization with its own
+ * handler table, so the plain engine carries no profiling code.
+ *
  * Block chaining and the memory fast path can be ablated independently
  * (setChainingEnabled / setFastPathEnabled) for the Figure 8 speedup
  * breakdown and the `--nemu-no-chain` / `--nemu-no-fastpath` flags.
@@ -40,6 +44,9 @@
 #define MINJIE_NEMU_NEMU_H
 
 #include <functional>
+#include <map>
+#include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +54,15 @@
 #include "mem/physmem.h"
 
 namespace minjie::nemu {
+
+/**
+ * One interval's basic-block execution profile: instructions executed
+ * in blocks starting at each pc. A sorted map: SimPoint's random
+ * projection accumulates floating-point terms in iteration order, so
+ * an unordered container would make the clustering depend on the
+ * hash-table layout of the host's standard library.
+ */
+using Bbv = std::map<Addr, uint64_t>;
 
 /** Statistics from the uop cache and the memory fast path. */
 struct NemuStats
@@ -116,10 +132,27 @@ class Nemu : public iss::Interp
     const NemuStats &stats() const { return stats_; }
 
     /**
-     * Basic-block profiling hook for SimPoint BBV collection: invoked
-     * with (block start pc, block length in instructions) every time a
-     * control transfer ends a block. Enabling this uses the slower
-     * step-path dispatch.
+     * Start SimPoint BBV profiling in the threaded engine, counting
+     * from the current state. A basic block is a maximal run of retired
+     * instructions ending at a control, system or trapping instruction;
+     * an interval closes at the first block end at or past
+     * @p intervalInsts instructions. Flushes the uop cache: the
+     * profiling engine dispatches through its own handler table.
+     */
+    void profileBbvs(InstCount intervalInsts);
+
+    /**
+     * Stop profiling and return one Bbv per interval, the trailing
+     * partial one included when any block ended in it. A block still
+     * open when the last run() stopped is not counted.
+     */
+    std::vector<Bbv> takeBbvs();
+
+    /**
+     * Block hook for tracing: invoked with (block start pc, block
+     * length in instructions) every time a control, system or
+     * trapping instruction ends a block. Fires only on the step path
+     * (Interp::step / Interp::run), never in run()'s threaded engine.
      */
     void
     setBlockHook(std::function<void(Addr, uint32_t)> hook)
@@ -155,6 +188,10 @@ class Nemu : public iss::Interp
         uint8_t rm = 0;               ///< fp rounding mode field
         uint8_t rs3 = 0;              ///< fp fma third operand index
         isa::Op op = isa::Op::Illegal;
+        /** BBV profiling: slot of the block starting here, or -1 when
+         *  not yet resolved (or past the 16-bit range: looked up by pc
+         *  at every block end instead). */
+        int16_t bbvSlot = -1;
     };
     static_assert(sizeof(void *) != 8 || sizeof(Uop) == 64,
                   "hot uop must stay one cache line");
@@ -169,12 +206,14 @@ class Nemu : public iss::Interp
     /**
      * Host-pointer TLB entry: virtual page -> host base of the backing
      * DRAM page. Load and store entries are kept in separate ways so a
-     * store entry implies a walk that set the PTE dirty bit.
+     * store entry implies a walk that set the PTE dirty bit, and so a
+     * load never marks its DRAM page dirty (PhysMem::hostPageRO).
      */
+    template <typename Byte>
     struct HostTlbEnt
     {
         Addr vpn = ~0ULL;
-        uint8_t *host = nullptr;
+        Byte *host = nullptr;
     };
     // Sized so the multi-MB working sets of the memory-bound SPEC
     // proxies (4MB = 1024 pages) map without conflict: 1024 x 16B =
@@ -203,16 +242,21 @@ class Nemu : public iss::Interp
 
     /** Install the mapping @p vaddr -> @p paddr's page into one of the
      *  host-pointer TLB ways. */
+    template <typename Byte>
     void
-    hostTlbFillPhys(HostTlbEnt *way, Addr vaddr, Addr paddr,
+    hostTlbFillPhys(HostTlbEnt<Byte> *way, Addr vaddr, Addr paddr,
                     unsigned size)
     {
         if (vaddr & (size - 1))
             return; // only aligned (single-page) accesses are cached
-        uint8_t *hp = dram_.hostPage(paddr);
+        Byte *hp;
+        if constexpr (std::is_const_v<Byte>)
+            hp = dram_.hostPageRO(paddr);
+        else
+            hp = dram_.hostPage(paddr);
         if (!hp)
             return; // MMIO or past the end of DRAM
-        HostTlbEnt &e = way[(vaddr >> 12) & HTLB_MASK];
+        HostTlbEnt<Byte> &e = way[(vaddr >> 12) & HTLB_MASK];
         e.vpn = vaddr >> 12;
         e.host = hp;
         ++stats_.hostTlbFills;
@@ -220,8 +264,9 @@ class Nemu : public iss::Interp
 
     /** Install @p vaddr's translation (just completed by the MMU) into
      *  one of the host-pointer TLB ways. */
+    template <typename Byte>
     void
-    hostTlbFill(HostTlbEnt *way, Addr vaddr, unsigned size)
+    hostTlbFill(HostTlbEnt<Byte> *way, Addr vaddr, unsigned size)
     {
         hostTlbFillPhys(way, vaddr, mmu_.lastPaddr(), size);
     }
@@ -249,7 +294,9 @@ class Nemu : public iss::Interp
         regimeEpoch_ = dram_.epoch();
     }
 
-    /** True when state mutated outside run() invalidates the TLB. */
+    /** True when state mutated outside run() invalidates the TLB —
+     *  including a DRAM clearDirty(), after which a cached store
+     *  pointer would write without marking its page. */
     bool
     regimeChanged() const
     {
@@ -267,18 +314,49 @@ class Nemu : public iss::Interp
     uint64_t sink_ = 0; ///< zero-register write target
     bool chainOn_ = true;
     bool fastPathOn_ = true;
-    HostTlbEnt ldTlb_[HTLB_SIZE];
-    HostTlbEnt stTlb_[HTLB_SIZE];
+    HostTlbEnt<const uint8_t> ldTlb_[HTLB_SIZE];
+    HostTlbEnt<uint8_t> stTlb_[HTLB_SIZE];
     uint64_t regimeSatp_ = 0;
     uint64_t regimeMstatus_ = 0;
     isa::Priv regimePriv_ = isa::Priv::M;
     uint64_t regimeEpoch_ = 0;
     std::function<void(Addr, uint32_t)> blockHook_;
-    Addr blockStart_ = ~0ULL; ///< step-path BBV tracking
+    Addr blockStart_ = ~0ULL; ///< step-path block tracking
     uint32_t blockLen_ = 0;
 
-    // Handler dispatch table, filled by the first run() invocation.
-    static const void *const *handlerTable();
+    /** BBV profiler state (profileBbvs to takeBbvs). Counts live in
+     *  per-slot arrays; each block-start pc owns one slot, which the
+     *  hot uop caches, so a block end costs no map lookup. */
+    struct BbvProfile
+    {
+        InstCount intervalInsts = 0;
+        std::unordered_map<Addr, int32_t> slotOf;
+        std::vector<Addr> slotPc;
+        std::vector<uint64_t> count;  ///< per slot, current interval
+        std::vector<int32_t> touched; ///< slots counted this interval
+        std::vector<Bbv> intervals;
+        Addr blockPc = 0;        ///< start pc of the open block
+        int32_t blockSlot = -1;  ///< its slot, or -1 if unresolved
+        InstCount blockMark = 0; ///< instret at the open block's start
+        InstCount intervalMark = 0;
+    };
+    std::unique_ptr<BbvProfile> prof_;
+
+    /** Slot of the block starting at @p pc, created on first use. */
+    int32_t bbvSlot(Addr pc);
+    /** End the open block with @p retired instructions retired in
+     *  total; the next block starts at @p nextPc. */
+    void bbvEnd(InstCount retired, Addr nextPc);
+    void bbvCloseInterval();
+
+    // Handler dispatch tables (plain and BBV-profiling engine), filled
+    // on first use.
+    static const void *const *handlerTable(bool profiling);
+    const void *const *
+    handlers() const
+    {
+        return handlerTable(prof_ != nullptr);
+    }
     friend struct NemuExec;
 };
 

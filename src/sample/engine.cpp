@@ -241,8 +241,8 @@ runSampled(const PackReader &pack, const SampleConfig &cfg)
     } else {
 #if defined(__GLIBC__)
         // fork() copies the page-table entries of every resident heap
-        // page, freed ones included (e.g. the checkpoint images just
-        // packed): hand those back first so no worker inherits them.
+        // page, freed ones included (e.g. a pack writer's pool just
+        // serialized): hand those back first so no worker inherits them.
         ::malloc_trim(0);
 #endif
         std::vector<Inflight> inflight;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "checkpoint/checkpoint.h"
 #include "checkpoint/generator.h"
 #include "difftest/difftest.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
+#include "sample/store.h"
 #include "workload/asm.h"
 #include "xiangshan/soc.h"
 
@@ -12,6 +16,14 @@ namespace {
 using namespace minjie;
 using namespace minjie::checkpoint;
 namespace wl = minjie::workload;
+
+sample::PackReader
+openPack(const GenResult &gen)
+{
+    sample::PackReader pack;
+    EXPECT_TRUE(pack.openMemory(sample::packFromGen(gen)));
+    return pack;
+}
 
 TEST(Checkpoint, SerializeRestoreRoundtrip)
 {
@@ -147,15 +159,16 @@ TEST(Checkpoint, ShortProgramFallsBackToWholeRunCheckpoint)
 
     auto gen = generateCheckpoints(prog, 1'000'000, 4, 10'000'000);
     ASSERT_EQ(gen.checkpoints.size(), 1u);
-    EXPECT_DOUBLE_EQ(gen.checkpoints[0].weight, 1.0);
-    EXPECT_EQ(gen.checkpoints[0].instCount, 0u);
-    ASSERT_TRUE(gen.checkpoints[0].valid());
+    EXPECT_EQ(gen.checkpoints[0], 0u);
+    auto pack = openPack(gen);
+    ASSERT_EQ(pack.count(), 1u);
+    EXPECT_EQ(pack.weightNum(0), 1u);
+    EXPECT_EQ(pack.weightDen(), 1u);
 
     // The whole-run checkpoint replays the entire execution.
     iss::System sys(32);
     nemu::Nemu nemu(sys.bus, sys.dram, 0, 0);
-    ASSERT_TRUE(
-        restore(gen.checkpoints[0], nemu.state(), sys.dram));
+    ASSERT_TRUE(pack.restoreInto(0, nemu.state(), sys.dram));
     nemu.flushUopCache();
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
     nemu.run(10'000);
@@ -173,22 +186,22 @@ TEST(Checkpoint, ResumeEquivalenceUnderDiffTest)
     auto gen = generateCheckpoints(prog, 25'000, 2, 10'000'000);
     ASSERT_GE(gen.checkpoints.size(), 1u);
     // Earliest checkpoint: leaves the most instructions to replay.
-    const Checkpoint *cp0 = &gen.checkpoints[0];
-    for (const auto &c : gen.checkpoints)
-        if (c.instCount < cp0->instCount)
-            cp0 = &c;
-    const Checkpoint &cp = *cp0;
+    auto pack = openPack(gen);
+    size_t cp = 0;
+    for (size_t i = 0; i < pack.count(); ++i)
+        if (pack.instCount(i) < pack.instCount(cp))
+            cp = i;
 
     xs::Soc soc(xs::CoreConfig::nh());
-    ASSERT_TRUE(restore(cp, soc.core(0).oracleState(),
-                        soc.system().dram));
+    ASSERT_TRUE(pack.restoreInto(cp, soc.core(0).oracleState(),
+                                 soc.system().dram));
 
     difftest::DiffTest dt(soc);
     // Seed the REF with the same checkpoint: arch state directly,
     // memory page by page from a scratch restore.
     iss::ArchState refState;
     mem::PhysMem scratch(0x80000000, 256ull << 20);
-    ASSERT_TRUE(restore(cp, refState, scratch));
+    ASSERT_TRUE(pack.restoreInto(cp, refState, scratch));
     dt.ref(0).state() = refState;
     dt.ref(0).flushUopCache();
     scratch.forEachPage([&](Addr base, const uint8_t *data) {
@@ -212,6 +225,64 @@ TEST(Checkpoint, RejectsGarbage)
     EXPECT_FALSE(restore(cp, st, mem));
 }
 
+TEST(Checkpoint, RejectsCraftedImagesUntouched)
+{
+    // A valid two-page image, then crafted variants: each must be
+    // rejected before the target state or memory changes.
+    iss::ArchState src{};
+    src.pc = 0x80001234;
+    mem::PhysMem m(0x80000000, 1 << 20);
+    m.write(0x80000000, 8, 1);
+    m.write(0x80003000, 8, 2);
+    const Checkpoint good = serialize(src, m, 0);
+    const size_t countOff = archHeaderBytes();
+    const size_t base0 = countOff + 8, base1 = base0 + 8 + 4096;
+
+    auto patched = [&](size_t off, uint64_t x) {
+        Checkpoint cp = good;
+        std::memcpy(cp.bytes.data() + off, &x, 8);
+        return cp;
+    };
+    Checkpoint truncated = good;
+    truncated.bytes.pop_back(); // last page one byte short
+    Checkpoint trailing = good;
+    trailing.bytes.push_back(0); // length no longer exact
+    Checkpoint badMagic = patched(0, 0);
+    Checkpoint badCsrCount = patched(70 * 8, 3);
+    const std::pair<const char *, Checkpoint> bad[] = {
+        // (8 + 4096) * n wraps to exactly the two pages present.
+        {"wrapping count", patched(countOff, 2 + (1ULL << 61))},
+        {"huge count", patched(countOff, ~0ULL)},
+        {"one page too many", patched(countOff, 3)},
+        {"truncated last page", truncated},
+        {"trailing bytes", trailing},
+        {"unaligned base", patched(base1, 0x80003008)},
+        {"base below DRAM", patched(base0, 0x1000)},
+        {"base past DRAM", patched(base1, 0x80100000)},
+        {"bad magic", badMagic},
+        {"bad CSR count", badCsrCount},
+    };
+
+    iss::ArchState okState;
+    mem::PhysMem okMem(0x80000000, 1 << 20);
+    ASSERT_TRUE(restore(good, okState, okMem));
+    EXPECT_EQ(okState.pc, src.pc);
+    for (const auto &[what, cp] : bad) {
+        iss::ArchState st{};
+        st.pc = 0x42;
+        st.x[5] = 7;
+        mem::PhysMem target(0x80000000, 1 << 20);
+        target.write(0x80050000, 8, 9);
+        EXPECT_FALSE(restore(cp, st, target)) << what;
+        EXPECT_EQ(st.pc, 0x42u) << what;
+        EXPECT_EQ(st.x[5], 7u) << what;
+        EXPECT_EQ(target.allocatedPages(), 1u) << what;
+        uint64_t v = 0;
+        target.read(0x80050000, 8, v);
+        EXPECT_EQ(v, 9u) << what;
+    }
+}
+
 TEST(Checkpoint, GeneratorProducesWeightedCheckpoints)
 {
     auto prog = wl::coremarkProxy(200);
@@ -219,16 +290,21 @@ TEST(Checkpoint, GeneratorProducesWeightedCheckpoints)
 
     ASSERT_GE(gen.checkpoints.size(), 1u);
     ASSERT_LE(gen.checkpoints.size(), 4u);
-    double wsum = 0;
-    for (const auto &cp : gen.checkpoints) {
-        EXPECT_TRUE(cp.valid());
-        EXPECT_GT(cp.weight, 0.0);
-        wsum += cp.weight;
+    auto pack = openPack(gen);
+    ASSERT_EQ(pack.count(), gen.checkpoints.size());
+    uint64_t wsum = 0;
+    for (size_t i = 0; i < pack.count(); ++i) {
+        EXPECT_GT(pack.weightNum(i), 0u);
+        EXPECT_EQ(pack.weightNum(i), gen.simpoints.sizes[i]);
+        EXPECT_EQ(pack.instCount(i), gen.checkpoints[i]);
+        wsum += pack.weightNum(i);
     }
-    EXPECT_NEAR(wsum, 1.0, 1e-9);
+    EXPECT_EQ(wsum, pack.weightDen());
+    EXPECT_EQ(pack.weightDen(), gen.simpoints.weightDen());
     EXPECT_GT(gen.totalInsts, 100'000u);
-    // Pass 2 runs at fast-interpreter speed, far above profiling speed.
-    EXPECT_GT(gen.generateMips, gen.profileMips);
+    // Both passes run on the threaded engine and report their speed.
+    EXPECT_GT(gen.profileMips, 0.0);
+    EXPECT_GT(gen.generateMips, 0.0);
 }
 
 TEST(Checkpoint, RestoresIntoCycleModel)
@@ -238,36 +314,38 @@ TEST(Checkpoint, RestoresIntoCycleModel)
     auto prog = wl::coremarkProxy(500);
     auto gen = generateCheckpoints(prog, 50'000, 2, 10'000'000);
     ASSERT_GE(gen.checkpoints.size(), 1u);
+    auto pack = openPack(gen);
 
     xs::Soc soc(xs::CoreConfig::nh());
-    ASSERT_TRUE(restore(gen.checkpoints[0],
-                        soc.core(0).oracleState(),
-                        soc.system().dram));
+    ASSERT_TRUE(pack.restoreInto(0, soc.core(0).oracleState(),
+                                 soc.system().dram));
     auto r = soc.runUntilInstrs(20'000, 5'000'000);
     ASSERT_TRUE(r.completed);
     EXPECT_GE(soc.core(0).perf().instrs, 20'000u);
     EXPECT_GT(soc.core(0).perf().ipc(), 0.05);
 }
 
+/** Weighted CPI over the pack's checkpoints with the exact-integer
+ *  reduction: weighted cycles over weighted instructions. */
 double
-estimateCpi(const GenResult &gen, InstCount warm, InstCount measure)
+estimateCpi(const sample::PackReader &pack, InstCount warm,
+            InstCount measure)
 {
-    std::vector<double> cpis, weights;
-    for (const auto &cp : gen.checkpoints) {
+    uint64_t wCycles = 0, wInstrs = 0;
+    for (size_t i = 0; i < pack.count(); ++i) {
         xs::Soc soc(xs::CoreConfig::nh());
-        EXPECT_TRUE(restore(cp, soc.core(0).oracleState(),
-                            soc.system().dram));
+        EXPECT_TRUE(pack.restoreInto(i, soc.core(0).oracleState(),
+                                     soc.system().dram));
         soc.runUntilInstrs(warm, 5'000'000);
         Cycle warmCycles = soc.core(0).perf().cycles;
         InstCount warmInstrs = soc.core(0).perf().instrs;
         soc.runUntilInstrs(warmInstrs + measure, 20'000'000);
-        double cpi =
-            static_cast<double>(soc.core(0).perf().cycles - warmCycles) /
-            static_cast<double>(soc.core(0).perf().instrs - warmInstrs);
-        cpis.push_back(cpi);
-        weights.push_back(cp.weight);
+        wCycles += pack.weightNum(i) * (soc.core(0).perf().cycles - warmCycles);
+        wInstrs += pack.weightNum(i) * (soc.core(0).perf().instrs - warmInstrs);
     }
-    return checkpoint::weightedCpi(cpis, weights);
+    return wInstrs ? static_cast<double>(wCycles) /
+                         static_cast<double>(wInstrs)
+                   : 0.0;
 }
 
 TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
@@ -287,8 +365,9 @@ TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
     double fullCpi = 1.0 / full.core(0).perf().ipc();
 
     auto gen = generateCheckpoints(prog, 30'000, 4, 10'000'000);
-    double coldEstimate = estimateCpi(gen, 1'000, 10'000);
-    double warmEstimate = estimateCpi(gen, 15'000, 10'000);
+    auto pack = openPack(gen);
+    double coldEstimate = estimateCpi(pack, 1'000, 10'000);
+    double warmEstimate = estimateCpi(pack, 15'000, 10'000);
 
     // Sanity band: cold-state estimates overshoot (every miss is
     // compulsory in a short window) but stay within an order of

@@ -16,21 +16,6 @@ makeBbv(std::initializer_list<std::pair<Addr, uint64_t>> items)
     return b;
 }
 
-TEST(BbvCollector, SplitsIntervals)
-{
-    BbvCollector c(1000);
-    for (int i = 0; i < 25; ++i)
-        c.onBlock(0x80000000 + (i % 3) * 64, 100);
-    c.finish();
-    // 2500 instructions -> 2 full intervals + 1 partial.
-    EXPECT_EQ(c.intervals().size(), 3u);
-    uint64_t total = 0;
-    for (const auto &iv : c.intervals())
-        for (const auto &[pc, n] : iv)
-            total += n;
-    EXPECT_EQ(total, 2500u);
-}
-
 TEST(SimPoint, TwoPhasesSeparate)
 {
     // Phase A executes blocks {X,Y}; phase B executes {P,Q}. k=2 must
@@ -43,8 +28,8 @@ TEST(SimPoint, TwoPhasesSeparate)
 
     auto sp = simpoint(bbvs, 2);
     ASSERT_EQ(sp.intervals.size(), 2u);
-    EXPECT_NEAR(sp.weights[0], 0.5, 1e-9);
-    EXPECT_NEAR(sp.weights[1], 0.5, 1e-9);
+    EXPECT_EQ(sp.weightDen(), 20u);
+    EXPECT_EQ(sp.sizes, (std::vector<uint64_t>{10, 10}));
     // Assignments must be phase-pure.
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(sp.assignment[i], sp.assignment[0]);
@@ -84,10 +69,12 @@ TEST(SimPoint, WeightsSumToOne)
         bbvs.push_back(std::move(b));
     }
     auto sp = simpoint(bbvs, 5);
-    double sum = 0;
-    for (double w : sp.weights)
-        sum += w;
-    EXPECT_NEAR(sum, 1.0, 1e-9);
+    // Exact integers: the cluster sizes sum to the interval count.
+    uint64_t sum = 0;
+    for (uint64_t n : sp.sizes)
+        sum += n;
+    EXPECT_EQ(sum, sp.weightDen());
+    EXPECT_EQ(sp.weightDen(), 40u);
 }
 
 TEST(SimPoint, EmptyInputHandled)
@@ -95,23 +82,6 @@ TEST(SimPoint, EmptyInputHandled)
     std::vector<Bbv> none;
     auto sp = simpoint(none, 4);
     EXPECT_TRUE(sp.intervals.empty());
-}
-
-TEST(BbvCollector, FinishIsIdempotentAndResetsForResume)
-{
-    BbvCollector c(1000);
-    c.onBlock(0x1000, 600);
-    c.finish();
-    ASSERT_EQ(c.intervals().size(), 1u);
-    c.finish(); // second call: no pending work, no phantom interval
-    EXPECT_EQ(c.intervals().size(), 1u);
-
-    // Resumed profiling starts a fresh count: 600 more instructions
-    // must NOT close an interval (a stale executed_ would).
-    c.onBlock(0x1000, 600);
-    EXPECT_EQ(c.intervals().size(), 1u);
-    c.onBlock(0x1000, 500); // now 1100 >= 1000 -> closes
-    EXPECT_EQ(c.intervals().size(), 2u);
 }
 
 TEST(SimPoint, ClusteringInvariantUnderInsertionOrder)
@@ -137,14 +107,7 @@ TEST(SimPoint, ClusteringInvariantUnderInsertionOrder)
     auto sb = simpoint(rev, 3);
     EXPECT_EQ(sa.intervals, sb.intervals);
     EXPECT_EQ(sa.assignment, sb.assignment);
-    EXPECT_EQ(sa.weights, sb.weights);
-}
-
-TEST(WeightedCpi, Basics)
-{
-    EXPECT_DOUBLE_EQ(weightedCpi({2.0, 4.0}, {0.5, 0.5}), 3.0);
-    EXPECT_DOUBLE_EQ(weightedCpi({2.0, 4.0}, {1.0, 0.0}), 2.0);
-    EXPECT_DOUBLE_EQ(weightedCpi({}, {}), 0.0);
+    EXPECT_EQ(sa.sizes, sb.sizes);
 }
 
 } // namespace

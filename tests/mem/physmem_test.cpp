@@ -170,4 +170,79 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
     EXPECT_EQ(v, 0u);
 }
 
+/** Page bases of @p pm's dirty set, ascending. */
+std::vector<Addr>
+dirtyBases(const PhysMem &pm)
+{
+    std::vector<Addr> out;
+    pm.forEachDirtyPage([&](Addr base, const uint8_t *) {
+        out.push_back(base);
+    });
+    return out;
+}
+
+TEST(PhysMem, DirtyTracking)
+{
+    constexpr Addr P0 = 0x80000000, P1 = 0x80001000, P2 = 0x80002000,
+                   P3 = 0x80003000, P4 = 0x80004000;
+    PhysMem pm(0x80000000, 1 << 20);
+    std::vector<uint8_t> src(4096, 7);
+    uint64_t v = 0;
+
+    // First touch through any accessor allocates and marks the page.
+    ASSERT_TRUE(pm.read(P0, 8, v));
+    ASSERT_NE(pm.hostPageRO(P1), nullptr);
+    ASSERT_TRUE(pm.write(P2, 8, 1));
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P0, P1, P2}));
+    EXPECT_EQ(pm.dirtyPages(), 3u);
+
+    // Clearing empties the set and bumps the epoch.
+    uint64_t e0 = pm.epoch();
+    pm.clearDirty();
+    EXPECT_NE(pm.epoch(), e0);
+    EXPECT_EQ(pm.dirtyPages(), 0u);
+
+    // read() and hostPageRO() of allocated pages do not mark...
+    ASSERT_TRUE(pm.read(P2, 8, v));
+    ASSERT_NE(pm.hostPageRO(P0), nullptr);
+    EXPECT_TRUE(dirtyBases(pm).empty());
+
+    // ...while every write-capable accessor does: write (also the
+    // page-crossing form), load, mapPage and hostPage.
+    ASSERT_TRUE(pm.write(P0 + 0xffc, 8, ~0ULL)); // P0 and P1
+    pm.load(P2 + 0xff0, src.data(), 32);         // P2 and P3
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P0, P1, P2, P3}));
+    pm.clearDirty();
+    pm.mapPage(P4, src.data());
+    ASSERT_NE(pm.hostPage(P1), nullptr);
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P1, P4}));
+
+    // The one-entry write cache cannot skip the mark: the same page
+    // written just before and just after a clear is dirty again.
+    pm.clearDirty();
+    ASSERT_TRUE(pm.write(P3, 8, 1));
+    pm.clearDirty();
+    ASSERT_TRUE(pm.write(P3 + 8, 8, 2));
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P3}));
+
+    // A read copies the mapped page in (new bytes: marked); the visit
+    // sees the page's current contents.
+    pm.clearDirty();
+    PhysMem fresh(0x80000000, 1 << 20);
+    fresh.mapPage(P4, src.data());
+    fresh.clearDirty();
+    ASSERT_TRUE(fresh.read(P4, 8, v));
+    EXPECT_EQ(dirtyBases(fresh), (std::vector<Addr>{P4}));
+    EXPECT_NE(fresh.epoch(), pm.epoch()) << "epochs are per memory";
+
+    // clear() drops the set with the pages and bumps the epoch.
+    uint64_t e1 = pm.epoch();
+    ASSERT_TRUE(pm.write(P0, 8, 3));
+    pm.clear();
+    EXPECT_EQ(pm.dirtyPages(), 0u);
+    EXPECT_NE(pm.epoch(), e1);
+    ASSERT_TRUE(pm.write(P0, 8, 4));
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P0}));
+}
+
 } // namespace

@@ -204,6 +204,58 @@ TEST(Nemu, HostTlbOnDemandPagedPage)
     EXPECT_EQ(v, 0x0123456789abcdf0ULL);
 }
 
+TEST(Nemu, StoresAfterDirtyClearAreMarked)
+{
+    // Each store kind writes its own page on two loop trips. The first
+    // trip fills the store-TLB pointers (sd/sw/sb/fsd); the DRAM dirty
+    // clear between the trips bumps the epoch, so the second trip must
+    // not write through a stale pointer without marking its page. AMO
+    // and SC take the bus path, which marks on every write.
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    const uint8_t bases[] = {wl::s0, wl::a1, wl::a2, wl::a3, wl::a4,
+                             wl::a5};
+    for (unsigned i = 0; i < std::size(bases); ++i)
+        a.li(bases[i], layout.dataBase + i * 0x1000);
+    a.li(wl::t2, 0x1234);
+    a.li(wl::s1, 2);
+    const Addr loopPc = a.here();
+    wl::Label loop = a.boundLabel();
+    a.store(isa::Op::Sd, wl::t2, 0, wl::s0);
+    a.store(isa::Op::Sw, wl::t2, 0, wl::a1);
+    a.store(isa::Op::Sb, wl::t2, 0, wl::a2);
+    a.store(isa::Op::Fsd, 0, 0, wl::a3); // f0
+    a.rtype(isa::Op::AmoAddD, wl::t3, wl::a4, wl::t2);
+    a.rtype(isa::Op::LrD, wl::t4, wl::a5, 0);
+    a.rtype(isa::Op::ScD, wl::s2, wl::a5, wl::t2);
+    a.itype(isa::Op::Addi, wl::s1, wl::s1, -1);
+    a.branch(isa::Op::Bne, wl::s1, wl::zero, loop);
+    a.exit(0);
+    wl::Program prog;
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+
+    System sys(32);
+    prog.loadInto(sys.dram);
+    Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+    nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+    const InstCount prologue = (loopPc - layout.codeBase) / 4;
+    ASSERT_EQ(nemu.run(prologue + 9).executed, prologue + 9);
+    ASSERT_EQ(nemu.state().pc, loopPc) << "not at the second trip";
+    EXPECT_GE(nemu.stats().hostTlbFills, 4u);
+
+    sys.dram.clearDirty();
+    ASSERT_TRUE(nemu.run(1000).halted);
+    EXPECT_EQ(nemu.state().x[wl::s2], 0u) << "sc.d failed";
+    std::vector<Addr> dirty;
+    sys.dram.forEachDirtyPage(
+        [&](Addr base, const uint8_t *) { dirty.push_back(base); });
+    std::vector<Addr> want;
+    for (unsigned i = 0; i < std::size(bases); ++i)
+        want.push_back(layout.dataBase + i * 0x1000);
+    EXPECT_EQ(dirty, want);
+}
+
 TEST(Nemu, FastPathIsFasterThanSpike)
 {
     auto prog = wl::coremarkProxy(300);

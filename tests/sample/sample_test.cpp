@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "checkpoint/checkpoint.h"
 #include "checkpoint/generator.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
 #include "sample/engine.h"
 #include "sample/store.h"
+#include "workload/shrinkable.h"
 
 namespace {
 
@@ -38,34 +40,56 @@ makePack(const cp::GenResult &gen)
     return pack;
 }
 
+/** Image of a fresh NEMU run of @p prog to @p insts instructions. */
+std::vector<uint8_t>
+freshImage(const wl::Program &prog, InstCount insts)
+{
+    iss::System sys(256);
+    prog.loadInto(sys.dram);
+    nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+    nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+    EXPECT_EQ(nemu.run(insts).executed, insts);
+    return cp::serialize(nemu.state(), sys.dram).bytes;
+}
+
+/** Every checkpoint of the streamed pack, restored (demand-paged) and
+ *  serialized, must equal a fresh run to the same instruction count. */
+void
+expectPackMatchesFreshRuns(const wl::Program &prog, const cp::GenResult &gen,
+                           const std::string &what)
+{
+    sample::PackReader pack;
+    ASSERT_TRUE(pack.openMemory(sample::packFromGen(gen))) << what;
+    ASSERT_EQ(pack.count(), gen.checkpoints.size()) << what;
+    for (size_t i = 0; i < pack.count(); ++i) {
+        ASSERT_EQ(pack.instCount(i), gen.checkpoints[i]) << what;
+        iss::ArchState st;
+        mem::PhysMem m(0x80000000, 256ull << 20);
+        ASSERT_TRUE(pack.restoreInto(i, st, m)) << what;
+        EXPECT_TRUE(cp::serialize(st, m).bytes ==
+                    freshImage(prog, pack.instCount(i)))
+            << what << " checkpoint " << i << " @" << pack.instCount(i);
+    }
+}
+
 TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
 {
-    auto gen = makeGen();
-    ASSERT_GE(gen.checkpoints.size(), 1u);
-    auto pack = makePack(gen);
-    ASSERT_EQ(pack.count(), gen.checkpoints.size());
+    auto prog = wl::coremarkProxy(200);
+    auto gen = cp::generateCheckpoints(prog, 20'000, 4, 10'000'000);
+    ASSERT_GE(gen.checkpoints.size(), 2u);
+    expectPackMatchesFreshRuns(prog, gen, "coremark");
 
+    // The demand-paged restore holds exactly the eager restore's pages
+    // and reads back identical memory, zero-elided pages included.
+    auto pack = makePack(gen);
     for (size_t i = 0; i < pack.count(); ++i) {
         iss::ArchState a, b;
         mem::PhysMem memA(0x80000000, 1 << 26);
         mem::PhysMem memB(0x80000000, 1 << 26);
-        ASSERT_TRUE(cp::restore(gen.checkpoints[i], a, memA));
         ASSERT_TRUE(pack.restoreInto(i, b, memB));
-        // The demand-paged memory, untouched, serializes to the very
-        // image it was packed from and holds the eager restore's pages.
-        EXPECT_EQ(memB.allocatedPages(), memA.allocatedPages());
-        EXPECT_TRUE(cp::serialize(b, memB).bytes == gen.checkpoints[i].bytes)
-            << "checkpoint " << i;
-
+        ASSERT_TRUE(cp::restore(cp::serialize(b, memB), a, memA));
         EXPECT_EQ(a.pc, b.pc) << "checkpoint " << i;
         EXPECT_EQ(a.instret, b.instret);
-        for (int r = 0; r < 32; ++r) {
-            EXPECT_EQ(a.x[r], b.x[r]) << "x" << r;
-            EXPECT_EQ(a.f[r], b.f[r]) << "f" << r;
-        }
-        EXPECT_EQ(a.csr.mstatus, b.csr.mstatus);
-        EXPECT_EQ(a.csr.satp, b.csr.satp);
-        // Memory equality including zero-elided pages.
         for (Addr addr = 0x80000000; addr < 0x80000000 + 0x40000;
              addr += 0x1000) {
             uint64_t va = 0, vb = 0;
@@ -73,7 +97,30 @@ TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
             memB.read(addr, 8, vb);
             ASSERT_EQ(va, vb) << std::hex << addr;
         }
-        EXPECT_EQ(pack.instCount(i), gen.checkpoints[i].instCount);
+    }
+}
+
+TEST(SampleStore, StreamedPackMatchesFreshRuns)
+{
+    // Differential check of dirty-page streaming: every SPEC proxy at a
+    // short budget, then random fuzz programs with fp, RVC and AMO.
+    for (const auto *suite : {&wl::specIntSuite(), &wl::specFpSuite()})
+        for (const auto &spec : *suite) {
+            auto prog = wl::buildProxy(spec, 1000);
+            auto gen = cp::generateCheckpoints(prog, 3'000, 3, 30'000);
+            expectPackMatchesFreshRuns(prog, gen, spec.name);
+        }
+    for (uint64_t seed = 0; seed < 60; ++seed) {
+        Rng rng(0x5eed + seed);
+        wl::RandomSpec spec;
+        spec.nInsts = 300;
+        spec.withFp = seed % 2 == 0;
+        spec.withRvc = seed % 3 != 0;
+        spec.withAmo = true;
+        auto prog = wl::randomShrinkable(rng, spec).assemble();
+        auto gen = cp::generateCheckpoints(prog, 40, 4, 100'000);
+        expectPackMatchesFreshRuns(prog, gen,
+                                   "random#" + std::to_string(seed));
     }
 }
 
@@ -87,26 +134,25 @@ TEST(SampleStore, WeightsAreExactIntegersSummingToOne)
     // SimPoint weights are clusterSize/nIntervals: numerators must
     // sum exactly to the common denominator (total intervals).
     EXPECT_EQ(sum, pack.weightDen());
+    EXPECT_EQ(pack.weightDen(), gen.simpoints.weightDen());
     for (size_t i = 0; i < pack.count(); ++i)
-        EXPECT_NEAR(pack.weight(i), gen.checkpoints[i].weight, 1e-12);
+        EXPECT_EQ(pack.weightNum(i), gen.simpoints.sizes[i]);
 }
 
 TEST(SampleStore, DedupsPagesAcrossCheckpoints)
 {
     // Checkpoints of the same program share most of their image (code
-    // pages, untouched data); the pool must store those pages once.
+    // pages, untouched data); the pool must store those pages once,
+    // and streaming must hash only the pages written between snapshots.
     auto gen = makeGen(400);
     ASSERT_GE(gen.checkpoints.size(), 2u);
-
-    sample::PackWriter w(gen.simpoints.assignment.size());
-    size_t rawBytes = 0;
-    for (const auto &c : gen.checkpoints) {
-        ASSERT_TRUE(w.add(c, 1));
-        rawBytes += c.bytes.size();
-    }
+    const auto &w = gen.pack;
     EXPECT_LT(w.poolPages(), w.totalPageRefs())
         << "no page was shared between checkpoints";
-    EXPECT_LT(w.bytes().size(), rawBytes)
+    EXPECT_LT(w.pagesHashed(), w.totalPageRefs())
+        << "clean pages were re-hashed";
+    EXPECT_LT(w.bytes().size(),
+              w.totalPageRefs() * mem::PhysMem::PAGE_SIZE)
         << "pack is not smaller than the per-checkpoint images";
 }
 
@@ -115,9 +161,6 @@ TEST(SampleStore, MmapFileMatchesInMemory)
     auto gen = makeGen();
     auto bytes = sample::packFromGen(gen);
 
-    sample::PackWriter w(gen.simpoints.assignment.size() == 0
-                             ? 1
-                             : gen.simpoints.assignment.size());
     std::string path = "sample_test_pack.mjk";
     {
         sample::PackReader mem;
@@ -188,7 +231,9 @@ TEST(SampleStore, RejectsGarbageAndTruncation)
     std::memcpy(&entry0, good.data() + ENTRY_OFF, 8);
     for (Bad bad : {Bad{N_ENTRIES, 1ULL << 60}, Bad{N_ENTRIES, ~0ULL},
                     Bad{ARCH_OFF, ~0ULL - 8}, Bad{ENTRY_OFF, ~0ULL - 8},
-                    Bad{entry0, 0x80000001}, Bad{entry0 + 8, ~0ULL}}) {
+                    Bad{entry0, 0x80000001}, Bad{entry0, 0x1000},
+                    Bad{entry0, 0x80000000 + (1ULL << 26)},
+                    Bad{entry0 + 8, ~0ULL}}) {
         sample::PackReader p;
         ASSERT_TRUE(p.openMemory(patched(bad.off, bad.value)));
         iss::ArchState st;

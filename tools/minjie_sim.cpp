@@ -273,11 +273,17 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
                     opt.maxK);
         auto gen = checkpoint::generateCheckpoints(
             prog, opt.interval, opt.maxK, opt.maxInstrs);
-        std::printf("[sample] %zu checkpoints from %llu instructions "
-                    "(profile %.1f MIPS)\n",
+        std::printf("[sample] %zu checkpoints from %llu instructions\n",
                     gen.checkpoints.size(),
-                    static_cast<unsigned long long>(gen.totalInsts),
-                    gen.profileMips);
+                    static_cast<unsigned long long>(gen.totalInsts));
+        std::printf("[sample] pass 1 (BBV profile): %.1f MIPS, %.4fs; "
+                    "pass 2 (snapshots): %.1f MIPS, %.4fs\n",
+                    gen.profileMips, gen.profileSec, gen.generateMips,
+                    gen.generateSec);
+        std::printf("[sample] pack build: %zu pool pages, %zu page "
+                    "references, %zu pages hashed\n",
+                    gen.pack.poolPages(), gen.pack.totalPageRefs(),
+                    gen.pack.pagesHashed());
         auto bytes = sample::packFromGen(gen);
         if (bytes.empty()) {
             std::fprintf(stderr, "checkpoint generation failed\n");
