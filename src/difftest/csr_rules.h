@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "difftest/probes.h"
+#include "isa/decode.h"
 #include "iss/csrfile.h"
 
 namespace minjie::difftest {
@@ -52,6 +53,22 @@ const std::vector<CsrFieldRule> &csrRules();
  */
 bool checkCsrs(const CsrProbe &dut, iss::CsrFile &ref, isa::Priv &refPriv,
                std::vector<std::string> &violations);
+
+/**
+ * Does committing @p inst settle the CSR view, i.e. is it a CSR or
+ * system instruction? Equal to isCsr || isSystem of decode(@p inst),
+ * but only words with the SYSTEM major opcode (and c.ebreak) are
+ * decoded, so DiffTest can ask on every commit.
+ */
+inline bool
+triggersCsrCheck(uint32_t inst)
+{
+    if (isa::isCompressed(inst) ? (inst & 0xffff) != 0x9002
+                                : (inst & 0x7f) != 0x73)
+        return false;
+    isa::Op op = isa::decode(inst).op;
+    return isa::isCsr(op) || isa::isSystem(op);
+}
 
 /** Snapshot @p ref into a probe for rule evaluation. */
 CsrProbe snapshotCsrs(const iss::CsrFile &ref, isa::Priv priv);

@@ -26,10 +26,15 @@ DiffTest::DiffTest(xs::Soc &dut, const RuleConfig &rules)
                 for (unsigned i = 0; i < n; ++i)
                     onCommit(c, p[i]);
             });
-        dut.core(c).setStoreHook(
-            [this](const StoreProbe &p) { onStore(p); });
-        dut.core(c).setSpecStoreHook(
-            [this](const StoreProbe &p) { globalMem_.onStore(p); });
+    }
+    // The Global Memory only matters when another hart can store: a
+    // single-core run keeps no GM state, and a load that disagrees with
+    // the REF is always a mismatch.
+    if (dut.numCores() > 1) {
+        globalMem_ = std::make_unique<GlobalMemory>();
+        for (unsigned c = 0; c < dut.numCores(); ++c)
+            dut.core(c).setSpecStoreHook(
+                [this](const StoreProbe &p) { globalMem_->onStore(p); });
     }
     dut.mem().setTxnLog([this](const uarch::Transaction &t) {
         if (rules_.scoreboard)
@@ -117,14 +122,6 @@ DivergenceReport::signature() const
     if (!rule.empty())
         sig += ":" + rule;
     return sig;
-}
-
-void
-DiffTest::onStore(const StoreProbe &probe)
-{
-    // Drain-time stores are counted but the Global Memory content is
-    // driven by the earlier oracle-time probe (see setSpecStoreHook).
-    (void)probe;
 }
 
 void
@@ -261,29 +258,19 @@ DiffTest::onCommit(HartId hart, const CommitProbe &probe)
     // Destination-register equivalence.
     if (probe.rdWritten && refSt.x[probe.rd] != probe.rdValue) {
         bool patched = false;
-        if (probe.isLoad && rules_.globalMemory) {
+        if (probe.isLoad && rules_.globalMemory && globalMem_) {
             // ---- diff-rule: the value may come from another hart's
             // store that the single-core REF cannot see. The Global
-            // Memory records drained stores; a store still in flight
-            // between another hart's commit and its drain is covered by
-            // the current shared-memory fallback. ----
+            // Memory records stores at their oracle-time execution; a
+            // value already in shared memory is accepted too. ----
             uint64_t current = 0;
             bool inShared =
                 dut_.system().dram.read(probe.memPaddr, probe.memSize,
                                         current) &&
                 current == probe.memData;
-            if (inShared && dut_.numCores() > 1 &&
-                !globalMem_.couldHaveValue(probe.memPaddr, probe.memSize,
+            if (inShared ||
+                globalMem_->couldHaveValue(probe.memPaddr, probe.memSize,
                                            probe.memData)) {
-                // Accept via the fallback but attribute it to the rule.
-                refSys_[hart]->dram.write(probe.memPaddr, probe.memSize,
-                                          probe.memData);
-                refSt.setX(probe.rd, probe.rdValue);
-                ++stats_.globalMemoryPatches;
-                patched = true;
-            } else if (globalMem_.couldHaveValue(
-                           probe.memPaddr, probe.memSize,
-                           probe.memData)) {
                 refSys_[hart]->dram.write(probe.memPaddr, probe.memSize,
                                           probe.memData);
                 refSt.setX(probe.rd, probe.rdValue);
@@ -323,9 +310,7 @@ DiffTest::onCommit(HartId hart, const CommitProbe &probe)
 
     // CSR rule evaluation on serializing instructions (the only points
     // where the DUT's committed CSR view is architecturally settled).
-    auto di = decode(probe.inst);
-    if (rules_.csrRules &&
-        (isCsr(di.op) || isSystem(di.op) || probe.trap)) {
+    if (rules_.csrRules && (probe.trap || triggersCsrCheck(probe.inst))) {
         ++stats_.csrChecks;
         CsrProbe dutCsr;
         dut_.core(hart).fillCsrProbe(dutCsr);

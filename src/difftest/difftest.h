@@ -170,7 +170,6 @@ class DiffTest
 
   private:
     void onCommit(HartId hart, const CommitProbe &probe);
-    void onStore(const StoreProbe &probe);
     void fail(HartId hart, const std::string &why);
 
     /** Record the structured report for the first failure only. */
@@ -182,7 +181,7 @@ class DiffTest
     RuleConfig rules_;
     std::vector<std::unique_ptr<iss::System>> refSys_;
     std::vector<std::unique_ptr<nemu::Nemu>> refs_;
-    GlobalMemory globalMem_;
+    std::unique_ptr<GlobalMemory> globalMem_; ///< multi-core only
     PermissionScoreboard scoreboard_;
     DiffStats stats_;
     DivergenceReport div_;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/log.h"
+
 namespace minjie::difftest {
 
 using uarch::Transaction;
@@ -10,25 +12,40 @@ using uarch::TxnKind;
 
 namespace {
 
+/** The Exclusive bit of every 2-bit slot (Perm::Exclusive == 0b10). */
+constexpr uint64_t EXCL_BITS = 0xaaaaaaaaaaaaaaaaULL;
+
 /** The single-writer invariant is enforced among the L1 caches; inner
  *  levels legitimately hold lines concurrently with their children. */
 bool
-isL1(const Transaction &txn)
+isL1(const char *name)
 {
-    return std::strncmp(txn.cacheName, "L1I", 3) == 0 ||
-           std::strncmp(txn.cacheName, "L1D", 3) == 0;
+    return std::strncmp(name, "L1I", 3) == 0 ||
+           std::strncmp(name, "L1D", 3) == 0;
 }
 
 } // namespace
 
-PermissionScoreboard::Perm
-PermissionScoreboard::permOf(Addr line, const char *name) const
+int
+PermissionScoreboard::idOf(const char *name)
 {
-    auto it = perms_.find(line);
-    if (it == perms_.end())
-        return Perm::None;
-    auto jt = it->second.find(std::string_view(name));
-    return jt == it->second.end() ? Perm::None : jt->second;
+    for (const auto &[ptr, id] : alias_)
+        if (ptr == name)
+            return id;
+    int id = IGNORE;
+    if (isL1(name)) {
+        for (size_t i = 0; i < names_.size() && id == IGNORE; ++i)
+            if (names_[i] == name)
+                id = static_cast<int>(i);
+        if (id == IGNORE) {
+            if (names_.size() == MAX_L1)
+                fatal("scoreboard: more than %u L1 caches", MAX_L1);
+            id = static_cast<int>(names_.size());
+            names_.emplace_back(name);
+        }
+    }
+    alias_.emplace_back(name, id);
+    return id;
 }
 
 void
@@ -46,48 +63,51 @@ PermissionScoreboard::violation(const char *what, const Transaction &txn)
 void
 PermissionScoreboard::onTransaction(const Transaction &txn)
 {
-    if (!isL1(txn))
+    int id = idOf(txn.cacheName);
+    if (id == IGNORE)
         return;
     ++checked_;
-    auto &lineMap = perms_[txn.line];
+    const unsigned shift = 2 * static_cast<unsigned>(id);
+    const uint64_t mine = 3ULL << shift;
+    auto set = [&](uint64_t &word, Perm p) {
+        word = (word & ~mine) | (static_cast<uint64_t>(p) << shift);
+    };
 
     switch (txn.kind) {
-      case TxnKind::GrantExclusive:
-        for (const auto &[cache, perm] : lineMap) {
-            if (cache != txn.cacheName && perm != Perm::None) {
-                violation("exclusive grant while a peer holds the line",
-                          txn);
-                break;
-            }
-        }
-        lineMap[txn.cacheName] = Perm::Exclusive;
+      case TxnKind::GrantExclusive: {
+        uint64_t &word = perms_[txn.line];
+        if (word & ~mine)
+            violation("exclusive grant while a peer holds the line", txn);
+        set(word, Perm::Exclusive);
         break;
+      }
 
-      case TxnKind::GrantShared:
-        for (const auto &[cache, perm] : lineMap) {
-            if (cache != txn.cacheName && perm == Perm::Exclusive) {
-                violation("shared grant while a peer holds exclusively",
-                          txn);
-                break;
-            }
-        }
-        lineMap[txn.cacheName] = Perm::Shared;
+      case TxnKind::GrantShared: {
+        uint64_t &word = perms_[txn.line];
+        if (word & ~mine & EXCL_BITS)
+            violation("shared grant while a peer holds exclusively", txn);
+        set(word, Perm::Shared);
         break;
+      }
 
       case TxnKind::ProbeInvalid:
-        lineMap[txn.cacheName] = Perm::None;
+        if (auto it = perms_.find(txn.line); it != perms_.end())
+            set(it->second, Perm::None);
         break;
 
       case TxnKind::ProbeShared:
-        if (lineMap[txn.cacheName] == Perm::Exclusive)
-            lineMap[txn.cacheName] = Perm::Shared;
+        if (auto it = perms_.find(txn.line);
+            it != perms_.end() && (it->second & mine & EXCL_BITS))
+            set(it->second, Perm::Shared);
         break;
 
-      case TxnKind::Release:
+      case TxnKind::Release: {
         // A release without a prior permission is a protocol bug.
-        if (permOf(txn.line, txn.cacheName) == Perm::None)
+        auto it = perms_.find(txn.line);
+        if (it == perms_.end() || (it->second & mine) == 0)
             violation("release from a cache holding no permission", txn);
         break;
+      }
 
       default:
         break;

@@ -1,16 +1,22 @@
 /**
  * @file
  * Cache-coherence permission scoreboard (paper Section III-B2b):
- * tracks the permission each L1 data cache holds for every block, fed
- * by the hierarchy's TileLink-flavoured transaction log, and flags
- * grants that violate the single-writer/multiple-reader invariant.
+ * tracks the permission each L1 cache holds for every block, fed by the
+ * hierarchy's TileLink-flavoured transaction log, and flags grants that
+ * violate the single-writer/multiple-reader invariant.
+ *
+ * Each line's permissions are one packed word: 2 bits of Perm per L1
+ * cache, indexed by a small id the name registry hands out on a cache's
+ * first transaction. Non-L1 names map to "ignore" once, so the per-
+ * transaction cost is a pointer scan plus one hash lookup.
  */
 
 #ifndef MINJIE_DIFFTEST_SCOREBOARD_H
 #define MINJIE_DIFFTEST_SCOREBOARD_H
 
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "uarch/cache.h"
@@ -22,7 +28,15 @@ class PermissionScoreboard
   public:
     enum class Perm : uint8_t { None, Shared, Exclusive };
 
-    /** Feed one observed transaction. */
+    /** L1 caches one packed word tracks (2 bits each). */
+    static constexpr unsigned MAX_L1 = 32;
+
+    /**
+     * Feed one observed transaction. Caches are told apart by name,
+     * resolved once per distinct name pointer: @p txn.cacheName must
+     * keep its contents for the scoreboard's lifetime (a Cache's name
+     * does).
+     */
     void onTransaction(const uarch::Transaction &txn);
 
     bool ok() const { return violations_.empty(); }
@@ -33,16 +47,20 @@ class PermissionScoreboard
     uint64_t transactionsChecked() const { return checked_; }
 
   private:
-    /** Permission of cache @p name on @p line as last granted. */
-    Perm permOf(Addr line, const char *name) const;
+    static constexpr int IGNORE = -1;
+
+    /** Registry id of @p name, or IGNORE for a non-L1 cache. */
+    int idOf(const char *name);
 
     void violation(const char *what, const uarch::Transaction &txn);
 
-    // line -> (cache name -> permission). Keyed by the per-instance
-    // cache name, not the object pointer: iteration feeds violation
-    // reports, so the order must not depend on allocation addresses
-    // (lint MJ-DET2-001).
-    std::map<Addr, std::map<std::string, Perm, std::less<>>> perms_;
+    /** Name pointer -> id (IGNORE included), scanned by pointer. */
+    std::vector<std::pair<const char *, int>> alias_;
+    /** id -> L1 cache name, for pointers not seen before. */
+    std::vector<std::string> names_;
+    /** line -> packed permissions. Looked up only, never iterated, so
+     *  no report depends on the hash order (lint MJ-DET2-001). */
+    std::unordered_map<Addr, uint64_t> perms_;
     std::vector<std::string> violations_;
     uint64_t checked_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "lightsss/lightsss.h"
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -36,16 +37,33 @@ LightSSS::~LightSSS()
 }
 
 void
+LightSSS::drop(const Snapshot &snap)
+{
+    WakeMsg msg{0, 0};
+    (void)!write(snap.wakeFd, &msg, sizeof(msg));
+    close(snap.wakeFd);
+    dropped_.push_back(snap.pid);
+}
+
+void
+LightSSS::reapDropped(bool block)
+{
+    std::erase_if(dropped_, [block](pid_t pid) {
+        pid_t r = 0;
+        do
+            r = waitpid(pid, nullptr, block ? 0 : WNOHANG);
+        while (r < 0 && errno == EINTR);
+        return r != 0; // reaped, or not our child any more
+    });
+}
+
+void
 LightSSS::discardAll()
 {
-    for (auto &snap : snapshots_) {
-        WakeMsg msg{0, 0};
-        (void)!write(snap.wakeFd, &msg, sizeof(msg));
-        close(snap.wakeFd);
-        int status;
-        waitpid(snap.pid, &status, 0);
-    }
+    for (const auto &snap : snapshots_)
+        drop(snap);
     snapshots_.clear();
+    reapDropped(true);
 }
 
 LightSSS::Role
@@ -66,16 +84,14 @@ LightSSS::tick(Cycle now)
         return Role::Parent;
     lastForkCycle_ = now;
 
-    // Drop the oldest snapshot beyond the retention limit BEFORE
-    // forking, so at most keepSnapshots processes exist at once.
+    // Reap the snapshots dropped earlier that have exited by now, then
+    // drop the oldest beyond the retention limit. A dropped child exits
+    // once told to; waiting here while its address space is torn down
+    // would stall the simulation.
+    reapDropped(false);
     while (snapshots_.size() >= cfg_.keepSnapshots) {
-        Snapshot old = snapshots_.front();
+        drop(snapshots_.front());
         snapshots_.pop_front();
-        WakeMsg msg{0, 0};
-        (void)!write(old.wakeFd, &msg, sizeof(msg));
-        close(old.wakeFd);
-        int status;
-        waitpid(old.pid, &status, 0);
         ++stats_.kills;
     }
 
@@ -110,6 +126,7 @@ LightSSS::tick(Cycle now)
         for (auto &snap : snapshots_)
             close(snap.wakeFd);
         snapshots_.clear();
+        dropped_.clear();
 
         WakeMsg msg{};
         ssize_t got = read(pipefd[0], &msg, sizeof(msg));
@@ -149,6 +166,7 @@ LightSSS::triggerReplay(Cycle failCycle)
     if (write(oldest.wakeFd, &msg, sizeof(msg)) != sizeof(msg)) {
         MJ_WARN("LightSSS: failed to wake snapshot %d", oldest.pid);
         close(oldest.wakeFd);
+        dropped_.push_back(oldest.pid); // it sees EOF and exits
         return false;
     }
     close(oldest.wakeFd);

@@ -11,6 +11,11 @@
  * snapshot is woken and replays the last <= 2N cycles with debugging
  * output enabled.
  *
+ * Dropping a snapshot is off the critical path: tick() tells the child
+ * to exit and reaps it without blocking at a later tick, so besides
+ * the keepSnapshots live snapshots a few dropped ones may still be
+ * tearing down. discardAll() and triggerReplay() wait for every child.
+ *
  * The SSS baseline of Section III-C2 — an explicit full-image,
  * circuit-dependent snapshot — lives in sss.h for the Figure 6 /
  * Table I comparison.
@@ -21,6 +26,7 @@
 
 #include <deque>
 #include <string>
+#include <vector>
 
 #include <sys/types.h>
 
@@ -57,8 +63,9 @@ class LightSSS
 
     /**
      * Periodic driver hook; forks a snapshot when the interval has
-     * elapsed. In the parent this returns Role::Parent (quickly); a
-     * woken snapshot child returns Role::ReplayChild exactly once.
+     * elapsed, first dropping the oldest beyond keepSnapshots. In the
+     * parent this returns Role::Parent without waiting for any child;
+     * a woken snapshot child returns Role::ReplayChild exactly once.
      */
     Role tick(Cycle now);
 
@@ -83,7 +90,8 @@ class LightSSS
     const LightSssStats &stats() const { return stats_; }
     bool enabled() const { return cfg_.enabled; }
 
-    /** Drop all snapshots (e.g. end of simulation). */
+    /** Drop all snapshots (e.g. end of simulation) and reap every
+     *  dropped child, waiting for each. */
     void discardAll();
 
   private:
@@ -94,8 +102,17 @@ class LightSSS
         Cycle cycle;
     };
 
+    /** Tell @p snap's child to exit, close its pipe and queue it for
+     *  reaping. */
+    void drop(const Snapshot &snap);
+
+    /** Reap dropped children: all of them when @p block, otherwise
+     *  only those that have already exited. */
+    void reapDropped(bool block);
+
     LightSssConfig cfg_;
     std::deque<Snapshot> snapshots_;
+    std::vector<pid_t> dropped_; ///< told to exit, not yet reaped
     Cycle lastForkCycle_ = 0;
     Cycle snapshotCycle_ = 0;
     Cycle replayTarget_ = 0;

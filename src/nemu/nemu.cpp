@@ -290,7 +290,17 @@ Trap
 Nemu::stepOnce(ExecInfo *info)
 {
     Trap t = Trap::none();
-    int32_t idx = lookupOrTranslate(st_.pc, t);
+    // Straight-line stepping: the uop after the last one stepped is
+    // usually the one at pc. Every cached uop was translated under the
+    // current regime (flushes clear the whole cache), so a pc match is
+    // a valid translation and the hash lookup can be skipped.
+    int32_t idx = stepIdx_ + 1;
+    if (static_cast<size_t>(idx) < uops_.size() &&
+        uops_[static_cast<size_t>(idx)].pc == st_.pc)
+        ++stats_.uopHits;
+    else
+        idx = lookupOrTranslate(st_.pc, t);
+    stepIdx_ = idx;
     if (idx < 0)
         return t;
     const DecodedInst &di = cold_[static_cast<size_t>(idx)].di;

@@ -33,11 +33,11 @@
  * (setChainingEnabled / setFastPathEnabled) for the Figure 8 speedup
  * breakdown and the `--nemu-no-chain` / `--nemu-no-fastpath` flags.
  *
- * NEMU also doubles as the DiffTest REF (paper Section III-B): the
- * Interp::step() path executes through the same uop cache but one
- * instruction at a time with probe extraction, and run(1) drives the
- * chained engine with per-instruction commit granularity for lockstep
- * co-simulation.
+ * NEMU also doubles as the DiffTest REF (paper Section III-B): DiffTest
+ * drives the Interp::step() path, which executes through the same uop
+ * cache one instruction at a time with probe extraction; straight-line
+ * steps take the next cached uop without a pc hash lookup. run(1)
+ * drives the chained engine with per-instruction granularity.
  */
 
 #ifndef MINJIE_NEMU_NEMU_H
@@ -321,6 +321,7 @@ class Nemu : public iss::Interp
     isa::Priv regimePriv_ = isa::Priv::M;
     uint64_t regimeEpoch_ = 0;
     std::function<void(Addr, uint32_t)> blockHook_;
+    int32_t stepIdx_ = -1;    ///< uop index of the last step, or -1
     Addr blockStart_ = ~0ULL; ///< step-path block tracking
     uint32_t blockLen_ = 0;
 

@@ -33,7 +33,7 @@ Cache::Cache(std::string name, const CacheCfg &cfg, Cache *parent,
     if (sets_ == 0)
         sets_ = 1;
     lineMask_ = cfg.lineBytes - 1;
-    lines_.assign(static_cast<size_t>(sets_) * cfg.ways, {});
+    lines_ = ZeroedArray<Line>(static_cast<size_t>(sets_) * cfg.ways);
     mshrs_.assign(cfg.mshrs, {});
 }
 

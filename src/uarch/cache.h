@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/zeroed_array.h"
 
 namespace minjie::uarch {
 
@@ -160,12 +161,15 @@ class Cache
     void addTxnLog(TxnLog log);
 
   private:
+    /** All-zero bytes are the default, invalid line: lines_ starts
+     *  zeroed. */
     struct Line
     {
         Addr tag = 0;
         CohState st = CohState::I;
         uint64_t lru = 0;
     };
+    static_assert(static_cast<int>(CohState::I) == 0);
 
     struct Mshr
     {
@@ -213,7 +217,7 @@ class Cache
     Cache *parent_;
     DramModel *dram_;
     std::vector<Cache *> children_;
-    std::vector<Line> lines_;
+    ZeroedArray<Line> lines_; ///< zero-filled page by page on touch
     std::vector<Mshr> mshrs_;
     unsigned sets_;
     Addr lineMask_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
 #include "difftest/csr_rules.h"
+#include "workload/programs.h"
 
 namespace {
 
@@ -113,6 +117,55 @@ TEST(CsrRules, EveryRuleHasDistinctIdentity)
     for (const auto &r : csrRules()) {
         std::string id = std::string(r.csr) + "." + r.field;
         EXPECT_TRUE(names.insert(id).second) << "duplicate rule " << id;
+    }
+}
+
+/** The trigger DiffTest used to compute by decoding every commit. */
+bool
+decodedTrigger(uint32_t inst)
+{
+    isa::Op op = isa::decode(inst).op;
+    return isa::isCsr(op) || isa::isSystem(op);
+}
+
+TEST(CsrRules, TriggerMatchesDecodeOnEveryWord)
+{
+    // Every 16-bit word (compressed or the low half of a 32-bit one).
+    for (uint32_t w = 0; w <= 0xffff; ++w)
+        ASSERT_EQ(triggersCsrCheck(w), decodedTrigger(w)) << std::hex << w;
+
+    // Every halfword-aligned word of the 25 SPEC proxies' code, so
+    // each instruction and each straddling misparse is covered.
+    size_t words = 0, triggers = 0;
+    for (const auto *suite : {&workload::specIntSuite(),
+                              &workload::specFpSuite()}) {
+        for (const auto &spec : *suite) {
+            auto prog = workload::buildProxy(spec, 10);
+            for (const auto &seg : prog.segments) {
+                if (prog.entry < seg.base ||
+                    prog.entry >= seg.base + seg.bytes.size())
+                    continue; // data
+                for (size_t i = 0; i + 4 <= seg.bytes.size(); i += 2) {
+                    uint32_t w;
+                    std::memcpy(&w, seg.bytes.data() + i, sizeof(w));
+                    ASSERT_EQ(triggersCsrCheck(w), decodedTrigger(w))
+                        << spec.name << std::hex << " word " << w;
+                    ++words;
+                    triggers += triggersCsrCheck(w);
+                }
+            }
+        }
+    }
+    EXPECT_GT(words, 10'000u);
+    EXPECT_GT(triggers, 0u);
+
+    // Random words, and random words forced into the SYSTEM opcode.
+    Rng rng(0xc5c);
+    for (int i = 0; i < 200'000; ++i) {
+        auto w = static_cast<uint32_t>(rng.next());
+        ASSERT_EQ(triggersCsrCheck(w), decodedTrigger(w)) << std::hex << w;
+        w = (w & ~0x7fu) | 0x73;
+        ASSERT_EQ(triggersCsrCheck(w), decodedTrigger(w)) << std::hex << w;
     }
 }
 

@@ -115,6 +115,42 @@ TEST(DiffTest, DualCoreGlobalMemoryRule)
     EXPECT_GT(dt.stats().globalMemoryPatches, 0u);
 }
 
+TEST(DiffTest, SingleCoreDroppedOverwriteIsCaught)
+{
+    // With one core no other hart can store, so a load returning an
+    // older value of the slot is a bug even when this hart stored that
+    // value earlier. amoswap.d writes 0x1111, the next sd of 0x2222 is
+    // dropped, and the reload must be flagged, not patched into the REF.
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    a.li(wl::s0, layout.dataBase);
+    a.li(wl::t0, 0x1111);
+    a.rtype(isa::Op::AmoSwapD, wl::t1, wl::s0, wl::t0);
+    a.li(wl::t2, 0x2222);
+    a.store(isa::Op::Sd, wl::t2, 0, wl::s0);
+    a.load(isa::Op::Ld, wl::t3, 0, wl::s0);
+    a.exit(0);
+    wl::Program prog;
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+    prog.segments.push_back({layout.dataBase,
+                             std::vector<uint8_t>(64, 0)});
+
+    xs::Soc soc(xs::CoreConfig::nh());
+    DiffTest dt(soc);
+    loadEverywhere(soc, dt, prog);
+    soc.core(0).injectDropStore();
+    dt.run(1'000'000);
+
+    ASSERT_FALSE(dt.ok());
+    EXPECT_EQ(dt.stats().globalMemoryPatches, 0u);
+    const auto &why = dt.failures().front();
+    EXPECT_NE(why.find("rd mismatch"), std::string::npos) << why;
+    EXPECT_NE(why.find("dut=0x1111 ref=0x2222"), std::string::npos) << why;
+    EXPECT_EQ(dt.divergence().kind, DivergenceReport::Kind::Rd);
+    EXPECT_EQ(dt.divergence().reg, unsigned{wl::t3});
+}
+
 TEST(DiffTest, ScoreboardCleanOnCoherentRun)
 {
     xs::Soc soc(xs::CoreConfig::nh(), 2);

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "difftest/scoreboard.h"
 
 namespace {
@@ -92,6 +99,127 @@ TEST(Scoreboard, DifferentLinesIndependent)
     sb.onTransaction(txn(TxnKind::GrantExclusive, 0x100, &a, "L1D.0"));
     sb.onTransaction(txn(TxnKind::GrantExclusive, 0x140, &b, "L1D.1"));
     EXPECT_TRUE(sb.ok());
+}
+
+/**
+ * The scoreboard as it was first written: a line -> (cache name ->
+ * permission) nested map. The differential test below holds the packed
+ * representation to these semantics, violation text included.
+ */
+class NestedMapScoreboard
+{
+  public:
+    using Perm = PermissionScoreboard::Perm;
+
+    void
+    onTransaction(const Transaction &txn)
+    {
+        if (std::strncmp(txn.cacheName, "L1I", 3) != 0 &&
+            std::strncmp(txn.cacheName, "L1D", 3) != 0)
+            return;
+        ++checked;
+        auto &lineMap = perms[txn.line];
+        switch (txn.kind) {
+          case TxnKind::GrantExclusive:
+            for (const auto &[cache, perm] : lineMap) {
+                if (cache != txn.cacheName && perm != Perm::None) {
+                    violation("exclusive grant while a peer holds the line",
+                              txn);
+                    break;
+                }
+            }
+            lineMap[txn.cacheName] = Perm::Exclusive;
+            break;
+          case TxnKind::GrantShared:
+            for (const auto &[cache, perm] : lineMap) {
+                if (cache != txn.cacheName && perm == Perm::Exclusive) {
+                    violation("shared grant while a peer holds exclusively",
+                              txn);
+                    break;
+                }
+            }
+            lineMap[txn.cacheName] = Perm::Shared;
+            break;
+          case TxnKind::ProbeInvalid:
+            lineMap[txn.cacheName] = Perm::None;
+            break;
+          case TxnKind::ProbeShared:
+            if (lineMap[txn.cacheName] == Perm::Exclusive)
+                lineMap[txn.cacheName] = Perm::Shared;
+            break;
+          case TxnKind::Release: {
+            auto it = lineMap.find(txn.cacheName);
+            if (it == lineMap.end() || it->second == Perm::None)
+                violation("release from a cache holding no permission",
+                          txn);
+            break;
+          }
+          default:
+            break;
+        }
+    }
+
+    std::map<Addr, std::map<std::string, Perm>> perms;
+    std::vector<std::string> violations;
+    uint64_t checked = 0;
+
+  private:
+    void
+    violation(const char *what, const Transaction &txn)
+    {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "scoreboard: %s (%s on %s line 0x%llx at cycle %llu)",
+                      what, txnKindName(txn.kind), txn.cacheName,
+                      static_cast<unsigned long long>(txn.line),
+                      static_cast<unsigned long long>(txn.at));
+        violations.push_back(buf);
+    }
+};
+
+TEST(Scoreboard, MatchesNestedMapSemantics)
+{
+    const TxnKind kinds[] = {
+        TxnKind::AcquireShared, TxnKind::AcquireExclusive,
+        TxnKind::GrantShared,   TxnKind::GrantExclusive,
+        TxnKind::ProbeShared,   TxnKind::ProbeInvalid,
+        TxnKind::Release,       TxnKind::MemRead,
+        TxnKind::MemWrite,
+    };
+    for (uint64_t seed = 0; seed < 64; ++seed) {
+        Rng rng(0x5c0 + seed);
+        const unsigned cores = 1 + static_cast<unsigned>(seed % 4);
+        // Every cache name twice, at distinct addresses: caches are
+        // told apart by name, not by the name's pointer.
+        std::vector<std::string> names = {"L3"}, copies;
+        for (unsigned c = 0; c < cores; ++c)
+            for (const char *level : {"L1I.", "L1D.", "L1plus.", "L2."})
+                names.push_back(level + std::to_string(c));
+        copies = names;
+        std::vector<Addr> lines;
+        for (unsigned i = 0; i < 2 + rng.below(12); ++i)
+            lines.push_back(0x80000000 + rng.below(64) * 64);
+
+        PermissionScoreboard packed;
+        NestedMapScoreboard nested;
+        for (Cycle at = 0; at < 3000; ++at) {
+            size_t who = rng.below(names.size());
+            const std::string &name =
+                rng.chance(50) ? names[who] : copies[who];
+            // Mostly grants and probes, so lines are contended.
+            TxnKind kind = rng.chance(70) ? kinds[2 + rng.below(5)]
+                                          : kinds[rng.below(std::size(kinds))];
+            Transaction t{kind, lines[rng.below(lines.size())], &name,
+                          name.c_str(), at};
+            packed.onTransaction(t);
+            nested.onTransaction(t);
+            ASSERT_EQ(packed.transactionsChecked(), nested.checked)
+                << "seed " << seed << " at " << at;
+            ASSERT_EQ(packed.violations(), nested.violations)
+                << "seed " << seed << " at " << at;
+        }
+        EXPECT_GT(nested.violations.size(), 0u) << "seed " << seed;
+    }
 }
 
 } // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "lightsss/lightsss.h"
@@ -25,6 +27,13 @@ tmpPath(const char *tag)
     std::snprintf(buf, sizeof(buf), "/tmp/lightsss_test_%s_%d", tag,
                   getpid());
     return buf;
+}
+
+/** True when this process has no child left, exited or running. */
+bool
+noChildren()
+{
+    return waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
 }
 
 TEST(LightSSS, ForkIsCheap)
@@ -77,6 +86,8 @@ TEST(LightSSS, ReplayChildReRunsWindow)
     }
     ASSERT_TRUE(sss.triggerReplay(failAt));
     replayed = true;
+    // The replay child and every dropped snapshot have been reaped.
+    EXPECT_TRUE(noChildren());
 
     ASSERT_TRUE(replayed);
     std::ifstream in(marker);
@@ -208,6 +219,28 @@ TEST(LightSSS, ReplayChildDoesNotFlushInheritedBuffers)
     EXPECT_EQ(got, "pending-bytes")
         << "replay child flushed buffers it does not own";
     std::remove(path.c_str());
+}
+
+TEST(LightSSS, DiscardAllLeavesNoUnreapedChild)
+{
+    // tick() drops snapshots without waiting for them; discardAll()
+    // must still reap every child, dropped ones included.
+    ASSERT_TRUE(noChildren());
+    {
+        LightSSS sss({100, 2, true});
+        for (Cycle c = 0; c <= 2000; c += 100)
+            ASSERT_EQ(sss.tick(c), LightSSS::Role::Parent);
+        EXPECT_EQ(sss.stats().forks, 21u);
+        EXPECT_EQ(sss.stats().kills, 19u);
+        sss.discardAll();
+        EXPECT_TRUE(noChildren());
+
+        // The instance stays usable; its destructor reaps too.
+        sss.tick(2100);
+        sss.tick(2200);
+        sss.tick(2300);
+    }
+    EXPECT_TRUE(noChildren());
 }
 
 TEST(LightSSS, NoSnapshotMeansNoReplay)

@@ -3,9 +3,12 @@
 #include <cstring>
 
 #include "common/clock.h"
+#include "isa/csr.h"
 #include "nemu/nemu.h"
 #include "iss/system.h"
+#include "workload/asm.h"
 #include "workload/programs.h"
+#include "workload/shrinkable.h"
 
 namespace {
 
@@ -118,6 +121,145 @@ TEST(Nemu, StepPathMatchesFastPath)
     EXPECT_EQ(ra.executed, rb.executed);
     for (int i = 0; i < 32; ++i)
         EXPECT_EQ(fast.state().x[i], stepper.state().x[i]) << "x" << i;
+}
+
+/** Encoding of the one instruction @p emit assembles. */
+template <typename Emit>
+uint32_t
+encodeOne(Emit emit)
+{
+    wl::Asm a(DRAM_BASE);
+    emit(a);
+    auto seg = a.finish();
+    uint32_t w = 0;
+    std::memcpy(&w, seg.bytes.data(), sizeof(w));
+    return w;
+}
+
+/**
+ * Self-modifying code: each trip rewrites the first instruction of a
+ * subroutine (addi a0 by 1 or by 7), runs fence.i and calls it; the
+ * subroutine then traps twice (ecall, an illegal word), each resumed
+ * past by the handler.
+ */
+wl::Program
+patchingProgram()
+{
+    using isa::Op;
+    const Addr slot = DRAM_BASE + 0x400;
+    const uint32_t add1 = encodeOne(
+        [](wl::Asm &e) { e.itype(Op::Addi, wl::a0, wl::a0, 1); });
+    const uint32_t add7 = encodeOne(
+        [](wl::Asm &e) { e.itype(Op::Addi, wl::a0, wl::a0, 7); });
+
+    const wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    wl::Label start = a.newLabel(), loop = a.newLabel(),
+              pick = a.newLabel();
+    a.j(start);
+    const Addr handler = a.here();
+    a.csr(Op::Csrrs, wl::t1, isa::CSR_MEPC, wl::zero);
+    a.itype(Op::Addi, wl::t1, wl::t1, 4);
+    a.csr(Op::Csrrw, wl::zero, isa::CSR_MEPC, wl::t1);
+    a.itype(Op::Mret, 0, 0, 0);
+
+    a.bind(start);
+    a.li(wl::t0, handler);
+    a.csr(Op::Csrrw, wl::zero, isa::CSR_MTVEC, wl::t0);
+    a.li(wl::s1, 30);
+    a.li(wl::t4, slot);
+    a.bind(loop);
+    a.li(wl::t2, add1);
+    a.itype(Op::Andi, wl::t3, wl::s1, 1);
+    a.branch(Op::Beq, wl::t3, wl::zero, pick);
+    a.li(wl::t2, add7);
+    a.bind(pick);
+    a.store(Op::Sw, wl::t2, 0, wl::t4);
+    a.itype(Op::FenceI, 0, 0, 0);
+    a.itype(Op::Jalr, wl::ra, wl::t4, 0);
+    a.itype(Op::Addi, wl::s1, wl::s1, -1);
+    a.branch(Op::Bne, wl::s1, wl::zero, loop);
+    a.exit(0);
+    while (a.here() < slot)
+        a.nop();
+    a.nop(); // rewritten before every call
+    a.itype(Op::Ecall, 0, 0, 0);
+    a.bytes({0, 0, 0, 0}); // illegal
+    a.ret();
+
+    wl::Program prog;
+    prog.name = "patching";
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+    return prog;
+}
+
+/** Architectural state one engine may not differ from another in. */
+void
+expectSameState(const ArchState &want, const ArchState &got,
+                const std::string &what)
+{
+    ASSERT_EQ(want.pc, got.pc) << what;
+    ASSERT_EQ(want.priv, got.priv) << what;
+    ASSERT_EQ(want.instret, got.instret) << what;
+    ASSERT_EQ(want.csr.mstatus, got.csr.mstatus) << what;
+    ASSERT_EQ(want.csr.mepc, got.csr.mepc) << what;
+    ASSERT_EQ(want.csr.mcause, got.csr.mcause) << what;
+    ASSERT_EQ(want.csr.satp, got.csr.satp) << what;
+    for (int i = 0; i < 32; ++i) {
+        ASSERT_EQ(want.x[i], got.x[i]) << what << " x" << i;
+        ASSERT_EQ(want.f[i], got.f[i]) << what << " f" << i;
+    }
+}
+
+TEST(Nemu, StepMatchesRunOneAcrossFlushesAndTraps)
+{
+    // step() reuses the uop after the last one stepped without a pc
+    // lookup. Check it instruction by instruction against run(1), and
+    // against an engine alternating the two, over code patched under
+    // fence.i, satp writes, sfence.vma, mret and traps.
+    std::vector<wl::Program> progs = {patchingProgram(), wl::sv39Program(),
+                                      wl::coremarkProxy(5)};
+    progs.push_back(wl::buildProxy(wl::specIntSuite()[0], 50));
+    progs.push_back(wl::buildProxy(wl::specFpSuite()[0], 50));
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+        Rng rng(0x57e9 + seed);
+        wl::RandomSpec spec;
+        spec.nInsts = 300;
+        spec.withFp = seed % 2 == 0;
+        spec.withRvc = seed % 3 != 2;
+        progs.push_back(wl::randomShrinkable(rng, spec).assemble());
+        progs.back().name = "random#" + std::to_string(seed);
+    }
+
+    for (const auto &prog : progs) {
+        System sysA(64), sysB(64), sysC(64);
+        prog.loadInto(sysA.dram);
+        prog.loadInto(sysB.dram);
+        prog.loadInto(sysC.dram);
+        Nemu stepper(sysA.bus, sysA.dram, 0, prog.entry);
+        Nemu runner(sysB.bus, sysB.dram, 0, prog.entry);
+        Nemu mixed(sysC.bus, sysC.dram, 0, prog.entry);
+        InstCount n = 0;
+        for (; n < 200'000 && !sysA.simctrl.exited(); ++n) {
+            stepper.step();
+            runner.run(1);
+            if (n % 3 == 0)
+                mixed.run(1);
+            else
+                mixed.step();
+            std::string what = prog.name + " @" + std::to_string(n);
+            expectSameState(stepper.state(), runner.state(), what);
+            expectSameState(stepper.state(), mixed.state(),
+                            what + " (mixed)");
+            ASSERT_EQ(sysB.simctrl.exited(), sysA.simctrl.exited());
+        }
+        EXPECT_TRUE(sysA.simctrl.exited()) << prog.name;
+        EXPECT_EQ(sysA.simctrl.exitCode(), 0u) << prog.name;
+        if (prog.name == "patching") { // 15 trips of each patched addi
+            EXPECT_EQ(stepper.state().x[wl::a0], 15u * 1 + 15u * 7);
+        }
+    }
 }
 
 TEST(Nemu, UopCacheFlushOnFenceI)

@@ -243,6 +243,18 @@ runXiangshan(const Options &opt, const wl::Program &prog)
         std::printf("[difftest] %llu commits checked, PASS\n",
                     static_cast<unsigned long long>(
                         dt->stats().commitsChecked));
+    if (dt && opt.lightsssInterval) {
+        const auto &ss = sss.stats();
+        std::printf("[cosim] %.0f commits/s checked, lightsss %llu forks "
+                    "%llu kills, fork us total %llu last %llu\n",
+                    sec > 0 ? static_cast<double>(
+                                  dt->stats().commitsChecked) / sec
+                            : 0.0,
+                    static_cast<unsigned long long>(ss.forks),
+                    static_cast<unsigned long long>(ss.kills),
+                    static_cast<unsigned long long>(ss.totalForkUs),
+                    static_cast<unsigned long long>(ss.lastForkUs));
+    }
     if (soc.system().simctrl.exited())
         std::printf("workload exit code: %llu\n",
                     static_cast<unsigned long long>(
