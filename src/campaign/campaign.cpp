@@ -1,7 +1,10 @@
 #include "campaign/campaign.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
+#include <numeric>
 #include <thread>
 
 #include "campaign/corpus.h"
@@ -284,6 +287,18 @@ CampaignReport::toJson() const
     }
     jw.endArray();
 
+    jw.key("kinds").beginArray();
+    for (const auto &k : kindTimes()) {
+        jw.beginObject();
+        jw.key("kind").value(k.kind);
+        jw.key("jobs").value(k.jobs);
+        jw.key("host_sec").value(k.sec);
+        jw.key("p50_us").value(k.p50Us);
+        jw.key("p90_us").value(k.p90Us);
+        jw.endObject();
+    }
+    jw.endArray();
+
     bool anyPerf = false;
     for (const auto &jr : results)
         anyPerf = anyPerf || jr.perf.valid;
@@ -334,6 +349,31 @@ CampaignReport::toJson() const
 
     jw.endObject();
     return jw.str();
+}
+
+std::vector<KindTime>
+CampaignReport::kindTimes() const
+{
+    std::map<std::string, std::vector<double>> us;
+    for (const auto &jr : results)
+        us[jr.kind].push_back(jr.sec * 1e6);
+    auto rank = [](const std::vector<double> &v, double p) {
+        auto r = static_cast<size_t>(
+            std::ceil(p / 100.0 * static_cast<double>(v.size())));
+        return v[std::clamp<size_t>(r, 1, v.size()) - 1];
+    };
+    std::vector<KindTime> out;
+    for (auto &[kind, v] : us) {
+        std::sort(v.begin(), v.end());
+        KindTime k;
+        k.kind = kind;
+        k.jobs = v.size();
+        k.sec = std::accumulate(v.begin(), v.end(), 0.0) / 1e6;
+        k.p50Us = rank(v, 50);
+        k.p90Us = rank(v, 90);
+        out.push_back(std::move(k));
+    }
+    return out;
 }
 
 obs::CounterSnapshot

@@ -120,6 +120,16 @@ struct WorkerStats
     double busySec = 0;
 };
 
+/** Host time spent on one job kind ("difftest", "spike-vs-tci", ...). */
+struct KindTime
+{
+    std::string kind;
+    uint64_t jobs = 0;
+    double sec = 0;   ///< summed host seconds of its jobs
+    double p50Us = 0; ///< per-job host time percentiles (nearest rank)
+    double p90Us = 0;
+};
+
 /** Full campaign outcome; toJson() is the machine-readable report. */
 struct CampaignReport
 {
@@ -133,6 +143,13 @@ struct CampaignReport
     std::vector<WorkerStats> workers;
 
     std::string toJson() const;
+
+    /**
+     * Per-kind host time from every result's kind and sec, sorted by
+     * kind. Host time varies from run to run, so it stays out of the
+     * bucket table and the failing-job list.
+     */
+    std::vector<KindTime> kindTimes() const;
 
     /**
      * Merge every per-job PerfSummary into one counter snapshot

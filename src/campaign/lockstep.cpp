@@ -1,5 +1,6 @@
 #include "campaign/lockstep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -97,30 +98,44 @@ applyBug(const BugInject &bug, ArchState &st, const isa::DecodedInst &di)
     st.setX(di.rd, st.x[di.rd] ^ bug.xorMask);
 }
 
-/** Compare every loaded segment's memory image across the two systems. */
+} // namespace
+
 bool
-compareMemory(EngineBox &a, EngineBox &b, const workload::Program &prog,
-              Divergence &div)
+compareMemory(mem::PhysMem &a, mem::PhysMem &b,
+              const workload::Program &prog, Divergence &div)
 {
+    using mem::PhysMem;
     for (const auto &seg : prog.segments) {
-        for (size_t i = 0; i < seg.bytes.size(); ++i) {
-            uint64_t va = 0, vb = 0;
-            a.sys.dram.read(seg.base + i, 1, va);
-            b.sys.dram.read(seg.base + i, 1, vb);
-            if (va != vb) {
-                div.kind = Divergence::Kind::Memory;
-                div.reg = static_cast<unsigned>(i);
-                div.pc = seg.base + i; // diverging address, not a pc
-                div.valA = va;
-                div.valB = vb;
-                return false;
+        size_t i = 0;
+        while (i < seg.bytes.size()) {
+            Addr addr = seg.base + i;
+            Addr off = addr & PhysMem::PAGE_MASK;
+            size_t n = std::min<size_t>(seg.bytes.size() - i,
+                                        PhysMem::PAGE_SIZE - off);
+            const uint8_t *pa = a.hostPageRO(addr);
+            const uint8_t *pb = b.hostPageRO(addr);
+            if (pa && pb && std::memcmp(pa + off, pb + off, n) == 0) {
+                i += n;
+                continue;
+            }
+            // The chunk differs (or leaves DRAM): find the first byte.
+            for (size_t end = i + n; i < end; ++i) {
+                uint64_t va = 0, vb = 0;
+                a.read(seg.base + i, 1, va);
+                b.read(seg.base + i, 1, vb);
+                if (va != vb) {
+                    div.kind = Divergence::Kind::Memory;
+                    div.reg = static_cast<unsigned>(i);
+                    div.pc = seg.base + i; // diverging address, not a pc
+                    div.valA = va;
+                    div.valB = vb;
+                    return false;
+                }
             }
         }
     }
     return true;
 }
-
-} // namespace
 
 std::string
 Divergence::signature() const
@@ -167,21 +182,31 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
     auto ea = makeEngine(a, prog, opts);
     auto eb = makeEngine(b, prog, opts);
     LockstepResult res;
+    Divergence &d = res.div;
+
+    // Divergence::op is the op of the last step, decoded from that
+    // step's pre-step word only once a result is reported.
+    uint32_t raw = 0;
+    auto report = [&]() -> LockstepResult & {
+        if (res.steps)
+            d.op = isa::decode(raw).op;
+        return res;
+    };
 
     for (uint64_t step = 0; step < maxSteps; ++step) {
         if (ea->sys.simctrl.exited() && eb->sys.simctrl.exited()) {
             res.exited = true;
-            res.div.step = step;
-            compareMemory(*ea, *eb, prog, res.div);
-            return res;
+            d.step = step;
+            compareMemory(ea->sys.dram, eb->sys.dram, prog, d);
+            return report();
         }
 
         ArchState &sa = ea->interp->state();
         ArchState &sb = eb->interp->state();
         Addr pc = sa.pc;
-        uint64_t raw = 0;
-        ea->sys.dram.read(pc, 4, raw);
-        isa::DecodedInst di = isa::decode(static_cast<uint32_t>(raw));
+        uint64_t word = 0;
+        ea->sys.dram.read(pc, 4, word);
+        raw = static_cast<uint32_t>(word);
 
         // run(1) is virtual: NEMU executes through its chained
         // threaded-code engine, the baseline engines through step().
@@ -191,17 +216,15 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
 
         if (bug && bug->enabled &&
             !(bug->side == 0 ? ra : rb).trapped)
-            applyBug(*bug, bug->side == 0 ? sa : sb, di);
+            applyBug(*bug, bug->side == 0 ? sa : sb, isa::decode(raw));
 
-        Divergence &d = res.div;
         d.step = step;
         d.pc = pc;
-        d.op = di.op;
         if (sa.pc != sb.pc) {
             d.kind = Divergence::Kind::Pc;
             d.valA = sa.pc;
             d.valB = sb.pc;
-            return res;
+            return report();
         }
         if (std::memcmp(sa.x, sb.x, sizeof(sa.x)) != 0) {
             d.kind = Divergence::Kind::XReg;
@@ -213,7 +236,7 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
                     break;
                 }
             }
-            return res;
+            return report();
         }
         if (std::memcmp(sa.f, sb.f, sizeof(sa.f)) != 0) {
             d.kind = Divergence::Kind::FReg;
@@ -225,19 +248,19 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
                     break;
                 }
             }
-            return res;
+            return report();
         }
         if (sa.csr.fflags != sb.csr.fflags) {
             d.kind = Divergence::Kind::Fflags;
             d.valA = sa.csr.fflags;
             d.valB = sb.csr.fflags;
-            return res;
+            return report();
         }
     }
 
-    res.div.kind = Divergence::Kind::Timeout;
-    res.div.step = res.steps;
-    return res;
+    d.kind = Divergence::Kind::Timeout;
+    d.step = res.steps;
+    return report();
 }
 
 } // namespace minjie::campaign

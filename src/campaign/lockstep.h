@@ -16,6 +16,7 @@
 #include <string>
 
 #include "isa/op.h"
+#include "mem/physmem.h"
 #include "workload/programs.h"
 
 namespace minjie::campaign {
@@ -90,6 +91,15 @@ struct LockstepOptions
     bool nemuChain = true;    ///< block chaining + superblocks
     bool nemuFastPath = true; ///< host-pointer TLB + direct-DRAM path
 };
+
+/**
+ * Compare every segment of @p prog between memories @p a and @p b, a
+ * page-sized chunk at a time. At the first differing byte, fill @p div
+ * (kind Memory, pc = its address, reg = its offset in the segment,
+ * valA/valB = the two bytes) and return false.
+ */
+bool compareMemory(mem::PhysMem &a, mem::PhysMem &b,
+                   const workload::Program &prog, Divergence &div);
 
 /**
  * Run @p prog on engines @p a and @p b in lockstep for at most

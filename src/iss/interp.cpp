@@ -21,11 +21,8 @@ SpikeInterp::stepOnce(ExecInfo *info)
         ++hits_;
     }
     Trap t = execInst(st_, mmu_, e.di, fpb_, info);
-    if (t.pending() && t.cause == Exc::IllegalInst) {
-        // fence.i / sfence may invalidate cached decodes elsewhere; the
-        // decode cache is PC-tagged so self-modifying code still needs
-        // an explicit flush, which fence.i execution performs below.
-    }
+    // The decode cache is pc-tagged, so self-modifying code is seen only
+    // after the flush fence.i performs.
     if (e.di.op == Op::FenceI) {
         for (auto &entry : cache_)
             entry.pc = ~0ULL;
@@ -85,27 +82,20 @@ TciInterp::lookupBlock(Addr pc, Trap &trap)
             di.op == Op::Illegal)
             break;
     }
+    ++translated_;
     return &b;
 }
 
 Trap
 TciInterp::stepOnce(ExecInfo *info)
 {
-    Trap trap = Trap::none();
-    Block *b = lookupBlock(st_.pc, trap);
-    if (!b)
-        return trap;
-
-    // Interpret the bytecode for exactly one guest instruction: find the
-    // record for the current pc within the block.
-    Addr off = st_.pc - b->pc;
-    size_t idx = 0;
-    Addr scan = 0;
-    while (idx < b->insts.size() && scan < off)
-        scan += b->insts[idx++].size;
-    if (idx >= b->insts.size() || scan != off) {
-        // Entry into the middle of a stale block: retranslate.
-        b->pc = ~0ULL;
+    // Fall through to the next record of the current block when the
+    // pc is the one it predicts; anything else is a block entry.
+    Block *b = ftBlock_;
+    size_t idx = ftIdx_;
+    ftBlock_ = nullptr;
+    if (!b || st_.pc != ftPc_) {
+        Trap trap = Trap::none();
         b = lookupBlock(st_.pc, trap);
         if (!b)
             return trap;
@@ -114,6 +104,7 @@ TciInterp::stepOnce(ExecInfo *info)
 
     // Walk this instruction's 4 bytecode records through the nested
     // dispatcher (the TCI-style overhead being modeled).
+    Addr pc = st_.pc;
     size_t cp = idx * 9; // each guest inst lowers to 9 bytecode bytes
     const DecodedInst &di = b->insts[idx];
     Trap t = Trap::none();
@@ -142,8 +133,15 @@ TciInterp::stepOnce(ExecInfo *info)
             return t;
     }
     if (di.op == Op::FenceI) {
+        // Never fall through into a flushed block.
         for (auto &blk : blocks_)
             blk.pc = ~0ULL;
+        return t;
+    }
+    if (idx + 1 < b->insts.size()) {
+        ftBlock_ = b;
+        ftIdx_ = idx + 1;
+        ftPc_ = pc + di.size;
     }
     return t;
 }

@@ -11,8 +11,9 @@
  *                    the paper) + switch execution + soft-float;
  *  - DromajoInterp — fetch + full decode on every instruction, no cache,
  *                    soft-float;
- *  - TciInterp     — guest instructions pre-translated into a multi-uop
- *                    bytecode stream interpreted op-by-op (the QEMU-TCI
+ *  - TciInterp     — guest basic blocks translated once per block entry
+ *                    into a multi-uop bytecode stream, executed by
+ *                    fall-through and interpreted op-by-op (the QEMU-TCI
  *                    execution model), soft-float.
  *
  * The fast NEMU engine lives in src/nemu/.
@@ -159,9 +160,14 @@ class DromajoInterp : public Interp
 };
 
 /**
- * QEMU-TCI proxy: each guest instruction is translated (per basic
- * block) into several bytecode micro-ops that a nested dispatcher
+ * QEMU-TCI proxy: a basic block is translated where execution enters
+ * it (a branch or jump target, a trap vector, the first pc), each guest
+ * instruction into several bytecode micro-ops that a nested dispatcher
  * interprets one by one, reading operands from the byte stream.
+ * Straight-line execution falls through the block it is in, record by
+ * record, without a cache lookup. Blocks end at control, system, CSR
+ * and fence instructions, so a privilege or satp change never falls
+ * through.
  */
 class TciInterp : public Interp
 {
@@ -169,6 +175,16 @@ class TciInterp : public Interp
     TciInterp(mem::MemPort &mem, HartId hart, Addr entry)
         : Interp(mem, hart, entry, fp::FpBackend::Soft)
     {
+    }
+
+    /** Blocks translated so far: one per entry missing in the cache. */
+    uint64_t blocksTranslated() const { return translated_; }
+
+    void
+    raiseInterrupt(isa::Irq irq) override
+    {
+        ftBlock_ = nullptr;
+        Interp::raiseInterrupt(irq);
     }
 
   protected:
@@ -193,6 +209,12 @@ class TciInterp : public Interp
     std::vector<Block> blocks_ = std::vector<Block>(BLOCK_CACHE);
     // Scratch "TCG registers" the bytecode moves operands through.
     uint64_t tmp_[4] = {};
+    // Fall-through state: the block being executed, its next record
+    // and the pc that record is for. Cleared by traps and fence.i.
+    Block *ftBlock_ = nullptr;
+    size_t ftIdx_ = 0;
+    Addr ftPc_ = 0;
+    uint64_t translated_ = 0;
 };
 
 } // namespace minjie::iss

@@ -553,6 +553,50 @@ sv39Program(const Layout &layout)
 }
 
 Program
+smcProgram(const Layout &layout)
+{
+    Asm a(layout.codeBase);
+    Label patchSite = a.newLabel();
+    Label doPatch = a.newLabel();
+
+    a.li(a0, 0);
+    a.li(s2, 0); // pass counter
+    a.bind(patchSite);
+    a.itype(Op::Addi, a0, a0, 1); // will be patched to +7
+    // After the patched instruction: first pass patches and loops.
+    a.itype(Op::Addi, s2, s2, 1);
+    a.li(t1, 1);
+    a.branch(Op::Beq, s2, t1, doPatch);
+    // Second pass: exit with a0 as the code.
+    a.li(t6, 0x40000000);
+    a.itype(Op::Slli, t5, a0, 1);
+    a.itype(Op::Ori, t5, t5, 1);
+    a.store(Op::Sd, t5, 0, t6);
+    Label spin = a.boundLabel();
+    a.j(spin);
+
+    a.bind(doPatch);
+    // Build the new encoding (addi a0, a0, 7) and store it over the
+    // patch site, then fence.i and loop back.
+    isa::DecodedInst di;
+    di.op = Op::Addi;
+    di.rd = a0;
+    di.rs1 = a0;
+    di.imm = 7;
+    a.li(t0, isa::encode(di));
+    a.li(t1, layout.codeBase + 8); // patchSite, after the two li's
+    a.store(Op::Sw, t0, 0, t1);
+    a.itype(Op::FenceI, 0, 0, 0);
+    a.j(patchSite);
+
+    Program prog;
+    prog.name = "smc";
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+    return prog;
+}
+
+Program
 randomProgram(Rng &rng, unsigned nInsts, bool withFp, const Layout &layout)
 {
     // Delegates to the shrinkable chunk-based generator (shrinkable.h)

@@ -82,6 +82,15 @@ Program memStressProgram(uint64_t iterations, unsigned footprintMB,
 Program sv39Program(const Layout &layout = {});
 
 /**
+ * Self-modifying code with fence.i. The instruction at codeBase + 8
+ * starts as `addi a0, a0, 1`; the program runs it, overwrites it with
+ * `addi a0, a0, 7`, executes fence.i, runs it again, and exits with
+ * a0 (expected 1 + 7 = 8). Engines that cache decoded instructions
+ * see the patch only because fence.i flushes them.
+ */
+Program smcProgram(const Layout &layout = {});
+
+/**
  * Random straight-line program for fuzz co-simulation: arithmetic,
  * short forward branches and sandboxed loads/stores, ending with a
  * SimCtrl exit. All engines must produce identical architectural state.

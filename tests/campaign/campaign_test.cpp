@@ -188,4 +188,156 @@ TEST(Campaign, JsonReportCarriesBucketTable)
     EXPECT_NE(js.find("\"failing_jobs\""), std::string::npos);
 }
 
+TEST(Campaign, KindTimesCoverEveryJob)
+{
+    CampaignConfig cfg = buggyConfig(40, 2);
+    CampaignReport rep = runCampaign(cfg);
+    auto kinds = rep.kindTimes();
+    ASSERT_FALSE(kinds.empty());
+    uint64_t jobs = 0;
+    for (size_t i = 0; i < kinds.size(); ++i) {
+        if (i) {
+            EXPECT_LT(kinds[i - 1].kind, kinds[i].kind);
+        }
+        EXPECT_GT(kinds[i].sec, 0.0);
+        EXPECT_LE(kinds[i].p50Us, kinds[i].p90Us);
+        jobs += kinds[i].jobs;
+    }
+    EXPECT_EQ(jobs, rep.jobs);
+    std::string js = rep.toJson();
+    EXPECT_NE(js.find("\"kinds\""), std::string::npos);
+    EXPECT_NE(js.find("\"kind\":\"" + kinds[0].kind + "\""),
+              std::string::npos);
+}
+
+/** Reference comparison: one PhysMem::read per segment byte. */
+bool
+compareMemoryBytewise(mem::PhysMem &a, mem::PhysMem &b,
+                      const wl::Program &prog, Divergence &div)
+{
+    for (const auto &seg : prog.segments) {
+        for (size_t i = 0; i < seg.bytes.size(); ++i) {
+            uint64_t va = 0, vb = 0;
+            a.read(seg.base + i, 1, va);
+            b.read(seg.base + i, 1, vb);
+            if (va != vb) {
+                div.kind = Divergence::Kind::Memory;
+                div.reg = static_cast<unsigned>(i);
+                div.pc = seg.base + i;
+                div.valA = va;
+                div.valB = vb;
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
+constexpr Addr MEM_BASE = 0x80000000;
+constexpr uint64_t MEM_SIZE = 64 * 1024;
+
+/** Two segments: a partial page, and 200 bytes across a page boundary. */
+wl::Program
+segmentsProgram()
+{
+    wl::Program prog;
+    prog.segments.push_back({MEM_BASE + 0x1000, std::vector<uint8_t>(100)});
+    prog.segments.push_back({MEM_BASE + 0x3000 - 100,
+                             std::vector<uint8_t>(200)});
+    for (auto &seg : prog.segments)
+        for (size_t i = 0; i < seg.bytes.size(); ++i)
+            seg.bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+    return prog;
+}
+
+/** Runs both comparisons on fresh memories; @p plant edits them. */
+template <typename Plant>
+void
+expectSameVerdict(const wl::Program &prog, Plant plant)
+{
+    Divergence fast, slow;
+    bool okFast, okSlow;
+    {
+        mem::PhysMem a(MEM_BASE, MEM_SIZE), b(MEM_BASE, MEM_SIZE);
+        plant(a, b);
+        okFast = compareMemory(a, b, prog, fast);
+    }
+    {
+        mem::PhysMem a(MEM_BASE, MEM_SIZE), b(MEM_BASE, MEM_SIZE);
+        plant(a, b);
+        okSlow = compareMemoryBytewise(a, b, prog, slow);
+    }
+    EXPECT_EQ(okFast, okSlow);
+    EXPECT_EQ(fast.kind, slow.kind);
+    EXPECT_EQ(fast.pc, slow.pc);
+    EXPECT_EQ(fast.reg, slow.reg);
+    EXPECT_EQ(fast.valA, slow.valA);
+    EXPECT_EQ(fast.valB, slow.valB);
+}
+
+TEST(CompareMemory, MatchesBytewiseOnPlantedDifferences)
+{
+    auto prog = segmentsProgram();
+    auto loadBoth = [&](mem::PhysMem &a, mem::PhysMem &b) {
+        prog.loadInto(a);
+        prog.loadInto(b);
+    };
+    const auto &partial = prog.segments[0];
+    const auto &crossing = prog.segments[1];
+
+    // Identical images.
+    expectSameVerdict(prog, loadBoth);
+    // First byte of the first segment.
+    expectSameVerdict(prog, [&](mem::PhysMem &a, mem::PhysMem &b) {
+        loadBoth(a, b);
+        b.write(partial.base, 1, 0xee);
+    });
+    // Last byte of a partial page.
+    expectSameVerdict(prog, [&](mem::PhysMem &a, mem::PhysMem &b) {
+        loadBoth(a, b);
+        a.write(partial.base + partial.bytes.size() - 1, 1, 0);
+    });
+    // A segment that crosses a page: a difference on each side of the
+    // boundary (the first is reported), and one in the second page only.
+    expectSameVerdict(prog, [&](mem::PhysMem &a, mem::PhysMem &b) {
+        loadBoth(a, b);
+        b.write(crossing.base + 99, 1, 0x11);
+        b.write(crossing.base + 150, 1, 0x22);
+    });
+    expectSameVerdict(prog, [&](mem::PhysMem &a, mem::PhysMem &b) {
+        loadBoth(a, b);
+        a.write(crossing.base + 100, 1, 0x33);
+    });
+    // Pages one side never touched read as zeros.
+    expectSameVerdict(prog, [&](mem::PhysMem &a, mem::PhysMem &) {
+        prog.loadInto(a);
+    });
+    wl::Program zeros;
+    zeros.segments.push_back({MEM_BASE + 0x5000, std::vector<uint8_t>(64)});
+    expectSameVerdict(zeros, [&](mem::PhysMem &a, mem::PhysMem &) {
+        zeros.loadInto(a);
+    });
+    // A segment running past the end of DRAM compares its outside part
+    // as equal.
+    wl::Program tail;
+    tail.segments.push_back(
+        {MEM_BASE + MEM_SIZE - 16, std::vector<uint8_t>(64, 0)});
+    expectSameVerdict(tail, [&](mem::PhysMem &a, mem::PhysMem &) {
+        a.write(MEM_BASE + MEM_SIZE - 1, 1, 5);
+    });
+    expectSameVerdict(tail, [&](mem::PhysMem &, mem::PhysMem &) {});
+
+    // The planted cases above do diverge where expected.
+    mem::PhysMem a(MEM_BASE, MEM_SIZE), b(MEM_BASE, MEM_SIZE);
+    loadBoth(a, b);
+    b.write(crossing.base + 150, 1, 0x22);
+    Divergence div;
+    ASSERT_FALSE(compareMemory(a, b, prog, div));
+    EXPECT_EQ(div.kind, Divergence::Kind::Memory);
+    EXPECT_EQ(div.pc, crossing.base + 150);
+    EXPECT_EQ(div.reg, 150u);
+    EXPECT_EQ(div.valA, crossing.bytes[150]);
+    EXPECT_EQ(div.valB, 0x22u);
+}
+
 } // namespace

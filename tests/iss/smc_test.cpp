@@ -20,55 +20,7 @@ using namespace minjie::isa;
 using namespace minjie::iss;
 namespace wl = minjie::workload;
 
-/**
- * The patch target starts as `addi a0, a0, 1`; the program runs it,
- * overwrites it with `addi a0, a0, 7`, executes fence.i, runs it
- * again, and exits with a0 (expected 1 + 7 = 8).
- */
-wl::Program
-smcProgram()
-{
-    wl::Layout layout;
-    wl::Asm a(layout.codeBase);
-
-    wl::Label patchSite = a.newLabel();
-    wl::Label doPatch = a.newLabel();
-
-    a.li(wl::a0, 0);
-    a.li(wl::s2, 0); // pass counter
-    a.bind(patchSite);
-    a.itype(Op::Addi, wl::a0, wl::a0, 1); // will be patched to +7
-    // After the patched instruction: first pass patches and loops.
-    a.itype(Op::Addi, wl::s2, wl::s2, 1);
-    a.li(wl::t1, 1);
-    a.branch(Op::Beq, wl::s2, wl::t1, doPatch);
-    // Second pass: check a0 == 8 and exit with it as the code.
-    a.li(wl::t6, 0x40000000);
-    a.itype(Op::Slli, wl::t5, wl::a0, 1);
-    a.itype(Op::Ori, wl::t5, wl::t5, 1);
-    a.store(Op::Sd, wl::t5, 0, wl::t6);
-    wl::Label spin = a.boundLabel();
-    a.j(spin);
-
-    a.bind(doPatch);
-    // Build the new encoding (addi a0, a0, 7) and store it over the
-    // patch site, then fence.i and loop back.
-    DecodedInst di;
-    di.op = Op::Addi;
-    di.rd = wl::a0;
-    di.rs1 = wl::a0;
-    di.imm = 7;
-    a.li(wl::t0, encode(di));
-    a.li(wl::t1, 0x80000008); // patchSite address (after the two li's)
-    a.store(Op::Sw, wl::t0, 0, wl::t1);
-    a.itype(Op::FenceI, 0, 0, 0);
-    a.j(patchSite);
-
-    wl::Program prog;
-    prog.entry = layout.codeBase;
-    prog.segments.push_back(a.finish());
-    return prog;
-}
+using wl::smcProgram;
 
 template <typename Engine, typename... Args>
 uint64_t

@@ -213,6 +213,14 @@ main(int argc, char **argv)
                     b.corpusFile.c_str());
     }
 
+    std::printf("campaign: host time per job kind\n");
+    std::printf("  %-16s %6s %9s %9s %9s\n", "kind", "jobs", "host s",
+                "p50 us", "p90 us");
+    for (const auto &k : rep.kindTimes())
+        std::printf("  %-16s %6llu %9.3f %9.0f %9.0f\n", k.kind.c_str(),
+                    static_cast<unsigned long long>(k.jobs), k.sec, k.p50Us,
+                    k.p90Us);
+
     if (cfg.perf) {
         obs::CounterSnapshot agg = rep.perfCounters();
         std::printf("campaign: perf aggregate over %llu difftest jobs: "
