@@ -56,8 +56,7 @@ measureIpc(const xs::CoreConfig &cfg, const wl::Program &prog,
            InstCount maxInstrs, Cycle maxCycles = 400'000'000)
 {
     xs::Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     // First half warms caches/predictors; IPC measured on the rest.
     soc.runUntilInstrs(maxInstrs / 2, maxCycles);
     Cycle warmCycles = soc.core(0).perf().cycles;

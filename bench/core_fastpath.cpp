@@ -1,9 +1,9 @@
 /**
  * @file
  * Host throughput of the core model's scheduling fast paths: bitset
- * scoreboard wakeup, event-driven idle-cycle skipping, and batched
- * commit-probe delivery, measured one axis at a time against the full
- * reference (scan + tick-by-tick + per-instruction) configuration.
+ * scoreboard wakeup and event-driven idle-cycle skipping, measured one
+ * axis at a time against the full reference (scan + tick-by-tick)
+ * configuration.
  * The sched_diff rig proves every configuration is cycle-exact, so
  * the only thing that may differ here is host speed.
  *
@@ -40,12 +40,13 @@ struct Config
 // The ablation matrix: each row disables one fast path; the last row
 // is the all-reference oracle the smoke gate compares against.
 const Config kConfigs[] = {
-    {"fast", {true, true, true}},
-    {"no-bitset", {false, true, true}},
-    {"no-skip", {true, false, true}},
-    {"no-batch", {true, true, false}},
-    {"reference", {false, false, false}},
+    {"fast", {true, true}},
+    {"no-bitset", {false, true}},
+    {"no-skip", {true, false}},
+    {"reference", {false, false}},
 };
+constexpr int N_CONFIGS = 4;
+constexpr int REF = N_CONFIGS - 1; ///< the all-reference oracle row
 
 /** Simulated MIPS (committed instructions per host second). */
 double
@@ -55,8 +56,7 @@ runModel(const wl::Program &prog, const xs::ModelOpts &model,
     xs::CoreConfig cfg = xs::CoreConfig::nh();
     cfg.model = model;
     xs::Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     Stopwatch sw;
     soc.runUntilInstrs(budget, 400'000'000);
     double sec = sw.elapsedSec();
@@ -67,7 +67,7 @@ runModel(const wl::Program &prog, const xs::ModelOpts &model,
 struct Row
 {
     std::string workload;
-    double mips[5];
+    double mips[N_CONFIGS];
     /// Best fast/reference ratio over reps, each computed from a
     /// back-to-back pair of runs: pairing cancels host frequency
     /// drift that best-of-per-config ratios are exposed to (one
@@ -94,18 +94,18 @@ measure(const std::vector<unsigned> &checkpoints, InstCount budget,
         // equally instead of biasing whichever ran first; fast and
         // reference run back-to-back inside each rep to form the
         // drift-cancelling pairs described at Row::pairRatio.
-        static const int kOrder[5] = {0, 4, 1, 2, 3};
-        for (int c = 0; c < 5; ++c)
+        static const int kOrder[N_CONFIGS] = {0, REF, 1, 2};
+        for (int c = 0; c < N_CONFIGS; ++c)
             row.mips[c] = 0;
         for (int r = 0; r < reps; ++r) {
-            double cur[5];
+            double cur[N_CONFIGS];
             for (int c : kOrder) {
                 cur[c] = runModel(prog, kConfigs[c].opts, budget);
                 row.mips[c] = std::max(row.mips[c], cur[c]);
             }
-            if (cur[4] > 0)
+            if (cur[REF] > 0)
                 row.pairRatio =
-                    std::max(row.pairRatio, cur[0] / cur[4]);
+                    std::max(row.pairRatio, cur[0] / cur[REF]);
         }
         rows.push_back(std::move(row));
     }
@@ -122,7 +122,7 @@ printTable(const std::vector<Row> &rows)
     hr();
     for (const Row &r : rows) {
         std::printf("%-14s", r.workload.c_str());
-        for (int c = 0; c < 5; ++c)
+        for (int c = 0; c < N_CONFIGS; ++c)
             std::printf(" %10.3f", r.mips[c]);
         std::printf(" %8.2fx\n", r.pairRatio);
     }
@@ -153,7 +153,7 @@ writeJson(const std::string &file, const std::vector<Row> &rows,
     for (const Row &r : rows) {
         jw.beginObject();
         jw.key("name").value(r.workload);
-        for (int c = 0; c < 5; ++c)
+        for (int c = 0; c < N_CONFIGS; ++c)
             jw.key(std::string("mips_") + kConfigs[c].name)
                 .value(r.mips[c]);
         jw.key("speedup_paired").value(r.pairRatio);
@@ -210,7 +210,7 @@ runSmoke(const std::string &jsonFile)
     auto rows = measure(gateCps, BUDGET, REPS);
     printTable(rows);
     double g = geomean(speedups(rows));
-    std::printf("%-14s %53s %8.2fx\n", "geomean", "", g);
+    std::printf("%-14s %43s %8.2fx\n", "geomean", "", g);
     if (!jsonFile.empty())
         writeJson(jsonFile, rows, BUDGET, MIN_RATIO, g);
     if (g < MIN_RATIO) {
@@ -260,7 +260,7 @@ main(int argc, char **argv)
     auto rows = measure(cps, budget, /*reps=*/1);
     printTable(rows);
     double g = geomean(speedups(rows));
-    std::printf("%-14s %53s %8.2fx\n", "geomean", "", g);
+    std::printf("%-14s %43s %8.2fx\n", "geomean", "", g);
     if (!jsonFile.empty())
         writeJson(jsonFile, rows, budget, 0.0, g);
     return 0;

@@ -46,8 +46,7 @@ main()
         pubsCfg.policy = IssuePolicy::Pubs;
         // Identical warm-measurement protocol for both policies.
         xs::Soc soc(pubsCfg);
-        prog.loadInto(soc.system().dram);
-        soc.setEntry(prog.entry);
+        soc.loadProgram(prog);
         soc.runUntilInstrs(budget / 2, 400'000'000);
         Cycle wc = soc.core(0).perf().cycles;
         InstCount wi = soc.core(0).perf().instrs;

@@ -24,8 +24,7 @@ main()
     CoreConfig cfg = CoreConfig::nh(); // AGE policy (PUBS disabled)
 
     xs::Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     soc.runUntilInstrs(budget, 400'000'000);
     const PerfCounters &p = soc.core(0).perf();
 

@@ -25,31 +25,16 @@ runWithInterval(unsigned nCores, const wl::Program &prog,
                 Cycle interval /* 0 = disabled */, Cycle maxCycles)
 {
     xs::Soc soc(xs::CoreConfig::nh(), nCores);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
 
     LightSSS sss({interval ? interval : 1, 2, interval != 0});
     Stopwatch sw;
-    Cycle cycle = 0;
-    while (cycle < maxCycles) {
-        if (interval) {
-            auto role = sss.tick(cycle);
-            if (role == LightSSS::Role::ReplayChild)
-                LightSSS::finishReplay(0); // never triggered here
-        }
-        bool allDone = true;
-        Cycle consumed = 1;
-        for (unsigned c = 0; c < soc.numCores(); ++c) {
-            if (!soc.core(c).done()) {
-                consumed = std::max(consumed,
-                                    soc.core(c).tick(maxCycles - cycle));
-                allDone = false;
-            }
-        }
-        cycle += consumed;
-        if (allDone)
-            break;
-    }
+    soc.runWhile(maxCycles, [&](Cycle cycle) {
+        if (interval &&
+            sss.tick(cycle) == LightSSS::Role::ReplayChild)
+            LightSSS::finishReplay(0); // never triggered here
+        return true;
+    });
     double sec = sw.elapsedSec();
     sss.discardAll();
     return sec;

@@ -34,8 +34,7 @@ main()
     // ---- full-program reference measurement ----
     std::printf("[1/3] full cycle-model run...\n");
     xs::Soc full(xs::CoreConfig::nh());
-    prog.loadInto(full.system().dram);
-    full.setEntry(prog.entry);
+    full.loadProgram(prog);
     auto r = full.run(100'000'000);
     double fullIpc = full.core(0).perf().ipc();
     std::printf("      %llu instructions, ipc %.3f%s\n",

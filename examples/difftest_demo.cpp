@@ -41,12 +41,7 @@ struct Demo
 
     Demo()
     {
-        prog.loadInto(soc.system().dram);
-        for (const auto &seg : prog.segments)
-            dt.loadRefMemory(seg.base, seg.bytes.data(),
-                             seg.bytes.size());
-        soc.setEntry(prog.entry);
-        dt.resetRefs(prog.entry);
+        dt.loadProgram(prog);
         soc.mem().setTxnLog([this](const uarch::Transaction &t) {
             db.recordTransaction(t);
         });
@@ -72,12 +67,13 @@ main()
     std::string mismatch;
     demo.dt.setOnMismatch([&](const std::string &m) { mismatch = m; });
 
-    Cycle cycle = 0;
     bool replayMode = false;
     Cycle replayUntil = 0;
 
-    while (cycle < 5'000'000) {
-        auto role = sss.tick(cycle);
+    Cycle cycle = demo.soc.runWhile(5'000'000, [&](Cycle now) {
+        if (!demo.dt.ok())
+            return false;
+        auto role = sss.tick(now);
         if (role == lightsss::LightSSS::Role::ReplayChild) {
             // We are the woken snapshot: turn on debug logging and
             // replay the window (paper: "3 minutes to re-simulate the
@@ -87,47 +83,33 @@ main()
             Logger::instance().setOutputFile("difftest_demo_replay.log");
             Logger::instance().setLevel(LogLevel::Debug);
             MJ_DEBUG("replay starts at cycle %llu, target %llu",
-                     static_cast<unsigned long long>(cycle),
+                     static_cast<unsigned long long>(now),
                      static_cast<unsigned long long>(replayUntil));
         }
-
-        if (!injected && cycle >= injectAt) {
-            demo.soc.core(1).injectLoadFault(0x0000000000010000ULL);
-            injected = true;
-        }
-
-        bool allDone = true;
-        for (unsigned c = 0; c < demo.soc.numCores(); ++c) {
-            if (!demo.soc.core(c).done()) {
-                demo.soc.core(c).tick();
-                allDone = false;
-            }
-        }
         if (replayMode && Logger::instance().debugEnabled() &&
-            (cycle % 1000) == 0) {
+            (now % 1000) == 0) {
             MJ_DEBUG("cycle %llu: core0 %llu instrs, core1 %llu instrs",
-                     static_cast<unsigned long long>(cycle),
+                     static_cast<unsigned long long>(now),
                      static_cast<unsigned long long>(
                          demo.soc.core(0).perf().instrs),
                      static_cast<unsigned long long>(
                          demo.soc.core(1).perf().instrs));
         }
-        ++cycle;
-
-        if (!demo.dt.ok()) {
-            if (replayMode) {
-                MJ_DEBUG("failure reproduced at cycle %llu: %s",
-                         static_cast<unsigned long long>(cycle),
-                         demo.dt.failures().front().c_str());
-                std::printf("[replay child] failure reproduced at cycle "
-                            "%llu; debug log written\n",
-                            static_cast<unsigned long long>(cycle));
-                lightsss::LightSSS::finishReplay(0);
-            }
-            break;
+        if (!injected && now >= injectAt) {
+            demo.soc.core(1).injectLoadFault(0x0000000000010000ULL);
+            injected = true;
         }
-        if (allDone)
-            break;
+        return true;
+    }).cycles;
+
+    if (replayMode && !demo.dt.ok()) {
+        MJ_DEBUG("failure reproduced at cycle %llu: %s",
+                 static_cast<unsigned long long>(cycle),
+                 demo.dt.failures().front().c_str());
+        std::printf("[replay child] failure reproduced at cycle %llu; "
+                    "debug log written\n",
+                    static_cast<unsigned long long>(cycle));
+        lightsss::LightSSS::finishReplay(0);
     }
 
     if (demo.dt.ok()) {

@@ -81,11 +81,7 @@ main()
     difftest::DiffTest dt(soc);
 
     auto prog = sharedCounterProgram();
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
+    dt.loadProgram(prog);
 
     Cycle cycles = dt.run(20'000'000);
 

@@ -39,8 +39,7 @@ run(IssuePolicy policy, const wl::Program &prog)
     CoreConfig cfg = CoreConfig::nh();
     cfg.policy = policy;
     Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     soc.runUntilInstrs(250'000, 100'000'000);
 
     const auto &p = soc.core(0).perf();

@@ -60,12 +60,7 @@ main()
     {
         xs::Soc soc(xs::CoreConfig::nh());
         difftest::DiffTest dt(soc);
-        prog.loadInto(soc.system().dram);
-        for (const auto &seg : prog.segments)
-            dt.loadRefMemory(seg.base, seg.bytes.data(),
-                             seg.bytes.size());
-        soc.setEntry(prog.entry);
-        dt.resetRefs(prog.entry);
+        dt.loadProgram(prog);
 
         Cycle cycles = dt.run(10'000'000);
         const auto &p = soc.core(0).perf();

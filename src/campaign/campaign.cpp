@@ -34,11 +34,7 @@ runDiffTestOnce(const wl::Program &prog, uint64_t maxCycles,
     cc.model = model;
     xs::Soc soc(cc);
     difftest::DiffTest dt(soc);
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
+    dt.loadProgram(prog);
     dt.run(maxCycles);
     if (commits)
         *commits = dt.stats().commitsChecked;

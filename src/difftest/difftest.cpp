@@ -18,9 +18,8 @@ DiffTest::DiffTest(xs::Soc &dut, const RuleConfig &rules)
         refs_.push_back(std::make_unique<nemu::Nemu>(
             refSys_.back()->bus, refSys_.back()->dram, c,
             iss::DRAM_BASE));
-        // Batched interface: one call per commit group (or per
-        // instruction with --xs-no-batch), probes in program order —
-        // the checker is per-probe either way.
+        // One call per commit group, probes in program order; the
+        // checker is per-probe.
         dut.core(c).setCommitBatchHook(
             [this, c](const CommitProbe *p, unsigned n) {
                 for (unsigned i = 0; i < n; ++i)
@@ -348,28 +347,19 @@ DiffTest::recentCommitTrace() const
     return out;
 }
 
+void
+DiffTest::loadProgram(const workload::Program &prog)
+{
+    dut_.loadProgram(prog);
+    for (const auto &seg : prog.segments)
+        loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
+    resetRefs(prog.entry);
+}
+
 Cycle
 DiffTest::run(Cycle maxCycles)
 {
-    Cycle cycles = 0;
-    while (cycles < maxCycles && ok()) {
-        dut_.system().clint.tick();
-        bool allDone = true;
-        Cycle consumed = 1;
-        for (unsigned c = 0; c < dut_.numCores(); ++c) {
-            if (!dut_.core(c).done()) {
-                consumed = std::max(consumed,
-                                    dut_.core(c).tick(maxCycles - cycles));
-                allDone = false;
-            }
-        }
-        cycles += consumed;
-        if (consumed > 1)
-            dut_.system().clint.tick(consumed - 1);
-        if (allDone)
-            break;
-    }
-    return cycles;
+    return dut_.runWhile(maxCycles, [this](Cycle) { return ok(); }).cycles;
 }
 
 } // namespace minjie::difftest

@@ -113,6 +113,10 @@ class DiffTest
     /** Reset every REF to @p entry (mirror of Soc::setEntry). */
     void resetRefs(Addr entry);
 
+    /** Load @p prog into the DUT's memory and every REF's, and reset
+     *  the harts of both to its entry. */
+    void loadProgram(const workload::Program &prog);
+
     /** True while no mismatch has been detected. */
     bool ok() const { return failures_.empty(); }
 

@@ -607,4 +607,32 @@ randomProgram(Rng &rng, unsigned nInsts, bool withFp, const Layout &layout)
     return randomShrinkable(rng, spec, layout).assemble();
 }
 
+std::optional<Program>
+byName(const std::string &name, uint64_t iters)
+{
+    if (name == "coremark")
+        return coremarkProxy(iters);
+    if (name == "memstress")
+        return memStressProgram(iters, 16);
+    if (name == "sum")
+        return sumProgram(iters);
+    if (name == "sv39")
+        return sv39Program();
+    for (const auto *suite : {&specIntSuite(), &specFpSuite()})
+        for (const auto &s : *suite)
+            if (name == s.name)
+                return buildProxy(s, iters);
+    return std::nullopt;
+}
+
+std::vector<std::string>
+names()
+{
+    std::vector<std::string> out = {"coremark", "memstress", "sum", "sv39"};
+    for (const auto *suite : {&specIntSuite(), &specFpSuite()})
+        for (const auto &s : *suite)
+            out.push_back(s.name);
+    return out;
+}
+
 } // namespace minjie::workload

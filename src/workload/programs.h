@@ -7,6 +7,8 @@
 #ifndef MINJIE_WORKLOAD_PROGRAMS_H
 #define MINJIE_WORKLOAD_PROGRAMS_H
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -97,6 +99,16 @@ Program smcProgram(const Layout &layout = {});
  */
 Program randomProgram(Rng &rng, unsigned nInsts, bool withFp,
                       const Layout &layout = {});
+
+/**
+ * The run-spec workload table every tool shares: "coremark",
+ * "memstress", "sum", "sv39" or a SPEC proxy name, built with
+ * @p iters iterations (sv39 takes none). No value for an unknown name.
+ */
+std::optional<Program> byName(const std::string &name, uint64_t iters);
+
+/** Every name byName() accepts, in `--list` order. */
+std::vector<std::string> names();
 
 } // namespace minjie::workload
 

@@ -104,4 +104,16 @@ CoreConfig::gem5ish()
     return c;
 }
 
+std::optional<CoreConfig>
+CoreConfig::byName(const std::string &name)
+{
+    if (name == "nh")
+        return nh();
+    if (name == "yqh")
+        return yqh();
+    if (name == "gem5ish")
+        return gem5ish();
+    return std::nullopt;
+}
+
 } // namespace minjie::xs

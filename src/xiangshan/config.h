@@ -8,6 +8,7 @@
 #ifndef MINJIE_XIANGSHAN_CONFIG_H
 #define MINJIE_XIANGSHAN_CONFIG_H
 
+#include <optional>
 #include <string>
 
 #include "isa/op.h"
@@ -27,15 +28,14 @@ enum class IssuePolicy : uint8_t {
  * cycle-exact against the reference scan-based path (byte-identical
  * PerfCounters and commit-probe streams — enforced by
  * tests/xiangshan/sched_diff_test.cpp). Each knob is independently
- * ablatable via `--xs-no-bitset` / `--xs-no-skip` / `--xs-no-batch`
- * (mirroring the NEMU `--nemu-no-*` flags) so the reference path stays
- * alive as the oracle of the differential rig.
+ * ablatable via `--xs-no-bitset` / `--xs-no-skip` (mirroring the NEMU
+ * `--nemu-no-*` flags) so the reference path stays alive as the oracle
+ * of the differential rig.
  */
 struct ModelOpts
 {
     bool bitsetSched = true; ///< bitset scoreboard/wakeup + SoA slots
     bool skipAhead = true;   ///< event-driven idle-cycle skipping
-    bool batchCommit = true; ///< batched commit→DiffTest probe delivery
 };
 
 /** Per-functional-unit-class execution resources. */
@@ -101,6 +101,10 @@ struct CoreConfig
      *  sizes as NH but with the weaker frontend/scheduling detail the
      *  paper blames for the ~30% gap (Section II-E). */
     static CoreConfig gem5ish();
+
+    /** The named configuration ("nh", "yqh" or "gem5ish"), or no
+     *  value for any other name. */
+    static std::optional<CoreConfig> byName(const std::string &name);
 
     FuCfg &fuFor(isa::FuType t) { return fu[static_cast<unsigned>(t)]; }
     const FuCfg &

@@ -1109,14 +1109,8 @@ Core::doCommit()
             trace_->record(obs::Ev::Commit, now_, rec.pc,
                            rec.probe.rdValue, rec.probe.rd,
                            static_cast<uint8_t>(hart_));
-        if (commitHook_)
-            commitHook_(rec.probe);
-        if (commitBatchHook_) {
-            if (cfg_.model.batchCommit)
-                commitBatch_.push_back(rec.probe);
-            else
-                commitBatchHook_(&rec.probe, 1);
-        }
+        if (commitBatchHook_)
+            commitBatch_.push_back(rec.probe);
 
         if (rec.isLoad)
             --lqUsed_;
@@ -1154,9 +1148,8 @@ Core::doCommit()
         rob_.pop_front();
     }
     if (!commitBatch_.empty()) {
-        // One delivery per commit group, probes in program order —
-        // the same stream the per-instruction mode produces (doCommit
-        // never aborts mid-group on a checker verdict either way).
+        // One delivery per commit group, probes in program order
+        // (doCommit never aborts mid-group on a checker verdict).
         commitBatchHook_(commitBatch_.data(),
                          static_cast<unsigned>(commitBatch_.size()));
         commitBatch_.clear();

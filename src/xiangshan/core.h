@@ -124,20 +124,10 @@ class Core
     /** Oracle halt predicate (e.g. SimCtrl exit). */
     void setHaltFn(std::function<bool()> fn) { haltFn_ = std::move(fn); }
 
-    /** DiffTest commit probe (one call per committed instruction). */
-    void
-    setCommitHook(std::function<void(const difftest::CommitProbe &)> fn)
-    {
-        commitHook_ = std::move(fn);
-    }
-
     /**
-     * Batched commit probe interface: with ModelOpts::batchCommit the
-     * probes of one cycle's commit group are delivered in a single
-     * call (program order preserved), amortizing the per-instruction
-     * hook indirection; with batching ablated the same hook is called
-     * once per instruction with n == 1, so subscribers observe an
-     * identical probe stream either way.
+     * The commit probe interface (DiffTest, ArchDB, tests): the probes
+     * of one cycle's commit group are delivered in a single call, in
+     * program order, amortizing the hook indirection over the group.
      */
     void
     setCommitBatchHook(
@@ -511,7 +501,6 @@ class Core
     std::vector<uint64_t> readyScratch_;
 
     // Hooks and misc.
-    std::function<void(const difftest::CommitProbe &)> commitHook_;
     std::function<void(const difftest::StoreProbe &)> storeHook_;
     std::function<void(const difftest::StoreProbe &)> specStoreHook_;
     const std::vector<Core *> *peers_ = nullptr;

@@ -26,57 +26,11 @@ Soc::setEntry(Addr entry)
 }
 
 Soc::RunResult
-Soc::run(Cycle maxCycles)
-{
-    RunResult r;
-    while (r.cycles < maxCycles) {
-        sys_.clint.tick();
-        bool allDone = true;
-        Cycle consumed = 1;
-        for (auto &core : cores_) {
-            if (!core->done()) {
-                consumed = std::max(consumed,
-                                    core->tick(maxCycles - r.cycles));
-                allDone = false;
-            }
-        }
-        r.cycles += consumed;
-        // Event-driven skip-ahead: the core fast-forwarded through
-        // idle cycles the loop never saw; catch the CLINT up so mtime
-        // matches the per-cycle reference path at the next fetch.
-        if (consumed > 1)
-            sys_.clint.tick(consumed - 1);
-        if (allDone) {
-            r.completed = true;
-            break;
-        }
-    }
-    return r;
-}
-
-Soc::RunResult
 Soc::runUntilInstrs(InstCount instrs, Cycle maxCycles)
 {
-    RunResult r;
-    while (r.cycles < maxCycles && cores_[0]->perf().instrs < instrs) {
-        sys_.clint.tick();
-        bool allDone = true;
-        Cycle consumed = 1;
-        for (auto &core : cores_) {
-            if (!core->done()) {
-                consumed = std::max(consumed,
-                                    core->tick(maxCycles - r.cycles));
-                allDone = false;
-            }
-        }
-        r.cycles += consumed;
-        if (consumed > 1)
-            sys_.clint.tick(consumed - 1);
-        if (allDone) {
-            r.completed = true;
-            break;
-        }
-    }
+    RunResult r = runWhile(maxCycles, [&](Cycle) {
+        return cores_[0]->perf().instrs < instrs;
+    });
     if (cores_[0]->perf().instrs >= instrs)
         r.completed = true;
     return r;

@@ -89,9 +89,11 @@ TEST(ArchDB, EndToEndWithSimulation)
     // transactions all land in tables (the Section IV-C debugging flow).
     ArchDB db;
     xs::Soc soc(xs::CoreConfig::nh());
-    soc.core(0).setCommitHook([&](const difftest::CommitProbe &p) {
-        db.recordCommit(p, soc.core(0).now());
-    });
+    soc.core(0).setCommitBatchHook(
+        [&](const difftest::CommitProbe *p, unsigned n) {
+            for (unsigned i = 0; i < n; ++i)
+                db.recordCommit(p[i], soc.core(0).now());
+        });
     soc.core(0).setStoreHook([&](const difftest::StoreProbe &p) {
         db.recordStore(p, soc.core(0).now());
     });
@@ -100,8 +102,7 @@ TEST(ArchDB, EndToEndWithSimulation)
     });
 
     auto prog = wl::coremarkProxy(3);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     auto r = soc.run(5'000'000);
     ASSERT_TRUE(r.completed);
 

@@ -358,8 +358,7 @@ TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
     auto prog = wl::coremarkProxy(400);
 
     xs::Soc full(xs::CoreConfig::nh());
-    prog.loadInto(full.system().dram);
-    full.setEntry(prog.entry);
+    full.loadProgram(prog);
     auto r = full.run(50'000'000);
     ASSERT_TRUE(r.completed);
     double fullCpi = 1.0 / full.core(0).perf().ipc();

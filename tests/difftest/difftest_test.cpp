@@ -9,22 +9,11 @@ using namespace minjie;
 using namespace minjie::difftest;
 namespace wl = minjie::workload;
 
-/** Load one program into the DUT and all REFs. */
-void
-loadEverywhere(xs::Soc &soc, DiffTest &dt, const wl::Program &prog)
-{
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
-}
-
 TEST(DiffTest, CleanRunPasses)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::sumProgram(500));
+    dt.loadProgram(wl::sumProgram(500));
     dt.run(2'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_GT(dt.stats().commitsChecked, 1500u);
@@ -36,7 +25,7 @@ TEST(DiffTest, ProxyBenchmarkPasses)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::buildProxy(wl::specIntSuite()[5], 20));
+    dt.loadProgram(wl::buildProxy(wl::specIntSuite()[5], 20));
     dt.run(10'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_GT(dt.stats().commitsChecked, 2000u);
@@ -46,7 +35,7 @@ TEST(DiffTest, FpProxyPasses)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::buildProxy(wl::specFpSuite()[5], 20));
+    dt.loadProgram(wl::buildProxy(wl::specFpSuite()[5], 20));
     dt.run(10'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
 }
@@ -57,7 +46,7 @@ TEST(DiffTest, CatchesInjectedLoadFault)
     // one load value; the checkers must flag it at commit.
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::coremarkProxy(5));
+    dt.loadProgram(wl::coremarkProxy(5));
 
     std::string firstMismatch;
     dt.setOnMismatch([&](const std::string &m) { firstMismatch = m; });
@@ -73,7 +62,7 @@ TEST(DiffTest, AbortsAtFirstMismatch)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::coremarkProxy(50));
+    dt.loadProgram(wl::coremarkProxy(50));
     soc.core(0).injectLoadFault(0xdead);
     Cycle cycles = dt.run(10'000'000);
     ASSERT_FALSE(dt.ok());
@@ -108,7 +97,7 @@ TEST(DiffTest, DualCoreGlobalMemoryRule)
     prog.segments.push_back({layout.dataBase,
                              std::vector<uint8_t>(64, 0)});
 
-    loadEverywhere(soc, dt, prog);
+    dt.loadProgram(prog);
     dt.run(5'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     // The REFs must have needed the rule (both harts touch the slot).
@@ -138,7 +127,7 @@ TEST(DiffTest, SingleCoreDroppedOverwriteIsCaught)
 
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, prog);
+    dt.loadProgram(prog);
     soc.core(0).injectDropStore();
     dt.run(1'000'000);
 
@@ -155,7 +144,7 @@ TEST(DiffTest, ScoreboardCleanOnCoherentRun)
 {
     xs::Soc soc(xs::CoreConfig::nh(), 2);
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::sumProgram(500));
+    dt.loadProgram(wl::sumProgram(500));
     dt.run(2'000'000);
     EXPECT_TRUE(dt.scoreboard().ok());
     EXPECT_GT(dt.scoreboard().transactionsChecked(), 0u);
@@ -168,7 +157,7 @@ TEST(DiffTest, RulesCanBeDisabled)
     RuleConfig rules;
     rules.skipMmio = false;
     DiffTest dt(soc, rules);
-    loadEverywhere(soc, dt, wl::sumProgram(10));
+    dt.loadProgram(wl::sumProgram(10));
     dt.run(1'000'000);
     ASSERT_FALSE(dt.ok());
     EXPECT_NE(dt.failures().front().find("mmio"), std::string::npos);
@@ -195,7 +184,7 @@ TEST(DiffTest, CsrChecksFireOnTraps)
 
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, prog);
+    dt.loadProgram(prog);
     dt.run(1'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_GT(dt.stats().csrChecks, 1u);

@@ -70,22 +70,12 @@ timerProgram()
     return prog;
 }
 
-void
-loadEverywhere(xs::Soc &soc, DiffTest &dt, const wl::Program &prog)
-{
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
-}
-
 TEST(InterruptRule, TimerInterruptsForcedIntoRef)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
     auto prog = timerProgram();
-    loadEverywhere(soc, dt, prog);
+    dt.loadProgram(prog);
 
     dt.run(2'000'000);
 
@@ -103,7 +93,7 @@ TEST(InterruptRule, DisabledRuleFlagsDivergence)
     RuleConfig rules;
     rules.forcedInterrupt = false;
     DiffTest dt(soc, rules);
-    loadEverywhere(soc, dt, timerProgram());
+    dt.loadProgram(timerProgram());
 
     dt.run(2'000'000);
     ASSERT_FALSE(dt.ok());
@@ -117,7 +107,7 @@ TEST(InterruptRule, WorkloadsWithoutMieUnaffected)
     // though the CLINT mtime advances past the reset mtimecmp (~0).
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::sumProgram(2000));
+    dt.loadProgram(wl::sumProgram(2000));
     dt.run(2'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_EQ(dt.stats().forcedInterrupts, 0u);

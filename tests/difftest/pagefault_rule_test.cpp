@@ -53,21 +53,11 @@ retryHandlerProgram(uint64_t iterations = 50)
     return prog;
 }
 
-void
-loadEverywhere(xs::Soc &soc, DiffTest &dt, const wl::Program &prog)
-{
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
-}
-
 TEST(PageFaultRule, ForcedFaultReconciled)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, retryHandlerProgram());
+    dt.loadProgram(retryHandlerProgram());
 
     soc.core(0).injectSpuriousPageFault();
     dt.run(1'000'000);
@@ -83,7 +73,7 @@ TEST(PageFaultRule, DisabledRuleFlagsDivergence)
     RuleConfig rules;
     rules.pageFault = false;
     DiffTest dt(soc, rules);
-    loadEverywhere(soc, dt, retryHandlerProgram());
+    dt.loadProgram(retryHandlerProgram());
 
     soc.core(0).injectSpuriousPageFault();
     dt.run(1'000'000);
@@ -104,7 +94,7 @@ TEST(PageFaultRule, RepeatGuardRejectsLivelock)
     rules.maxForcedPerPc = 4;
     DiffTest dt(soc, rules);
     // A long-running loop so injections always find a load in flight.
-    loadEverywhere(soc, dt, retryHandlerProgram(1'000'000));
+    dt.loadProgram(retryHandlerProgram(1'000'000));
 
     for (int i = 0; i < 10 && dt.ok(); ++i) {
         soc.core(0).injectSpuriousPageFault();
@@ -122,7 +112,7 @@ TEST(PageFaultRule, CommitTraceAvailableAtFailure)
     // commits are available for inspection.
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::coremarkProxy(50));
+    dt.loadProgram(wl::coremarkProxy(50));
     soc.core(0).injectLoadFault(0xff00);
     dt.run(10'000'000);
     ASSERT_FALSE(dt.ok());

@@ -21,11 +21,7 @@ TEST(Sv39DiffTest, PagedProgramPasses)
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
     auto prog = wl::sv39Program();
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
+    dt.loadProgram(prog);
 
     dt.run(2'000'000);
 

@@ -22,16 +22,6 @@ using namespace minjie::difftest;
 using namespace minjie::obs;
 namespace wl = minjie::workload;
 
-void
-loadEverywhere(xs::Soc &soc, DiffTest &dt, const wl::Program &prog)
-{
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
-}
-
 /** Every iteration stores the accumulator and reloads it, so a dropped
  *  store is architecturally observed by the very next load. */
 wl::Program
@@ -74,7 +64,7 @@ TEST(FaultInjection, FlippedCommitDivergesImmediately)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::coremarkProxy(5));
+    dt.loadProgram(wl::coremarkProxy(5));
 
     TraceBuffer trace(4096);
     soc.core(0).setTrace(&trace);
@@ -116,7 +106,7 @@ TEST(FaultInjection, DroppedStoreDivergesWithinBound)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, storeReloadProgram(200));
+    dt.loadProgram(storeReloadProgram(200));
 
     TraceBuffer trace(8192);
     soc.core(0).setTrace(&trace);
@@ -147,7 +137,7 @@ TEST(FaultInjection, CleanRunKeepsEmptyWindow)
 {
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
-    loadEverywhere(soc, dt, wl::sumProgram(50));
+    dt.loadProgram(wl::sumProgram(50));
 
     TraceBuffer trace(1024);
     soc.core(0).setTrace(&trace);

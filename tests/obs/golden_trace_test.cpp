@@ -17,26 +17,19 @@ using namespace minjie;
 using namespace minjie::obs;
 namespace wl = minjie::workload;
 
-/** One full traced run: the in-process twin of `minjie-trace record`. */
+/** One full traced run: the in-process twin of `minjie-sim --trace`. */
 std::string
 recordCoremark()
 {
     xs::Soc soc(xs::CoreConfig::nh());
     wl::Program prog = wl::coremarkProxy(20);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
 
     TraceBuffer trace(1024);
     soc.core(0).setTrace(&trace);
     attachCacheTrace(soc.mem(), trace);
 
-    for (Cycle c = 0; c < 500'000 && !soc.core(0).done();) {
-        soc.system().clint.tick();
-        Cycle consumed = soc.core(0).tick(500'000 - c);
-        c += consumed;
-        if (consumed > 1)
-            soc.system().clint.tick(consumed - 1);
-    }
+    soc.run(500'000);
 
     RunArtifact art;
     art.runLabel = "coremark@nh";

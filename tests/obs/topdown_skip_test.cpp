@@ -28,8 +28,7 @@ runAndCollect(const wl::Program &prog, bool skipAhead, Cycle maxCycles)
     xs::CoreConfig cfg = xs::CoreConfig::nh();
     cfg.model.skipAhead = skipAhead;
     xs::Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     soc.run(maxCycles);
     CounterGroup root;
     collectSoc(root, soc);

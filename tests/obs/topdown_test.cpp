@@ -131,15 +131,8 @@ CounterSnapshot
 runAndCollect(const wl::Program &prog, Cycle maxCycles)
 {
     xs::Soc soc(xs::CoreConfig::nh());
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
-    for (Cycle c = 0; c < maxCycles && !soc.core(0).done();) {
-        soc.system().clint.tick();
-        Cycle consumed = soc.core(0).tick(maxCycles - c);
-        c += consumed;
-        if (consumed > 1)
-            soc.system().clint.tick(consumed - 1);
-    }
+    soc.loadProgram(prog);
+    soc.run(maxCycles);
     CounterGroup root;
     collectSoc(root, soc);
     return root.snapshot();

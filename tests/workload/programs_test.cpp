@@ -150,4 +150,11 @@ TEST(Programs, RandomProgramsAlwaysTerminate)
     }
 }
 
+TEST(Programs, ByNameBuildsEveryListedNameAndRejectsOthers)
+{
+    for (const auto &name : names())
+        EXPECT_TRUE(byName(name, 2)) << name;
+    EXPECT_FALSE(byName("nosuch", 2));
+}
+
 } // namespace

@@ -87,4 +87,14 @@ TEST(Config, ExecutionUnitsMatchTable2)
     EXPECT_EQ(y.fuFor(FuType::Sta).count, 1u);
 }
 
+TEST(Config, ByNameResolvesTheThreePresetsOnly)
+{
+    EXPECT_EQ(CoreConfig::byName("nh")->name, CoreConfig::nh().name);
+    EXPECT_EQ(CoreConfig::byName("yqh")->name, CoreConfig::yqh().name);
+    EXPECT_EQ(CoreConfig::byName("gem5ish")->name,
+              CoreConfig::gem5ish().name);
+    EXPECT_FALSE(CoreConfig::byName("NH"));
+    EXPECT_FALSE(CoreConfig::byName("foo"));
+}
+
 } // namespace

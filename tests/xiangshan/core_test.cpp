@@ -13,8 +13,7 @@ namespace wl = minjie::workload;
 Soc::RunResult
 runProgram(Soc &soc, const wl::Program &prog, Cycle maxCycles = 5'000'000)
 {
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     return soc.run(maxCycles);
 }
 
@@ -64,11 +63,14 @@ TEST(Core, CommitStreamMatchesNemu)
     Soc soc(CoreConfig::nh());
     std::vector<Addr> dutPcs;
     std::vector<std::pair<uint8_t, uint64_t>> dutWrites;
-    soc.core(0).setCommitHook([&](const difftest::CommitProbe &p) {
-        dutPcs.push_back(p.pc);
-        if (p.rdWritten)
-            dutWrites.push_back({p.rd, p.rdValue});
-    });
+    soc.core(0).setCommitBatchHook(
+        [&](const difftest::CommitProbe *p, unsigned n) {
+            for (unsigned i = 0; i < n; ++i) {
+                dutPcs.push_back(p[i].pc);
+                if (p[i].rdWritten)
+                    dutWrites.push_back({p[i].rd, p[i].rdValue});
+            }
+        });
     auto r = runProgram(soc, prog);
     ASSERT_TRUE(r.completed);
 
@@ -194,14 +196,12 @@ TEST(Core, NhOutperformsYqh)
         auto prog = wl::buildProxy(wl::specIntSuite()[b], 10'000'000);
 
         Soc nh(withDdr(CoreConfig::nh()));
-        prog.loadInto(nh.system().dram);
-        nh.setEntry(prog.entry);
+        nh.loadProgram(prog);
         nh.runUntilInstrs(1'200'000, 400'000'000);
         nhSum += nh.core(0).perf().ipc();
 
         Soc yqh(withDdr(CoreConfig::yqh()));
-        prog.loadInto(yqh.system().dram);
-        yqh.setEntry(prog.entry);
+        yqh.loadProgram(prog);
         yqh.runUntilInstrs(1'200'000, 400'000'000);
         yqhSum += yqh.core(0).perf().ipc();
     }
@@ -282,8 +282,7 @@ TEST(Core, DualCoreBothMakeProgress)
     // Same program on both cores (hart-id agnostic workload).
     auto prog = wl::sumProgram(2000);
     Soc soc(CoreConfig::nh(), 2);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     auto r = soc.run(5'000'000);
     ASSERT_TRUE(r.completed);
     // The first core to exit halts the shared SimCtrl, so the other
@@ -310,11 +309,13 @@ TEST(Core, FaultInjectionCorruptsOneProbe)
     p2.segments.push_back(a.finish());
 
     unsigned corrupted = 0;
-    soc.core(0).setCommitHook([&](const difftest::CommitProbe &p) {
-        if (p.isLoad && p.rdWritten &&
-            p.rdValue != layout.dataBase)
-            ++corrupted;
-    });
+    soc.core(0).setCommitBatchHook(
+        [&](const difftest::CommitProbe *p, unsigned n) {
+            for (unsigned i = 0; i < n; ++i)
+                if (p[i].isLoad && p[i].rdWritten &&
+                    p[i].rdValue != layout.dataBase)
+                    ++corrupted;
+        });
     soc.core(0).injectLoadFault(0xdead0000);
     auto r = runProgram(soc, p2);
     ASSERT_TRUE(r.completed);

@@ -1,12 +1,12 @@
 /**
  * @file
  * Cycle-exactness differential rig for the core's scheduling fast
- * paths (bitset scoreboard, event-driven idle skipping, batched commit
- * probes). Every fast path is an *encoding* of the reference scan
- * model, not an approximation — so for any program the fast
- * configuration must produce byte-identical PerfCounters (including
- * readyHist and all five top-down buckets) and an identical commit
- * probe stream against every ablated reference configuration.
+ * paths (bitset scoreboard, event-driven idle skipping). Every fast
+ * path is an *encoding* of the reference scan model, not an
+ * approximation — so for any program the fast configuration must
+ * produce byte-identical PerfCounters (including readyHist and all
+ * five top-down buckets) and an identical commit probe stream against
+ * every ablated reference configuration.
  *
  * The tier-1 binary runs a small smoke subset of seeds; the fuzz-label
  * binary (compiled with -DMINJIE_SCHED_DIFF_FULL=1) sweeps 100+
@@ -56,8 +56,7 @@ runConfig(const wl::Program &prog, const xs::ModelOpts &model,
         [&](const difftest::CommitProbe *p, unsigned n) {
             out.probes.insert(out.probes.end(), p, p + n);
         });
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
+    soc.loadProgram(prog);
     auto r = soc.run(maxCycles);
     out.completed = r.completed;
     out.cycles = r.cycles;
@@ -116,10 +115,9 @@ struct Ablation
 };
 
 const Ablation kAblations[] = {
-    {"no-bitset", {false, true, true}},
-    {"no-skip", {true, false, true}},
-    {"no-batch", {true, true, false}},
-    {"reference", {false, false, false}},
+    {"no-bitset", {false, true}},
+    {"no-skip", {true, false}},
+    {"reference", {false, false}},
 };
 
 class SchedDiff : public ::testing::TestWithParam<uint64_t>

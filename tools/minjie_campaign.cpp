@@ -54,7 +54,6 @@ usage()
         "  --xs-no-bitset   DUT reference scan-based scheduling in\n"
         "                   DiffTest jobs (cycle-exact, slower)\n"
         "  --xs-no-skip     ablate DUT event-driven idle-cycle skipping\n"
-        "  --xs-no-batch    per-instruction DUT commit probe delivery\n"
         "  --perf           collect per-job DUT perf summaries for\n"
         "                   DiffTest jobs (top-down buckets, ipc) and\n"
         "                   a merged aggregate in the JSON report\n"
@@ -164,8 +163,6 @@ main(int argc, char **argv)
             cfg.xsModel.bitsetSched = false;
         } else if (a == "--xs-no-skip") {
             cfg.xsModel.skipAhead = false;
-        } else if (a == "--xs-no-batch") {
-            cfg.xsModel.batchCommit = false;
         } else if (a == "--perf") {
             cfg.perf = true;
         } else if (a == "--no-shrink") {

@@ -5,21 +5,32 @@
  *   minjie-sim --engine nemu --workload coremark --iters 2000
  *   minjie-sim --engine xiangshan --config nh --workload 458.sjeng \
  *              --difftest --lightsss 100000
+ *   minjie-sim --engine xiangshan --workload coremark --iters 200 \
+ *              --trace run.mjt --chrome run.json
  *   minjie-sim --list
  *
  * Runs one workload on one engine, optionally under DiffTest
  * co-simulation with LightSSS snapshots, and prints a performance and
  * verification summary — the single-run analogue of the paper's
  * "launch the RTL-simulation and the tools are automatically invoked"
- * workflow (Section III-E).
+ * workflow (Section III-E). --trace attaches the counter tree and the
+ * ring-buffer tracer and writes a .mjt artifact that `minjie-trace`
+ * renders. A bad run-spec (unknown engine, config, workload or flag,
+ * or a missing or non-numeric value) exits 2 with a message.
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "archdb/archdb.h"
 #include "checkpoint/generator.h"
 #include "common/clock.h"
 #include "difftest/difftest.h"
@@ -27,6 +38,8 @@
 #include "iss/system.h"
 #include "lightsss/lightsss.h"
 #include "nemu/nemu.h"
+#include "obs/collect.h"
+#include "obs/serialize.h"
 #include "sample/engine.h"
 #include "workload/programs.h"
 #include "xiangshan/soc.h"
@@ -35,6 +48,9 @@ using namespace minjie;
 namespace wl = minjie::workload;
 
 namespace {
+
+/** Ring-buffer capacity of a --trace run, in events. */
+constexpr size_t TRACE_CAP = 4096;
 
 struct Options
 {
@@ -45,17 +61,21 @@ struct Options
     InstCount maxInstrs = 50'000'000;
     bool difftest = false;
     Cycle lightsssInterval = 0;
-    uint64_t faultAfter = 0; // inject a load fault (difftest demo)
+    bool injectFault = false; // corrupt one load (difftest demo)
     xs::ModelOpts model;     // --xs-no-* fast-path ablations
+
+    std::string traceOut;  // --trace: write a .mjt artifact here
+    std::string chromeOut; // ... and its Chrome trace_event JSON here
+    bool archdb = false;   // ... and print its ArchDB report
 
     // Sampled simulation (--sample): SimPoint checkpoints evaluated
     // across forked workers instead of one full detailed run.
     bool sample = false;
-    unsigned workers = 1;
+    uint64_t workers = 1;
     uint64_t warmup = 0;
     uint64_t measure = 20'000;
     uint64_t interval = 50'000;
-    unsigned maxK = 4;
+    uint64_t maxK = 4;
     std::string packOut; // write the .mjk pack here
     std::string packIn;  // evaluate an existing pack (skips profiling)
 };
@@ -75,7 +95,10 @@ usage()
         "  --inject-fault corrupt one load (exercises the checkers)\n"
         "  --xs-no-bitset reference scan-based scheduling (xiangshan)\n"
         "  --xs-no-skip   disable event-driven idle-cycle skipping\n"
-        "  --xs-no-batch  per-instruction commit probe delivery\n"
+        "  --trace F      write a .mjt counter + trace artifact to F\n"
+        "                 (xiangshan or nemu; read with minjie-trace)\n"
+        "  --chrome F     with --trace: also write Chrome trace JSON\n"
+        "  --archdb       with --trace: print the ArchDB report\n"
         "  --sample       SimPoint sampled evaluation (fork-fanout)\n"
         "  --workers N    forked slice workers (default 1)\n"
         "  --warmup M     functional-warmup instructions per slice\n"
@@ -87,26 +110,45 @@ usage()
         "  --list         list available workloads\n");
 }
 
-wl::Program
-pickWorkload(const Options &opt, bool &ok)
+bool
+writeFile(const std::string &path, std::string_view bytes)
 {
-    ok = true;
-    if (opt.workload == "coremark")
-        return wl::coremarkProxy(opt.iters);
-    if (opt.workload == "memstress")
-        return wl::memStressProgram(opt.iters, 16);
-    if (opt.workload == "sum")
-        return wl::sumProgram(opt.iters);
-    if (opt.workload == "sv39")
-        return wl::sv39Program();
-    for (const auto &s : wl::specIntSuite())
-        if (opt.workload == s.name)
-            return wl::buildProxy(s, opt.iters);
-    for (const auto &s : wl::specFpSuite())
-        if (opt.workload == s.name)
-            return wl::buildProxy(s, opt.iters);
-    ok = false;
-    return {};
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    f.close();
+    if (!f)
+        std::fprintf(stderr, "minjie-sim: cannot write %s\n",
+                     path.c_str());
+    return static_cast<bool>(f);
+}
+
+/** Write the --trace artifact and its --chrome / --archdb views. */
+int
+writeTrace(const Options &opt, const obs::CounterGroup &counters,
+           std::vector<obs::TraceEvent> events)
+{
+    obs::RunArtifact art;
+    art.runLabel = opt.workload + "@" +
+                   (opt.engine == "nemu" ? opt.engine : opt.config);
+    art.counters = counters.snapshot();
+    art.events = std::move(events);
+    if (!writeFile(opt.traceOut, obs::serializeMjt(art)))
+        return 1;
+    std::printf("wrote %s (%zu counters, %zu events)\n",
+                opt.traceOut.c_str(), art.counters.values.size(),
+                art.events.size());
+    if (!opt.chromeOut.empty()) {
+        if (!writeFile(opt.chromeOut, obs::toChromeJson(art)))
+            return 1;
+        std::printf("wrote %s\n", opt.chromeOut.c_str());
+    }
+    if (opt.archdb) {
+        archdb::ArchDB db;
+        obs::exportToArchDB(db, art.counters);
+        obs::exportTraceToArchDB(db, art.events);
+        std::printf("%s", db.report().c_str());
+    }
+    return 0;
 }
 
 int
@@ -128,13 +170,22 @@ runInterpreter(const Options &opt, const wl::Program &prog)
     else
         engine = std::make_unique<iss::TciInterp>(sys.bus, 0, prog.entry);
     engine->setHaltFn([&] { return sys.simctrl.exited(); });
+    auto *nemu = dynamic_cast<nemu::Nemu *>(engine.get());
+
+    // NEMU's block-boundary hook fires only on the step path, so a
+    // traced run steps instruction by instruction (the base-class
+    // run); untraced runs keep the threaded-code fast path.
+    obs::TraceBuffer trace(TRACE_CAP);
+    const bool traced = !opt.traceOut.empty() && obs::enabled();
+    uint64_t blocks = 0;
+    if (traced)
+        nemu->setBlockHook([&](Addr pc, uint32_t len) {
+            trace.record(obs::Ev::Block, blocks++, pc, len);
+        });
 
     Stopwatch sw;
-    iss::RunResult r;
-    if (auto *nemu = dynamic_cast<nemu::Nemu *>(engine.get()))
-        r = nemu->run(opt.maxInstrs);
-    else
-        r = engine->run(opt.maxInstrs);
+    iss::RunResult r = traced ? engine->iss::Interp::run(opt.maxInstrs)
+                              : engine->run(opt.maxInstrs);
     double sec = sw.elapsedSec();
 
     std::printf("[%s] %llu instructions in %.3fs (%.1f MIPS)%s\n",
@@ -147,130 +198,131 @@ runInterpreter(const Options &opt, const wl::Program &prog)
         std::printf("workload exit code: %llu\n",
                     static_cast<unsigned long long>(
                         sys.simctrl.exitCode()));
-    return 0;
+    if (opt.traceOut.empty())
+        return 0;
+    obs::CounterGroup root;
+    if (traced) {
+        obs::collectNemu(root, *nemu);
+        root.set("instrs", r.executed);
+    }
+    return writeTrace(opt, root, trace.events());
 }
 
 int
-runXiangshan(const Options &opt, const wl::Program &prog)
+runXiangshan(const Options &opt, const wl::Program &prog,
+             const xs::CoreConfig &cfg)
 {
-    xs::CoreConfig cfg = opt.config == "yqh" ? xs::CoreConfig::yqh()
-                         : opt.config == "gem5ish"
-                             ? xs::CoreConfig::gem5ish()
-                             : xs::CoreConfig::nh();
-    cfg.model = opt.model;
     xs::Soc soc(cfg);
-    prog.loadInto(soc.system().dram);
-    soc.setEntry(prog.entry);
-
     std::unique_ptr<difftest::DiffTest> dt;
     if (opt.difftest) {
         dt = std::make_unique<difftest::DiffTest>(soc);
-        for (const auto &seg : prog.segments)
-            dt->loadRefMemory(seg.base, seg.bytes.data(),
-                              seg.bytes.size());
-        dt->resetRefs(prog.entry);
+        dt->loadProgram(prog);
+    } else {
+        soc.loadProgram(prog);
     }
-    if (opt.faultAfter)
+
+    obs::TraceBuffer trace(TRACE_CAP);
+    const bool traced = !opt.traceOut.empty() && obs::enabled();
+    if (traced) {
+        for (unsigned c = 0; c < soc.numCores(); ++c)
+            soc.core(c).setTrace(&trace);
+        obs::attachCacheTrace(soc.mem(), trace);
+        if (dt)
+            dt->attachTrace(&trace);
+    }
+    if (opt.injectFault)
         soc.core(0).injectLoadFault(0x1000);
 
     lightsss::LightSSS sss(
         {opt.lightsssInterval ? opt.lightsssInterval : 1, 2,
          opt.lightsssInterval != 0});
 
+    // LightSSS snapshots fork at loop-visible cycles only; with
+    // skip-ahead the fork grid coarsens across idle stretches but
+    // every forked state is still exact.
     Stopwatch sw;
-    Cycle cycle = 0;
-    const Cycle maxCycles = 2'000'000'000;
-    while (cycle < maxCycles &&
-           soc.core(0).perf().instrs < opt.maxInstrs) {
-        if (opt.lightsssInterval) {
-            auto role = sss.tick(cycle);
-            if (role == lightsss::LightSSS::Role::ReplayChild) {
-                Logger::instance().setLevel(LogLevel::Debug);
-                std::printf("[lightsss] replay child running to cycle "
-                            "%llu\n",
-                            static_cast<unsigned long long>(
-                                sss.replayTargetCycle()));
-            }
+    auto run = soc.runWhile(2'000'000'000, [&](Cycle cycle) {
+        if ((dt && !dt->ok()) ||
+            soc.core(0).perf().instrs >= opt.maxInstrs)
+            return false;
+        if (opt.lightsssInterval &&
+            sss.tick(cycle) == lightsss::LightSSS::Role::ReplayChild) {
+            Logger::instance().setLevel(LogLevel::Debug);
+            std::printf("[lightsss] replay child running to cycle %llu\n",
+                        static_cast<unsigned long long>(
+                            sss.replayTargetCycle()));
         }
-        soc.system().clint.tick();
-        bool allDone = true;
-        Cycle consumed = 1;
-        // LightSSS snapshots fork at loop-visible cycles only; with
-        // skip-ahead the fork grid coarsens across idle stretches but
-        // every forked state is still exact.
-        Cycle budget = maxCycles - cycle;
-        for (unsigned c = 0; c < soc.numCores(); ++c) {
-            if (!soc.core(c).done()) {
-                consumed = std::max(consumed, soc.core(c).tick(budget));
-                allDone = false;
-            }
-        }
-        cycle += consumed;
-        if (consumed > 1)
-            soc.system().clint.tick(consumed - 1);
-        if (dt && !dt->ok()) {
-            std::printf("[difftest] MISMATCH: %s\n",
-                        dt->failures().front().c_str());
-            std::printf("[difftest] last commits:\n");
-            auto trace = dt->recentCommitTrace();
-            size_t start = trace.size() > 8 ? trace.size() - 8 : 0;
-            for (size_t i = start; i < trace.size(); ++i)
-                std::printf("  %s\n", trace[i].c_str());
-            if (opt.lightsssInterval && sss.triggerReplay(cycle))
-                std::printf("[lightsss] debug replay completed\n");
-            return 1;
-        }
-        if (allDone)
-            break;
-    }
+        return true;
+    });
     double sec = sw.elapsedSec();
-    sss.discardAll();
 
-    const auto &p = soc.core(0).perf();
-    std::printf("[xiangshan-%s] %llu instrs, %llu cycles, ipc %.3f "
-                "(%.0f KHz sim speed)\n",
-                cfg.name.c_str(),
-                static_cast<unsigned long long>(p.instrs),
-                static_cast<unsigned long long>(p.cycles), p.ipc(),
-                sec > 0 ? static_cast<double>(p.cycles) / sec / 1e3
-                        : 0.0);
-    std::printf("branches: %llu (mpki %.2f)  fused: %llu  moves "
-                "eliminated: %llu\n",
-                static_cast<unsigned long long>(p.branches), p.mpki(),
-                static_cast<unsigned long long>(p.fusedPairs),
-                static_cast<unsigned long long>(p.movesEliminated));
-    if (dt)
-        std::printf("[difftest] %llu commits checked, PASS\n",
-                    static_cast<unsigned long long>(
-                        dt->stats().commitsChecked));
-    if (dt && opt.lightsssInterval) {
-        const auto &ss = sss.stats();
-        std::printf("[cosim] %.0f commits/s checked, lightsss %llu forks "
-                    "%llu kills, fork us total %llu last %llu\n",
-                    sec > 0 ? static_cast<double>(
-                                  dt->stats().commitsChecked) / sec
-                            : 0.0,
-                    static_cast<unsigned long long>(ss.forks),
-                    static_cast<unsigned long long>(ss.kills),
-                    static_cast<unsigned long long>(ss.totalForkUs),
-                    static_cast<unsigned long long>(ss.lastForkUs));
+    int rc = 0;
+    if (dt && !dt->ok()) {
+        std::printf("[difftest] MISMATCH: %s\n",
+                    dt->failures().front().c_str());
+        std::printf("[difftest] last commits:\n");
+        auto commits = dt->recentCommitTrace();
+        size_t start = commits.size() > 8 ? commits.size() - 8 : 0;
+        for (size_t i = start; i < commits.size(); ++i)
+            std::printf("  %s\n", commits[i].c_str());
+        if (opt.lightsssInterval && sss.triggerReplay(run.cycles))
+            std::printf("[lightsss] debug replay completed\n");
+        rc = 1;
+    } else {
+        sss.discardAll();
+        const auto &p = soc.core(0).perf();
+        std::printf("[xiangshan-%s] %llu instrs, %llu cycles, ipc %.3f "
+                    "(%.0f KHz sim speed)\n",
+                    cfg.name.c_str(),
+                    static_cast<unsigned long long>(p.instrs),
+                    static_cast<unsigned long long>(p.cycles), p.ipc(),
+                    sec > 0 ? static_cast<double>(p.cycles) / sec / 1e3
+                            : 0.0);
+        std::printf("branches: %llu (mpki %.2f)  fused: %llu  moves "
+                    "eliminated: %llu\n",
+                    static_cast<unsigned long long>(p.branches), p.mpki(),
+                    static_cast<unsigned long long>(p.fusedPairs),
+                    static_cast<unsigned long long>(p.movesEliminated));
+        if (dt)
+            std::printf("[difftest] %llu commits checked, PASS\n",
+                        static_cast<unsigned long long>(
+                            dt->stats().commitsChecked));
+        if (dt && opt.lightsssInterval) {
+            const auto &ss = sss.stats();
+            std::printf(
+                "[cosim] %.0f commits/s checked, lightsss %llu forks "
+                "%llu kills, fork us total %llu last %llu\n",
+                sec > 0 ? static_cast<double>(
+                              dt->stats().commitsChecked) / sec
+                        : 0.0,
+                static_cast<unsigned long long>(ss.forks),
+                static_cast<unsigned long long>(ss.kills),
+                static_cast<unsigned long long>(ss.totalForkUs),
+                static_cast<unsigned long long>(ss.lastForkUs));
+        }
+        if (soc.system().simctrl.exited())
+            std::printf("workload exit code: %llu\n",
+                        static_cast<unsigned long long>(
+                            soc.system().simctrl.exitCode()));
     }
-    if (soc.system().simctrl.exited())
-        std::printf("workload exit code: %llu\n",
-                    static_cast<unsigned long long>(
-                        soc.system().simctrl.exitCode()));
-    return 0;
+    if (opt.traceOut.empty())
+        return rc;
+    // A mismatching run keeps DiffTest's divergence window: the trace
+    // events leading up to the first bad commit.
+    obs::CounterGroup root;
+    if (traced)
+        obs::collectSoc(root, soc);
+    bool window = dt && !dt->ok() && !dt->divergenceWindow().empty();
+    return writeTrace(opt, root,
+                      window ? dt->divergenceWindow() : trace.events())
+               ? 1
+               : rc;
 }
 
 int
-runSampledFlow(const Options &opt, const wl::Program &prog)
+runSampledFlow(const Options &opt, const wl::Program &prog,
+               const xs::CoreConfig &cfg)
 {
-    xs::CoreConfig cfg = opt.config == "yqh" ? xs::CoreConfig::yqh()
-                         : opt.config == "gem5ish"
-                             ? xs::CoreConfig::gem5ish()
-                             : xs::CoreConfig::nh();
-    cfg.model = opt.model;
-
     sample::PackReader pack;
     if (!opt.packIn.empty()) {
         if (!pack.openFile(opt.packIn)) {
@@ -279,12 +331,13 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
             return 1;
         }
     } else {
-        std::printf("[sample] profiling %s (interval %llu, max-k %u)\n",
+        std::printf("[sample] profiling %s (interval %llu, max-k %llu)\n",
                     opt.workload.c_str(),
                     static_cast<unsigned long long>(opt.interval),
-                    opt.maxK);
+                    static_cast<unsigned long long>(opt.maxK));
         auto gen = checkpoint::generateCheckpoints(
-            prog, opt.interval, opt.maxK, opt.maxInstrs);
+            prog, opt.interval, static_cast<unsigned>(opt.maxK),
+            opt.maxInstrs);
         std::printf("[sample] %zu checkpoints from %llu instructions\n",
                     gen.checkpoints.size(),
                     static_cast<unsigned long long>(gen.totalInsts));
@@ -302,14 +355,10 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
             return 1;
         }
         if (!opt.packOut.empty()) {
-            std::ofstream f(opt.packOut, std::ios::binary);
-            f.write(reinterpret_cast<const char *>(bytes.data()),
-                    static_cast<std::streamsize>(bytes.size()));
-            if (!f) {
-                std::fprintf(stderr, "cannot write pack '%s'\n",
-                             opt.packOut.c_str());
+            if (!writeFile(opt.packOut,
+                           {reinterpret_cast<const char *>(bytes.data()),
+                            bytes.size()}))
                 return 1;
-            }
             std::printf("[sample] pack written to %s\n",
                         opt.packOut.c_str());
         }
@@ -320,7 +369,7 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
     }
 
     sample::SampleConfig scfg;
-    scfg.workers = opt.workers;
+    scfg.workers = static_cast<unsigned>(opt.workers);
     scfg.warmupInsts = opt.warmup;
     scfg.measureInsts = opt.measure;
     scfg.coreCfg = cfg;
@@ -348,7 +397,7 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
     }
     std::printf("[sample] weighted ipc %.4f (cpi %.4f), %u workers, "
                 "%.3fs wall\n",
-                rep.weightedIpc(), rep.weightedCpi(), opt.workers,
+                rep.weightedIpc(), rep.weightedCpi(), scfg.workers,
                 rep.wallSec);
     std::printf("%s", rep.stack.table("weighted top-down").c_str());
     std::printf("[sample] top-down exact-sum: %s\n",
@@ -360,82 +409,122 @@ runSampledFlow(const Options &opt, const wl::Program &prog)
     return 0;
 }
 
+/** A whole-string unsigned number (decimal, 0x hex or 0 octal). */
+bool
+parseU64(const char *text, uint64_t &out)
+{
+    if (!*text || *text == '-' || *text == '+')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text, &end, 0);
+    return *end == '\0' && errno == 0;
+}
+
+/** Parse argv into @p opt; returns what is wrong, or "" if nothing. */
+std::string
+parseArgs(int argc, char **argv, Options &opt, bool &list, bool &help)
+{
+    const std::map<std::string, std::string *> strFlags = {
+        {"--engine", &opt.engine},     {"--config", &opt.config},
+        {"--workload", &opt.workload}, {"--trace", &opt.traceOut},
+        {"--chrome", &opt.chromeOut},  {"--pack-out", &opt.packOut},
+        {"--pack-in", &opt.packIn},
+    };
+    const std::map<std::string, uint64_t *> numFlags = {
+        {"--iters", &opt.iters},      {"--max-instrs", &opt.maxInstrs},
+        {"--lightsss", &opt.lightsssInterval},
+        {"--workers", &opt.workers},  {"--warmup", &opt.warmup},
+        {"--measure", &opt.measure},  {"--interval", &opt.interval},
+        {"--max-k", &opt.maxK},
+    };
+    // Switches: the flag stores the paired value.
+    const std::map<std::string, std::pair<bool *, bool>> switches = {
+        {"--difftest", {&opt.difftest, true}},
+        {"--inject-fault", {&opt.injectFault, true}},
+        {"--archdb", {&opt.archdb, true}},
+        {"--sample", {&opt.sample, true}},
+        {"--xs-no-bitset", {&opt.model.bitsetSched, false}},
+        {"--xs-no-skip", {&opt.model.skipAhead, false}},
+        {"--list", {&list, true}},
+        {"--help", {&help, true}},
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (auto sw = switches.find(arg); sw != switches.end()) {
+            *sw->second.first = sw->second.second;
+            continue;
+        }
+        auto str = strFlags.find(arg);
+        auto num = numFlags.find(arg);
+        if (str == strFlags.end() && num == numFlags.end())
+            return "unknown option '" + arg + "' (see --help)";
+        if (++i == argc)
+            return arg + " needs a value";
+        if (str != strFlags.end())
+            *str->second = argv[i];
+        else if (!parseU64(argv[i], *num->second))
+            return arg + " needs a number, got '" + argv[i] + "'";
+    }
+    return "";
+}
+
+/** What is wrong with a parsed run-spec, or "" if nothing. */
+std::string
+checkSpec(const Options &opt, bool configKnown, bool workloadKnown)
+{
+    const auto engines = {"nemu", "spike", "dromajo", "tci", "xiangshan"};
+    if (std::find(engines.begin(), engines.end(), opt.engine) ==
+        engines.end())
+        return "unknown engine '" + opt.engine + "'";
+    if (!configKnown)
+        return "unknown config '" + opt.config + "'";
+    if (!workloadKnown)
+        return "unknown workload '" + opt.workload + "' (try --list)";
+    if (!opt.traceOut.empty() && (opt.sample || (opt.engine != "xiangshan" &&
+                                                 opt.engine != "nemu")))
+        return "--trace needs --engine xiangshan or nemu, without "
+               "--sample";
+    if (opt.traceOut.empty() && (!opt.chromeOut.empty() || opt.archdb))
+        return "--chrome and --archdb need --trace";
+    return "";
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : "";
-        };
-        if (arg == "--engine")
-            opt.engine = next();
-        else if (arg == "--config")
-            opt.config = next();
-        else if (arg == "--workload")
-            opt.workload = next();
-        else if (arg == "--iters")
-            opt.iters = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--max-instrs")
-            opt.maxInstrs = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--difftest")
-            opt.difftest = true;
-        else if (arg == "--lightsss")
-            opt.lightsssInterval = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--inject-fault")
-            opt.faultAfter = 1;
-        else if (arg == "--sample")
-            opt.sample = true;
-        else if (arg == "--workers")
-            opt.workers = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        else if (arg == "--warmup")
-            opt.warmup = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--measure")
-            opt.measure = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--interval")
-            opt.interval = std::strtoull(next(), nullptr, 0);
-        else if (arg == "--max-k")
-            opt.maxK = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-        else if (arg == "--pack-out")
-            opt.packOut = next();
-        else if (arg == "--pack-in")
-            opt.packIn = next();
-        else if (arg == "--xs-no-bitset")
-            opt.model.bitsetSched = false;
-        else if (arg == "--xs-no-skip")
-            opt.model.skipAhead = false;
-        else if (arg == "--xs-no-batch")
-            opt.model.batchCommit = false;
-        else if (arg == "--list") {
-            std::printf("workloads: coremark memstress sum sv39");
-            for (const auto &s : wl::specIntSuite())
-                std::printf(" %s", s.name);
-            for (const auto &s : wl::specFpSuite())
-                std::printf(" %s", s.name);
-            std::printf("\n");
-            return 0;
-        } else {
-            usage();
-            return arg == "--help" ? 0 : 1;
-        }
+    bool list = false, help = false;
+    std::string err = parseArgs(argc, argv, opt, list, help);
+    if (help) {
+        usage();
+        return 0;
     }
-
-    bool ok;
-    auto prog = pickWorkload(opt, ok);
-    if (!ok) {
-        std::fprintf(stderr, "unknown workload '%s' (try --list)\n",
-                     opt.workload.c_str());
-        return 1;
+    if (err.empty() && list) {
+        std::printf("workloads:");
+        for (const auto &name : wl::names())
+            std::printf(" %s", name.c_str());
+        std::printf("\n");
+        return 0;
     }
+    std::optional<xs::CoreConfig> cfg;
+    std::optional<wl::Program> prog;
+    if (err.empty()) {
+        cfg = xs::CoreConfig::byName(opt.config);
+        prog = wl::byName(opt.workload, opt.iters);
+        err = checkSpec(opt, cfg.has_value(), prog.has_value());
+    }
+    if (!err.empty()) {
+        std::fprintf(stderr, "minjie-sim: %s\n", err.c_str());
+        return 2;
+    }
+    cfg->model = opt.model;
 
     if (opt.sample)
-        return runSampledFlow(opt, prog);
+        return runSampledFlow(opt, *prog, *cfg);
     if (opt.engine == "xiangshan")
-        return runXiangshan(opt, prog);
-    return runInterpreter(opt, prog);
+        return runXiangshan(opt, *prog, *cfg);
+    return runInterpreter(opt, *prog);
 }
