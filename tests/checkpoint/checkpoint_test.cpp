@@ -17,6 +17,16 @@ using namespace minjie;
 using namespace minjie::checkpoint;
 namespace wl = minjie::workload;
 
+/** FNV-1a-64 over @p n bytes (golden pins of encoded formats). */
+uint64_t
+fnv1a64(const uint8_t *p, size_t n)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 0x100000001b3ULL;
+    return h;
+}
+
 sample::PackReader
 openPack(const GenResult &gen)
 {
@@ -305,6 +315,17 @@ TEST(Checkpoint, GeneratorProducesWeightedCheckpoints)
     // Both passes run on the threaded engine and report their speed.
     EXPECT_GT(gen.profileMips, 0.0);
     EXPECT_GT(gen.generateMips, 0.0);
+}
+
+TEST(Checkpoint, PackBytesArePinned)
+{
+    // Golden pin of the .mjk encoding across commits: any change to
+    // the pack layout, the arch blob or the page order moves the hash.
+    auto gen = generateCheckpoints(wl::coremarkProxy(200), 20'000, 4,
+                                   10'000'000);
+    auto bytes = sample::packFromGen(gen);
+    EXPECT_EQ(bytes.size(), 49152u);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), 0xa9510def1a70aafbULL);
 }
 
 TEST(Checkpoint, RestoresIntoCycleModel)

@@ -132,6 +132,17 @@ TEST(Mjt, RejectsCorruptInput)
     EXPECT_FALSE(parseMjt(padded, art)); // trailing bytes rejected
 }
 
+TEST(Mjt, BytesArePinned)
+{
+    // Golden pin of the .mjt encoding across commits.
+    std::string bytes = serializeMjt(makeArtifact());
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : bytes)
+        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+    EXPECT_EQ(bytes.size(), 121u);
+    EXPECT_EQ(h, 0x565c9632bde9c88bULL);
+}
+
 TEST(Mjt, ChromeJsonContainsEventsAndCounters)
 {
     std::string json = toChromeJson(makeArtifact());
