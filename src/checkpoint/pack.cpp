@@ -3,17 +3,26 @@
 #include <cstring>
 
 #include "checkpoint/checkpoint.h"
+#include "common/bytes.h"
 
 namespace minjie::checkpoint {
 
 namespace {
 
-void
-put64(std::vector<uint8_t> &v, uint64_t x)
+/** True when the 4 KiB page at @p data is all zeros (8 bytes at a
+ *  time; pages are 8-aligned). */
+bool
+pageIsZero(const uint8_t *data)
 {
-    size_t off = v.size();
-    v.resize(off + 8);
-    std::memcpy(v.data() + off, &x, 8);
+    uint64_t acc = 0;
+    for (unsigned i = 0; i < mem::PhysMem::PAGE_SIZE; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, data + i, 8);
+        acc |= w;
+        if (acc)
+            return false;
+    }
+    return true;
 }
 
 /** FNV-1a over one page, folded 8 bytes at a time. */
@@ -126,29 +135,30 @@ PackWriter::bytes() const
 
     std::vector<uint8_t> out;
     out.reserve(poolOff + order.size() * PAGE);
-    put64(out, pack::MAGIC);
-    put64(out, pack::VERSION);
-    put64(out, n);
-    put64(out, weightDen_);
-    put64(out, poolOff);
-    put64(out, order.size());
+    ByteWriter w(out);
+    w.u64(pack::MAGIC);
+    w.u64(pack::VERSION);
+    w.u64(n);
+    w.u64(weightDen_);
+    w.u64(poolOff);
+    w.u64(order.size());
     for (size_t i = 0; i < n; ++i) {
-        put64(out, table_[i].instCount);
-        put64(out, table_[i].weightNum);
-        put64(out, archOff[i]);
-        put64(out, entryOff[i]);
-        put64(out, table_[i].pages.size());
+        w.u64(table_[i].instCount);
+        w.u64(table_[i].weightNum);
+        w.u64(archOff[i]);
+        w.u64(entryOff[i]);
+        w.u64(table_[i].pages.size());
     }
     for (const auto &e : table_) {
-        out.insert(out.end(), e.arch.begin(), e.arch.end());
+        w.bytes(e.arch.data(), e.arch.size());
         for (const auto &[base, idx] : e.pages) {
-            put64(out, base);
-            put64(out, renum[idx]);
+            w.u64(base);
+            w.u64(renum[idx]);
         }
     }
     out.resize(poolOff, 0);
     for (uint64_t idx : order)
-        out.insert(out.end(), poolPage(idx), poolPage(idx) + PAGE);
+        w.bytes(poolPage(idx), PAGE);
     return out;
 }
 

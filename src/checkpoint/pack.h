@@ -14,14 +14,16 @@
  * pure uint64 arithmetic, which is what makes the weighted top-down
  * stack byte-identical across worker counts.
  *
- * Layout (all fields little-endian u64, offsets from file start):
+ * Layout (all fields u64, offsets from file start). Every field is
+ * written and read through common/bytes.h, which fixes little-endian
+ * byte order whatever the host; the reader bounds every read:
  *
  *   header:    magic, version, nCheckpoints, weightDen,
  *              pagePoolOff, nPoolPages
  *   table:     nCheckpoints x {instCount, weightNum,
  *              archOff, pageEntryOff, nPageEntries}
- *   arch blobs and page-entry arrays ({baseAddr, poolIdx} pairs,
- *              ascending baseAddr)
+ *   arch blobs (checkpoint/checkpoint.h) and page-entry arrays
+ *              ({baseAddr, poolIdx} pairs, ascending baseAddr)
  *   page pool: 4096-aligned, nPoolPages x 4096 bytes, deduplicated,
  *              in order of first reference in table order
  */

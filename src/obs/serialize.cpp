@@ -8,162 +8,77 @@ namespace minjie::obs {
 
 namespace {
 
-// Explicit little-endian primitives: the .mjt byte stream must be
-// identical regardless of host endianness or struct padding.
-
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU16(std::string &out, uint16_t v)
-{
-    for (int i = 0; i < 2; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<uint32_t>(s.size()));
-    out += s;
-}
-
-struct Reader
-{
-    const std::string &buf;
-    size_t pos = 0;
-    bool ok = true;
-
-    bool
-    need(size_t n)
-    {
-        if (pos + n > buf.size()) {
-            ok = false;
-            return false;
-        }
-        return true;
-    }
-
-    uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return static_cast<uint8_t>(buf[pos++]);
-    }
-
-    uint16_t
-    u16()
-    {
-        uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v = static_cast<uint16_t>(v | (static_cast<uint16_t>(u8())
-                                           << (8 * i)));
-        return v;
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        uint32_t n = u32();
-        if (!need(n))
-            return {};
-        std::string s = buf.substr(pos, n);
-        pos += n;
-        return s;
-    }
-};
-
 constexpr char kMagic[4] = {'M', 'J', 'T', '1'};
 constexpr uint32_t kVersion = 1;
 
 } // namespace
 
+void
+writeCounters(ByteWriter &w, const CounterSnapshot &counters)
+{
+    w.u32(static_cast<uint32_t>(counters.values.size()));
+    for (const auto &[k, v] : counters.values) {
+        w.str(k);
+        w.u64(v);
+    }
+}
+
+bool
+readCounters(ByteReader &r, CounterSnapshot &out)
+{
+    out.values.clear();
+    uint32_t n = r.u32();
+    for (uint32_t i = 0; i < n && r.ok(); ++i) {
+        std::string k = r.str();
+        uint64_t v = r.u64();
+        // Keys were written in map order: anything else is corrupt.
+        if (!out.values.empty() && k <= out.values.rbegin()->first)
+            r.fail();
+        else
+            out.values.emplace_hint(out.values.end(), std::move(k), v);
+    }
+    return r.ok();
+}
+
 std::string
 serializeMjt(const RunArtifact &artifact)
 {
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    putU32(out, kVersion);
-    putStr(out, artifact.runLabel);
+    std::vector<uint8_t> out;
+    ByteWriter w(out);
+    w.bytes(kMagic, sizeof(kMagic));
+    w.u32(kVersion);
+    w.str(artifact.runLabel);
+    writeCounters(w, artifact.counters);
 
-    putU32(out, static_cast<uint32_t>(artifact.counters.values.size()));
-    for (const auto &[k, v] : artifact.counters.values) {
-        putStr(out, k);
-        putU64(out, v);
-    }
-
-    putU32(out, static_cast<uint32_t>(artifact.events.size()));
+    w.u32(static_cast<uint32_t>(artifact.events.size()));
     for (const auto &e : artifact.events) {
-        putU64(out, e.cycle);
-        putU64(out, e.pc);
-        putU64(out, e.arg0);
-        putU32(out, e.arg1);
-        putU8(out, static_cast<uint8_t>(e.kind));
-        putU8(out, e.hart);
-        putU16(out, e.aux);
+        w.u64(e.cycle);
+        w.u64(e.pc);
+        w.u64(e.arg0);
+        w.u32(e.arg1);
+        w.u8(static_cast<uint8_t>(e.kind));
+        w.u8(e.hart);
+        w.u16(e.aux);
     }
-    return out;
+    return std::string(out.begin(), out.end());
 }
 
 bool
 parseMjt(const std::string &bytes, RunArtifact &out)
 {
-    Reader r{bytes};
-    if (!r.need(sizeof(kMagic)) ||
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-        return false;
-    r.pos = sizeof(kMagic);
-    if (r.u32() != kVersion)
+    ByteReader r(bytes);
+    const uint8_t *magic = r.span(sizeof(kMagic));
+    if (!magic || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
+        r.u32() != kVersion)
         return false;
 
     RunArtifact a;
     a.runLabel = r.str();
-
-    uint32_t nCounters = r.u32();
-    for (uint32_t i = 0; i < nCounters && r.ok; ++i) {
-        std::string k = r.str();
-        uint64_t v = r.u64();
-        a.counters.values[k] = v;
-    }
+    if (!readCounters(r, a.counters))
+        return false;
 
     uint32_t nEvents = r.u32();
-    for (uint32_t i = 0; i < nEvents && r.ok; ++i) {
+    for (uint32_t i = 0; i < nEvents && r.ok(); ++i) {
         TraceEvent e;
         e.cycle = r.u64();
         e.pc = r.u64();
@@ -174,7 +89,7 @@ parseMjt(const std::string &bytes, RunArtifact &out)
         e.aux = r.u16();
         a.events.push_back(e);
     }
-    if (!r.ok || r.pos != bytes.size())
+    if (!r.done())
         return false;
     out = std::move(a);
     return true;

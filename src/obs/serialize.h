@@ -6,9 +6,9 @@
  *
  * Everything here works on std::string buffers — file I/O stays in the
  * tools layer, keeping this module free of stdio (MJ-FRK) and easy to
- * golden-test byte-for-byte. The binary encoding is explicit
- * little-endian field-by-field (never memcpy of structs), so the bytes
- * are identical across hosts and compilers.
+ * golden-test byte-for-byte. The binary encoding goes field by field
+ * through common/bytes.h (never memcpy of structs), so the bytes are
+ * identical across hosts and compilers.
  */
 
 #ifndef MINJIE_OBS_SERIALIZE_H
@@ -17,6 +17,7 @@
 #include <string>
 #include <tuple>
 
+#include "common/bytes.h"
 #include "obs/counter.h"
 #include "obs/trace.h"
 
@@ -45,6 +46,17 @@ struct RunArtifact
         return true;
     }
 };
+
+/**
+ * The one counter-map encoding, shared by `.mjt` and the sample
+ * engine's slice blobs: a u32 count, then per key in ascending order a
+ * u32-length-prefixed key and a u64 value.
+ */
+void writeCounters(ByteWriter &w, const CounterSnapshot &counters);
+
+/** Decode a counter map into @p out. Keys must be strictly ascending,
+ *  as written. @return false, with @p r failed, on malformed input. */
+bool readCounters(ByteReader &r, CounterSnapshot &out);
 
 /** Encode to the binary .mjt format (magic "MJT1"). */
 std::string serializeMjt(const RunArtifact &artifact);

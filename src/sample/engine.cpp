@@ -1,7 +1,6 @@
 #include "sample/engine.h"
 
 #include <cerrno>
-#include <cstring>
 
 #include <poll.h>
 #include <sys/wait.h>
@@ -11,36 +10,19 @@
 #include <stdio_ext.h> // __fpurge: discard inherited stdio buffers
 #endif
 
-#include "checkpoint/checkpoint.h"
+#include "checkpoint/pack.h"
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
 #include "obs/collect.h"
+#include "obs/serialize.h"
 
 namespace minjie::sample {
 
 namespace {
 
 constexpr uint64_t BLOB_MAGIC = 0x4d4a534c30303031ULL; // "MJSL0001"
-
-void
-put64(std::vector<uint8_t> &v, uint64_t x)
-{
-    size_t off = v.size();
-    v.resize(off + 8);
-    std::memcpy(v.data() + off, &x, 8);
-}
-
-uint64_t
-get64(const std::vector<uint8_t> &v, size_t &off)
-{
-    uint64_t x = 0;
-    if (off + 8 <= v.size()) {
-        std::memcpy(&x, v.data() + off, 8);
-        off += 8;
-    }
-    return x;
-}
 
 bool
 writeAll(int fd, const uint8_t *p, size_t n)
@@ -87,42 +69,30 @@ std::vector<uint8_t>
 encodeSlice(const SliceResult &r)
 {
     std::vector<uint8_t> v;
-    put64(v, BLOB_MAGIC);
-    put64(v, r.ok ? 1 : 0);
-    put64(v, r.cycles);
-    put64(v, r.instrs);
-    put64(v, r.counters.values.size());
-    for (const auto &[k, val] : r.counters.values) {
-        put64(v, k.size());
-        v.insert(v.end(), k.begin(), k.end());
-        put64(v, val);
-    }
+    ByteWriter w(v);
+    w.u64(BLOB_MAGIC);
+    w.u64(r.ok ? 1 : 0);
+    w.u64(r.cycles);
+    w.u64(r.instrs);
+    obs::writeCounters(w, r.counters);
     return v;
 }
 
 bool
 decodeSlice(const std::vector<uint8_t> &blob, SliceResult &r)
 {
-    size_t off = 0;
-    if (get64(blob, off) != BLOB_MAGIC)
+    ByteReader in(blob);
+    if (in.u64() != BLOB_MAGIC)
         return false;
-    r.ok = get64(blob, off) != 0;
-    r.cycles = get64(blob, off);
-    r.instrs = get64(blob, off);
-    uint64_t n = get64(blob, off);
-    r.counters.values.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t len = get64(blob, off);
-        // len is untrusted: compare it against the room left, which
-        // cannot wrap, rather than computing off + len.
-        if (off + 8 > blob.size() || len > blob.size() - off - 8)
-            return false;
-        std::string key(reinterpret_cast<const char *>(blob.data()) +
-                            off,
-                        len);
-        off += len;
-        r.counters.values[std::move(key)] = get64(blob, off);
-    }
+    SliceResult out;
+    out.ok = in.u64() != 0;
+    out.cycles = in.u64();
+    out.instrs = in.u64();
+    // A short or padded blob (a worker cut off mid-write) is rejected
+    // whole, never read as a zero-cycle slice.
+    if (!obs::readCounters(in, out.counters) || !in.done())
+        return false;
+    r = std::move(out);
     return true;
 }
 
@@ -133,11 +103,15 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
     if (i >= pack.count() || i == cfg.crashSliceForTest)
         return res;
 
+    PackReader handoff; // outlives soc, whose memory maps its pages
     xs::Soc soc(cfg.coreCfg, 1, cfg.dramMb);
+    const PackReader *from = &pack;
+    size_t slot = i;
     if (cfg.warmupInsts > 0) {
         // Functional warmup: fast-forward on NEMU from the checkpoint,
-        // then hand the advanced state to the detailed core. The
-        // measurement point moves warmupInsts past the slice start.
+        // then hand the advanced state to the detailed core through a
+        // one-slot pack. The measurement point moves warmupInsts past
+        // the slice start.
         iss::System warm(cfg.dramMb);
         nemu::Nemu nemu(warm.bus, warm.dram, 0, 0);
         if (!pack.restoreInto(i, nemu.state(), warm.dram))
@@ -145,15 +119,16 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
         nemu.flushUopCache();
         nemu.setHaltFn([&] { return warm.simctrl.exited(); });
         nemu.run(cfg.warmupInsts);
-        auto cp = checkpoint::serialize(nemu.state(), warm.dram);
-        if (!checkpoint::restore(cp, soc.core(0).oracleState(),
-                                 soc.system().dram))
+        checkpoint::PackWriter writer(1, 1);
+        writer.snapshot(0, nemu.state(), warm.dram, 0, 1);
+        if (!handoff.openMemory(writer.bytes()))
             return res;
-    } else {
-        if (!pack.restoreInto(i, soc.core(0).oracleState(),
-                              soc.system().dram))
-            return res;
+        from = &handoff;
+        slot = 0;
     }
+    if (!from->restoreInto(slot, soc.core(0).oracleState(),
+                           soc.system().dram))
+        return res;
 
     auto before = socSnapshot(soc);
     soc.runUntilInstrs(cfg.measureInsts, cfg.maxCycles);

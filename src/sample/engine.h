@@ -107,7 +107,9 @@ SampleReport runSampled(const PackReader &pack,
                         const SampleConfig &cfg);
 
 /** Wire format of one slice result (pipe payload; exposed for
- *  tests). Encodes ok/cycles/instrs plus every counter key. */
+ *  tests): ok, cycles and instrs, then the counters in the `.mjt`
+ *  counter-map encoding (obs::writeCounters). decodeSlice rejects,
+ *  with @p r untouched, any blob that is not exactly one result. */
 std::vector<uint8_t> encodeSlice(const SliceResult &r);
 bool decodeSlice(const std::vector<uint8_t> &blob, SliceResult &r);
 

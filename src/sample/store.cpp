@@ -1,13 +1,12 @@
 #include "sample/store.h"
 
-#include <cstring>
-
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "checkpoint/generator.h"
+#include "common/bytes.h"
 
 namespace minjie::sample {
 
@@ -15,14 +14,6 @@ namespace {
 
 using namespace checkpoint::pack;
 constexpr size_t PAGE = mem::PhysMem::PAGE_SIZE;
-
-uint64_t
-rd64(const uint8_t *p)
-{
-    uint64_t x;
-    std::memcpy(&x, p, 8);
-    return x;
-}
 
 } // namespace
 
@@ -111,37 +102,39 @@ PackReader::openMemory(std::vector<uint8_t> bytes)
 bool
 PackReader::parse()
 {
-    if (len_ < HEADER_U64 * 8 || rd64(data_) != MAGIC ||
-        rd64(data_ + 8) != VERSION)
+    ByteReader r(data_, len_);
+    if (r.u64() != MAGIC || r.u64() != VERSION)
         return false;
-    nCheckpoints_ = rd64(data_ + 16);
-    weightDen_ = rd64(data_ + 24);
-    pagePoolOff_ = rd64(data_ + 32);
-    nPoolPages_ = rd64(data_ + 40);
+    nCheckpoints_ = r.u64();
+    weightDen_ = r.u64();
+    pagePoolOff_ = r.u64();
+    nPoolPages_ = r.u64();
     // Counts are untrusted: bound them by division so nothing wraps.
-    if (nCheckpoints_ > (len_ / 8 - HEADER_U64) / TABLE_U64)
+    if (!r.ok() || nCheckpoints_ > r.remaining() / (TABLE_U64 * 8))
         return false;
-    if (pagePoolOff_ > len_ || nPoolPages_ > (len_ - pagePoolOff_) / PAGE)
-        return false;
-    return true;
+    r.seek(pagePoolOff_);
+    return r.ok() && nPoolPages_ <= r.remaining() / PAGE;
 }
 
-const uint8_t *
-PackReader::tableEntry(size_t i) const
+uint64_t
+PackReader::tableField(size_t i, size_t field) const
 {
-    return data_ + (HEADER_U64 + TABLE_U64 * i) * 8;
+    // parse() checked that the table fits; an index past it reads 0.
+    ByteReader r(data_, len_);
+    r.seek((HEADER_U64 + TABLE_U64 * i + field) * 8);
+    return r.u64();
 }
 
 uint64_t
 PackReader::weightNum(size_t i) const
 {
-    return rd64(tableEntry(i) + 8);
+    return tableField(i, 1);
 }
 
 uint64_t
 PackReader::instCount(size_t i) const
 {
-    return rd64(tableEntry(i));
+    return tableField(i, 0);
 }
 
 double
@@ -158,32 +151,32 @@ PackReader::restoreInto(size_t i, iss::ArchState &state,
 {
     if (i >= nCheckpoints_)
         return false;
-    const uint8_t *te = tableEntry(i);
-    uint64_t archOff = rd64(te + 16);
-    uint64_t entryOff = rd64(te + 24);
-    uint64_t nEntries = rd64(te + 32);
     size_t archLen = checkpoint::archHeaderBytes();
-    if (archOff > len_ || archLen > len_ - archOff || entryOff > len_ ||
-        nEntries > (len_ - entryOff) / 16)
+    ByteReader arch(data_, len_);
+    arch.seek(tableField(i, 2));
+    const uint8_t *archBlob = arch.span(archLen);
+    ByteReader entries(data_, len_);
+    entries.seek(tableField(i, 3));
+    uint64_t nEntries = tableField(i, 4);
+    if (!archBlob || !entries.ok() || nEntries > entries.remaining() / 16)
         return false;
     // Every entry is checked before one is mapped: mapped pool
     // pointers are only dereferenced later, on first touch.
-    const uint8_t *entries = data_ + entryOff;
+    const size_t first = entries.pos();
     for (uint64_t e = 0; e < nEntries; ++e) {
-        uint64_t base = rd64(entries + e * 16);
+        uint64_t base = entries.u64();
         if ((base & mem::PhysMem::PAGE_MASK) != 0 ||
-            !mem.contains(base, PAGE) ||
-            rd64(entries + e * 16 + 8) >= nPoolPages_)
+            !mem.contains(base, PAGE) || entries.u64() >= nPoolPages_)
             return false;
     }
-    if (!checkpoint::restoreArch(data_ + archOff, archLen, state))
+    if (!checkpoint::restoreArch(archBlob, archLen, state))
         return false;
 
     mem.clear();
+    entries.seek(first);
     for (uint64_t e = 0; e < nEntries; ++e) {
-        uint64_t idx = rd64(entries + e * 16 + 8);
-        mem.mapPage(rd64(entries + e * 16),
-                    data_ + pagePoolOff_ + idx * PAGE);
+        uint64_t base = entries.u64();
+        mem.mapPage(base, data_ + pagePoolOff_ + entries.u64() * PAGE);
     }
     return true;
 }

@@ -68,7 +68,8 @@ class PackReader
   private:
     bool parse();
     void close();
-    const uint8_t *tableEntry(size_t i) const;
+    /** Word @p field of table entry @p i. */
+    uint64_t tableField(size_t i, size_t field) const;
 
     const uint8_t *data_ = nullptr;
     size_t len_ = 0;

@@ -4,6 +4,7 @@
 
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/generator.h"
+#include "checkpoint/pack.h"
 #include "difftest/difftest.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
@@ -35,6 +36,25 @@ openPack(const GenResult &gen)
     return pack;
 }
 
+/** Bytes of a one-slot pack holding @p state and @p mem. */
+std::vector<uint8_t>
+packBytes(const iss::ArchState &state, mem::PhysMem &mem)
+{
+    PackWriter w(1, 1);
+    w.snapshot(0, state, mem, 0, 1);
+    return w.bytes();
+}
+
+/** A one-slot pack of @p state and @p mem, opened. It must outlive any
+ *  memory restored from it (pages are mapped, not copied). */
+sample::PackReader
+onePack(const iss::ArchState &state, mem::PhysMem &mem)
+{
+    sample::PackReader pack;
+    EXPECT_TRUE(pack.openMemory(packBytes(state, mem)));
+    return pack;
+}
+
 TEST(Checkpoint, SerializeRestoreRoundtrip)
 {
     iss::System sys(32);
@@ -44,12 +64,12 @@ TEST(Checkpoint, SerializeRestoreRoundtrip)
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
     nemu.run(5000);
 
-    Checkpoint cp = serialize(nemu.state(), sys.dram, 5000);
-    ASSERT_TRUE(cp.valid());
+    auto pack = onePack(nemu.state(), sys.dram);
+    ASSERT_EQ(pack.count(), 1u);
 
     iss::System sys2(32);
     iss::ArchState restored;
-    ASSERT_TRUE(restore(cp, restored, sys2.dram));
+    ASSERT_TRUE(pack.restoreInto(0, restored, sys2.dram));
 
     EXPECT_EQ(restored.pc, nemu.state().pc);
     for (int i = 0; i < 32; ++i) {
@@ -79,13 +99,13 @@ TEST(Checkpoint, RestoredRunContinuesIdentically)
     nemu::Nemu a(sysA.bus, sysA.dram, 0, prog.entry);
     a.setHaltFn([&] { return sysA.simctrl.exited(); });
     a.run(10'000);
-    Checkpoint cp = serialize(a.state(), sysA.dram, 10'000);
+    auto pack = onePack(a.state(), sysA.dram);
     a.run(20'000); // original continues
 
     iss::System sysB(32);
     nemu::Nemu b(sysB.bus, sysB.dram, 0, prog.entry);
     b.setHaltFn([&] { return sysB.simctrl.exited(); });
-    ASSERT_TRUE(restore(cp, b.state(), sysB.dram));
+    ASSERT_TRUE(pack.restoreInto(0, b.state(), sysB.dram));
     b.flushUopCache();
     b.run(20'000); // restored copy continues the same distance
 
@@ -96,11 +116,11 @@ TEST(Checkpoint, RestoredRunContinuesIdentically)
 
 TEST(Checkpoint, ImageBytesIndependentOfPageTouchOrder)
 {
-    // Regression: serialize() visited DRAM pages in unordered_map
-    // iteration order, so two runs that dirtied the same pages in
-    // different orders produced byte-different images for identical
-    // architectural state. forEachPage() now visits in ascending
-    // address order.
+    // Regression: checkpoint images visited DRAM pages in
+    // unordered_map iteration order, so two runs that dirtied the same
+    // pages in different orders produced byte-different images for
+    // identical architectural state. forEachPage() now visits in
+    // ascending address order, and the pack keeps it.
     iss::ArchState st{};
     mem::PhysMem a(0x80000000, 1 << 24);
     mem::PhysMem b(0x80000000, 1 << 24);
@@ -113,18 +133,17 @@ TEST(Checkpoint, ImageBytesIndependentOfPageTouchOrder)
     for (auto it = pages.rbegin(); it != pages.rend(); ++it)
         b.write(*it, 8, *it);
 
-    Checkpoint ca = serialize(st, a, 0);
-    Checkpoint cb = serialize(st, b, 0);
-    ASSERT_TRUE(ca.valid());
-    EXPECT_EQ(ca.bytes, cb.bytes)
-        << "checkpoint image depends on page touch order";
+    auto ca = packBytes(st, a);
+    ASSERT_FALSE(ca.empty());
+    EXPECT_EQ(ca, packBytes(st, b))
+        << "checkpoint pack depends on page touch order";
 }
 
 TEST(Checkpoint, ZeroPagesElidedFromImage)
 {
-    // Size regression for the zero-page elision: an image must pay
-    // only for pages holding data, and elided pages must read back as
-    // zeros after restore.
+    // Size regression for the zero-page elision: a pack must pay only
+    // for pages holding data, and elided pages must read back as zeros
+    // after restore.
     iss::ArchState st{};
     mem::PhysMem mem(0x80000000, 1 << 24);
 
@@ -135,15 +154,14 @@ TEST(Checkpoint, ZeroPagesElidedFromImage)
         mem.write(page, 8, i < NONZERO ? 0xdeadbeef + i : 0);
     }
 
-    Checkpoint cp = serialize(st, mem, 0);
-    size_t expect = archHeaderBytes() + 8 +
-                    NONZERO * (8 + mem::PhysMem::PAGE_SIZE);
-    EXPECT_EQ(cp.bytes.size(), expect)
-        << "zero pages were serialized (or data pages dropped)";
+    auto pack = onePack(st, mem);
+    EXPECT_EQ(pack.poolPages(), NONZERO)
+        << "zero pages were stored (or data pages dropped)";
 
     iss::ArchState st2;
     mem::PhysMem mem2(0x80000000, 1 << 24);
-    ASSERT_TRUE(restore(cp, st2, mem2));
+    ASSERT_TRUE(pack.restoreInto(0, st2, mem2));
+    EXPECT_EQ(mem2.allocatedPages(), NONZERO);
     for (Addr i = 0; i < TOUCHED; ++i) {
         uint64_t v = ~0ULL;
         mem2.read(0x80000000 + i * 0x1000, 8, v);
@@ -228,62 +246,64 @@ TEST(Checkpoint, ResumeEquivalenceUnderDiffTest)
 
 TEST(Checkpoint, RejectsGarbage)
 {
-    Checkpoint cp;
-    cp.bytes.assign(64, 0xab);
     iss::ArchState st;
-    mem::PhysMem mem(0x80000000, 1 << 20);
-    EXPECT_FALSE(restore(cp, st, mem));
+    st.pc = 0x42;
+    const std::vector<uint8_t> garbage(archHeaderBytes(), 0xab);
+    EXPECT_FALSE(restoreArch(garbage.data(), garbage.size(), st));
+    std::vector<uint8_t> blob;
+    serializeArch(blob, st);
+    EXPECT_FALSE(restoreArch(blob.data(), blob.size() - 1, st));
+    EXPECT_FALSE(restoreArch(blob.data(), 0, st));
+    EXPECT_EQ(st.pc, 0x42u);
 }
 
 TEST(Checkpoint, RejectsCraftedImagesUntouched)
 {
-    // A valid two-page image, then crafted variants: each must be
-    // rejected before the target state or memory changes.
+    // A valid two-page checkpoint, then variants with a crafted arch
+    // blob: each must be rejected before the target state or memory
+    // changes. (Crafted pack tables and page entries:
+    // SampleStore.RejectsGarbageAndTruncation.)
     iss::ArchState src{};
     src.pc = 0x80001234;
     mem::PhysMem m(0x80000000, 1 << 20);
     m.write(0x80000000, 8, 1);
     m.write(0x80003000, 8, 2);
-    const Checkpoint good = serialize(src, m, 0);
-    const size_t countOff = archHeaderBytes();
-    const size_t base0 = countOff + 8, base1 = base0 + 8 + 4096;
+    const auto good = packBytes(src, m);
+    // The only arch blob starts right after the header and table.
+    const size_t arch = (pack::HEADER_U64 + pack::TABLE_U64) * 8;
+    const size_t privOff = arch + 66 * 8, csrCountOff = arch + 70 * 8;
 
     auto patched = [&](size_t off, uint64_t x) {
-        Checkpoint cp = good;
-        std::memcpy(cp.bytes.data() + off, &x, 8);
-        return cp;
+        auto v = good;
+        std::memcpy(v.data() + off, &x, 8);
+        return v;
     };
-    Checkpoint truncated = good;
-    truncated.bytes.pop_back(); // last page one byte short
-    Checkpoint trailing = good;
-    trailing.bytes.push_back(0); // length no longer exact
-    Checkpoint badMagic = patched(0, 0);
-    Checkpoint badCsrCount = patched(70 * 8, 3);
-    const std::pair<const char *, Checkpoint> bad[] = {
-        // (8 + 4096) * n wraps to exactly the two pages present.
-        {"wrapping count", patched(countOff, 2 + (1ULL << 61))},
-        {"huge count", patched(countOff, ~0ULL)},
-        {"one page too many", patched(countOff, 3)},
-        {"truncated last page", truncated},
-        {"trailing bytes", trailing},
-        {"unaligned base", patched(base1, 0x80003008)},
-        {"base below DRAM", patched(base0, 0x1000)},
-        {"base past DRAM", patched(base1, 0x80100000)},
-        {"bad magic", badMagic},
-        {"bad CSR count", badCsrCount},
+    const std::pair<const char *, std::vector<uint8_t>> bad[] = {
+        {"bad magic", patched(arch, 0)},
+        {"bad CSR count", patched(csrCountOff, 3)},
+        {"reserved privilege", patched(privOff, 2)},
+        {"privilege out of range", patched(privOff, 0x103)},
+        {"arch blob past the end", patched(pack::HEADER_U64 * 8 + 16,
+                                           good.size() - 8)},
     };
 
-    iss::ArchState okState;
-    mem::PhysMem okMem(0x80000000, 1 << 20);
-    ASSERT_TRUE(restore(good, okState, okMem));
-    EXPECT_EQ(okState.pc, src.pc);
-    for (const auto &[what, cp] : bad) {
+    {
+        iss::ArchState okState;
+        mem::PhysMem okMem(0x80000000, 1 << 20);
+        sample::PackReader ok;
+        ASSERT_TRUE(ok.openMemory(good));
+        ASSERT_TRUE(ok.restoreInto(0, okState, okMem));
+        EXPECT_EQ(okState.pc, src.pc);
+    }
+    for (const auto &[what, bytes] : bad) {
+        sample::PackReader p;
+        ASSERT_TRUE(p.openMemory(bytes)) << what;
         iss::ArchState st{};
         st.pc = 0x42;
         st.x[5] = 7;
         mem::PhysMem target(0x80000000, 1 << 20);
         target.write(0x80050000, 8, 9);
-        EXPECT_FALSE(restore(cp, st, target)) << what;
+        EXPECT_FALSE(p.restoreInto(0, st, target)) << what;
         EXPECT_EQ(st.pc, 0x42u) << what;
         EXPECT_EQ(st.x[5], 7u) << what;
         EXPECT_EQ(target.allocatedPages(), 1u) << what;

@@ -130,6 +130,19 @@ TEST(Mjt, RejectsCorruptInput)
 
     std::string padded = serializeMjt(makeArtifact()) + "junk";
     EXPECT_FALSE(parseMjt(padded, art)); // trailing bytes rejected
+
+    // Counter keys are written in ascending order; a repeated or
+    // out-of-order key is corrupt, not a second value.
+    RunArtifact two;
+    two.counters.set("a", 1);
+    two.counters.set("b", 2);
+    std::string swapped = serializeMjt(two);
+    size_t a = swapped.find('a'), b = swapped.find('b');
+    ASSERT_TRUE(parseMjt(swapped, art));
+    swapped[b] = 'a';
+    EXPECT_FALSE(parseMjt(swapped, art)); // "a", "a"
+    swapped[a] = 'b';
+    EXPECT_FALSE(parseMjt(swapped, art)); // "b", "a"
 }
 
 TEST(Mjt, BytesArePinned)

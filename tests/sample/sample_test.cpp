@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/generator.h"
+#include "checkpoint/pack.h"
+#include "common/bytes.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
 #include "sample/engine.h"
@@ -40,6 +43,24 @@ makePack(const cp::GenResult &gen)
     return pack;
 }
 
+/** What a checkpoint of @p st / @p m must carry: the arch blob, then
+ *  every non-zero page as {base, bytes}, ascending. */
+std::vector<uint8_t>
+image(const iss::ArchState &st, const mem::PhysMem &m)
+{
+    std::vector<uint8_t> v;
+    cp::serializeArch(v, st);
+    ByteWriter w(v);
+    m.forEachPage([&](Addr base, const uint8_t *data) {
+        if (std::all_of(data, data + mem::PhysMem::PAGE_SIZE,
+                        [](uint8_t b) { return b == 0; }))
+            return;
+        w.u64(base);
+        w.bytes(data, mem::PhysMem::PAGE_SIZE);
+    });
+    return v;
+}
+
 /** Image of a fresh NEMU run of @p prog to @p insts instructions. */
 std::vector<uint8_t>
 freshImage(const wl::Program &prog, InstCount insts)
@@ -49,11 +70,11 @@ freshImage(const wl::Program &prog, InstCount insts)
     nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
     EXPECT_EQ(nemu.run(insts).executed, insts);
-    return cp::serialize(nemu.state(), sys.dram).bytes;
+    return image(nemu.state(), sys.dram);
 }
 
-/** Every checkpoint of the streamed pack, restored (demand-paged) and
- *  serialized, must equal a fresh run to the same instruction count. */
+/** Every checkpoint of the streamed pack, restored (demand-paged), must
+ *  hold the image of a fresh run to the same instruction count. */
 void
 expectPackMatchesFreshRuns(const wl::Program &prog, const cp::GenResult &gen,
                            const std::string &what)
@@ -66,8 +87,7 @@ expectPackMatchesFreshRuns(const wl::Program &prog, const cp::GenResult &gen,
         iss::ArchState st;
         mem::PhysMem m(0x80000000, 256ull << 20);
         ASSERT_TRUE(pack.restoreInto(i, st, m)) << what;
-        EXPECT_TRUE(cp::serialize(st, m).bytes ==
-                    freshImage(prog, pack.instCount(i)))
+        EXPECT_TRUE(image(st, m) == freshImage(prog, pack.instCount(i)))
             << what << " checkpoint " << i << " @" << pack.instCount(i);
     }
 }
@@ -79,15 +99,21 @@ TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
     ASSERT_GE(gen.checkpoints.size(), 2u);
     expectPackMatchesFreshRuns(prog, gen, "coremark");
 
-    // The demand-paged restore holds exactly the eager restore's pages
-    // and reads back identical memory, zero-elided pages included.
+    // A demand-paged restore, packed again into a one-slot pack and
+    // restored, holds the same image and reads back identical memory,
+    // zero-elided pages included.
     auto pack = makePack(gen);
     for (size_t i = 0; i < pack.count(); ++i) {
         iss::ArchState a, b;
-        mem::PhysMem memA(0x80000000, 1 << 26);
         mem::PhysMem memB(0x80000000, 1 << 26);
         ASSERT_TRUE(pack.restoreInto(i, b, memB));
-        ASSERT_TRUE(cp::restore(cp::serialize(b, memB), a, memA));
+        cp::PackWriter w(1, 1);
+        w.snapshot(0, b, memB, 0, 1);
+        sample::PackReader again;
+        ASSERT_TRUE(again.openMemory(w.bytes()));
+        mem::PhysMem memA(0x80000000, 1 << 26);
+        ASSERT_TRUE(again.restoreInto(0, a, memA));
+        EXPECT_EQ(image(a, memA), image(b, memB)) << "checkpoint " << i;
         EXPECT_EQ(a.pc, b.pc) << "checkpoint " << i;
         EXPECT_EQ(a.instret, b.instret);
         for (Addr addr = 0x80000000; addr < 0x80000000 + 0x40000;
@@ -264,12 +290,25 @@ TEST(SampleEngine, SliceBlobRoundtrip)
     sample::SliceResult bad;
     EXPECT_FALSE(sample::decodeSlice({1, 2, 3}, bad));
 
-    // A key length of ~0 must fail the decode, not wrap the bounds
-    // check and throw from the string constructor.
-    auto blob = sample::encodeSlice(s);
-    const uint64_t huge = ~0ULL;
-    std::memcpy(blob.data() + 40, &huge, 8); // first key's length
+    // A key length of ~0 must fail the decode, not run past the blob.
+    const auto good = sample::encodeSlice(s);
+    auto blob = good;
+    const uint32_t huge = ~0U;
+    std::memcpy(blob.data() + 36, &huge, 4); // first key's length
     EXPECT_FALSE(sample::decodeSlice(blob, bad));
+
+    // A short pipe read (any cut) and a padded blob are rejected, and
+    // the output is left as it was.
+    bad.cycles = 99;
+    for (size_t len = 0; len < good.size(); ++len) {
+        std::vector<uint8_t> cut(good.begin(),
+                                 good.begin() + static_cast<ptrdiff_t>(len));
+        EXPECT_FALSE(sample::decodeSlice(cut, bad)) << "cut at " << len;
+    }
+    auto padded = good;
+    padded.push_back(0);
+    EXPECT_FALSE(sample::decodeSlice(padded, bad));
+    EXPECT_EQ(bad.cycles, 99u);
 }
 
 TEST(SampleEngine, WorkerCountInvariance)

@@ -14,12 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "campaign/campaign.h"
+#include "common/parse.h"
 #include "isa/op.h"
 #include "obs/topdown.h"
 
@@ -96,8 +97,8 @@ parseBug(const std::string &arg, BugInject &bug)
     size_t colon = arg.find(':');
     if (colon != std::string::npos) {
         opName = arg.substr(0, colon);
-        bug.xorMask = std::strtoull(arg.c_str() + colon + 1, nullptr, 0);
-        if (bug.xorMask == 0)
+        if (!parseU64(arg.c_str() + colon + 1, bug.xorMask) ||
+            bug.xorMask == 0)
             return false;
     }
     for (int i = 0; i < static_cast<int>(isa::Op::NumOps); ++i) {
@@ -109,6 +110,18 @@ parseBug(const std::string &arg, BugInject &bug)
         }
     }
     return false;
+}
+
+/** Parse @p text into @p out, which must be able to hold it. */
+template <typename T>
+bool
+parseNum(const char *text, T &out)
+{
+    uint64_t x = 0;
+    if (!parseU64(text, x) || x > std::numeric_limits<T>::max())
+        return false;
+    out = static_cast<T>(x);
+    return true;
 }
 
 } // namespace
@@ -127,24 +140,21 @@ main(int argc, char **argv)
             return i + 1 < argc ? argv[++i] : nullptr;
         };
         const char *v = nullptr;
+        bool number = true; // false: v is a malformed number
         if (a == "--seeds" && (v = next()))
-            cfg.seedCount = std::strtoull(v, nullptr, 0);
+            number = parseNum(v, cfg.seedCount);
         else if (a == "--seed-base" && (v = next()))
-            cfg.seedBase = std::strtoull(v, nullptr, 0);
+            number = parseNum(v, cfg.seedBase);
         else if (a == "--jobs" && (v = next()))
-            cfg.workers = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 0));
+            number = parseNum(v, cfg.workers);
         else if (a == "--insts" && (v = next()))
-            cfg.nInsts = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 0));
+            number = parseNum(v, cfg.nInsts);
         else if (a == "--fp-pct" && (v = next()))
-            cfg.fpPct = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            number = parseNum(v, cfg.fpPct);
         else if (a == "--rvc-pct" && (v = next()))
-            cfg.rvcPct =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            number = parseNum(v, cfg.rvcPct);
         else if (a == "--difftest-pct" && (v = next()))
-            cfg.difftestPct =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+            number = parseNum(v, cfg.difftestPct);
         else if (a == "--pairs" && (v = next())) {
             if (!parsePairs(v, cfg.pairs)) {
                 std::fprintf(stderr, "bad --pairs: %s\n", v);
@@ -177,6 +187,11 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr, "unknown option: %s\n", a.c_str());
             usage();
+            return 2;
+        }
+        if (!number) {
+            std::fprintf(stderr, "%s needs a number, got '%s'\n", a.c_str(),
+                         v);
             return 2;
         }
     }

@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,6 +32,7 @@
 #include "archdb/archdb.h"
 #include "checkpoint/generator.h"
 #include "common/clock.h"
+#include "common/parse.h"
 #include "difftest/difftest.h"
 #include "iss/interp.h"
 #include "iss/system.h"
@@ -407,18 +407,6 @@ runSampledFlow(const Options &opt, const wl::Program &prog,
         return 1;
     }
     return 0;
-}
-
-/** A whole-string unsigned number (decimal, 0x hex or 0 octal). */
-bool
-parseU64(const char *text, uint64_t &out)
-{
-    if (!*text || *text == '-' || *text == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(text, &end, 0);
-    return *end == '\0' && errno == 0;
 }
 
 /** Parse argv into @p opt; returns what is wrong, or "" if nothing. */
