@@ -12,12 +12,13 @@ const std::vector<RuleInfo> CATALOG = {
      "iteration) reachable from a deterministic path",
      {"src/campaign/", "src/difftest/", "src/archdb/", "src/obs/",
       "src/checkpoint/", "src/sample/", "src/xiangshan/", "tools/"}},
-    // The tracer's record path runs between LightSSS fork points, and
-    // the sample engine forks one worker per SimPoint slice.
+    // The tracer's record path runs between LightSSS fork points; slices
+    // and campaign jobs run in fork pool workers, behind a std::function.
     {"MJ-FRK2-001",
      "fork-unsafe work (threads, locks, buffered stdio, fflush, exit) "
      "reachable from a fork point",
-     {"src/lightsss/", "src/obs/", "src/sample/"}},
+     {"src/lightsss/", "src/obs/", "src/sample/", "src/campaign/",
+      "src/common/fork_pool.cpp"}},
     {"MJ-PRB2-001",
      "arch-state store reachable from engine code without passing an "
      "accessor choke point",

@@ -1,18 +1,19 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <thread>
 
 #include "campaign/corpus.h"
 #include "campaign/shrink.h"
+#include "common/bytes.h"
 #include "common/clock.h"
+#include "common/fork_pool.h"
 #include "common/jsonw.h"
 #include "difftest/difftest.h"
-#include "xiangshan/config.h"
+#include "obs/serialize.h"
 
 namespace minjie::campaign {
 
@@ -24,38 +25,66 @@ namespace {
  *  program generator draws (both start from the campaign seed). */
 constexpr uint64_t PLAN_SALT = 0x9e3779b97f4a7c15ULL;
 
-/** Run @p prog under full DiffTest co-simulation; empty sig == clean. */
-std::string
-runDiffTestOnce(const wl::Program &prog, uint64_t maxCycles,
-                const xs::ModelOpts &model, uint64_t *commits,
-                std::string *detail, PerfSummary *perf = nullptr)
+constexpr uint64_t JOB_MAGIC = 0x4d4a4a4230303031ULL; // "MJJB0001"
+
+/** The per-job DUT counters: `perf_jobs` JSON name, counter key, and
+ *  the core counter copied. */
+using PC = xs::PerfCounters;
+constexpr struct
 {
-    xs::CoreConfig cc = xs::CoreConfig::nh();
-    cc.model = model;
-    xs::Soc soc(cc);
+    const char *json, *key;
+    uint64_t PC::*field;
+} PERF_FIELDS[] = {
+    {"cycles", "dut.cycles", &PC::cycles},
+    {"instrs", "dut.instrs", &PC::instrs},
+    {"branches", "dut.branches", &PC::branches},
+    {"branch_mispredicts", "dut.branch_mispredicts", &PC::branchMispredicts},
+    {"td_retiring", "dut.topdown.retiring", &PC::tdRetiring},
+    {"td_frontend", "dut.topdown.frontend", &PC::tdFrontend},
+    {"td_bad_speculation", "dut.topdown.bad_speculation", &PC::tdBadSpec},
+    {"td_backend_memory", "dut.topdown.backend_memory", &PC::tdBackendMem},
+    {"td_backend_core", "dut.topdown.backend_core", &PC::tdBackendCore},
+};
+
+std::string
+jobKind(const JobPlan &plan)
+{
+    return plan.difftest ? "difftest"
+                         : std::string(engineName(plan.a)) + "-vs-" +
+                               engineName(plan.b);
+}
+
+/** Check @p prog the way @p plan says, for a job or a shrink step:
+ *  everything of a JobResult but seed and host time. */
+JobResult
+check(const CampaignConfig &cfg, const JobPlan &plan, const wl::Program &prog)
+{
+    JobResult jr;
+    jr.kind = jobKind(plan);
+    if (!plan.difftest) {
+        LockstepResult lr =
+            runLockstep(plan.a, plan.b, prog, cfg.maxSteps,
+                        cfg.bug.enabled ? &cfg.bug : nullptr);
+        jr.steps = lr.steps;
+        jr.failed = lr.div.diverged();
+        jr.signature = jr.failed ? lr.div.signature() : "";
+        jr.detail = jr.failed ? lr.div.describe() : "";
+        return jr;
+    }
+    xs::Soc soc(xs::CoreConfig::nh());
     difftest::DiffTest dt(soc);
     dt.loadProgram(prog);
-    dt.run(maxCycles);
-    if (commits)
-        *commits = dt.stats().commitsChecked;
-    if (perf) {
-        const xs::PerfCounters &p = soc.core(0).perf();
-        perf->valid = true;
-        perf->cycles = p.cycles;
-        perf->instrs = p.instrs;
-        perf->branches = p.branches;
-        perf->branchMispredicts = p.branchMispredicts;
-        perf->tdRetiring = p.tdRetiring;
-        perf->tdFrontend = p.tdFrontend;
-        perf->tdBadSpec = p.tdBadSpec;
-        perf->tdBackendMem = p.tdBackendMem;
-        perf->tdBackendCore = p.tdBackendCore;
+    dt.run(cfg.difftestMaxCycles);
+    jr.steps = dt.stats().commitsChecked;
+    if (cfg.perf) {
+        jr.perf.set("dut.jobs", 1);
+        for (const auto &f : PERF_FIELDS)
+            jr.perf.set(f.key, soc.core(0).perf().*f.field);
     }
-    if (dt.ok())
-        return "";
-    if (detail)
-        *detail = dt.failures().front();
-    return dt.divergence().signature();
+    jr.failed = !dt.ok();
+    jr.signature = jr.failed ? dt.divergence().signature() : "";
+    jr.detail = jr.failed ? dt.failures().front() : "";
+    return jr;
 }
 
 } // namespace
@@ -98,36 +127,48 @@ runJob(const CampaignConfig &cfg, uint64_t seed)
     Stopwatch sw;
     JobPlan plan = planJob(cfg, seed);
     Rng rng(seed);
-    wl::ShrinkableProgram sp = wl::randomShrinkable(rng, plan.spec);
-    wl::Program prog = sp.assemble();
-
-    JobResult jr;
+    JobResult jr =
+        check(cfg, plan, wl::randomShrinkable(rng, plan.spec).assemble());
     jr.seed = seed;
-    if (plan.difftest) {
-        jr.kind = "difftest";
-        uint64_t commits = 0;
-        std::string detail;
-        jr.signature = runDiffTestOnce(prog, cfg.difftestMaxCycles,
-                                       cfg.xsModel, &commits, &detail,
-                                       cfg.perf ? &jr.perf : nullptr);
-        jr.steps = commits;
-        jr.failed = !jr.signature.empty();
-        jr.detail = detail;
-    } else {
-        jr.kind = std::string(engineName(plan.a)) + "-vs-" +
-                  engineName(plan.b);
-        const BugInject *bug = cfg.bug.enabled ? &cfg.bug : nullptr;
-        LockstepResult lr = runLockstep(plan.a, plan.b, prog,
-                                        cfg.maxSteps, bug, cfg.lockstep);
-        jr.steps = lr.steps;
-        jr.failed = lr.div.diverged();
-        if (jr.failed) {
-            jr.signature = lr.div.signature();
-            jr.detail = lr.div.describe();
-        }
-    }
     jr.sec = sw.elapsedSec();
     return jr;
+}
+
+std::vector<uint8_t>
+encodeJob(const JobResult &jr)
+{
+    std::vector<uint8_t> v;
+    ByteWriter w(v);
+    w.u64(JOB_MAGIC);
+    w.u64(jr.seed);
+    w.u8(jr.failed ? 1 : 0);
+    w.str(jr.kind);
+    w.str(jr.signature);
+    w.str(jr.detail);
+    w.u64(jr.steps);
+    w.u64(std::bit_cast<uint64_t>(jr.sec));
+    obs::writeCounters(w, jr.perf);
+    return v;
+}
+
+bool
+decodeJob(const std::vector<uint8_t> &blob, JobResult &jr)
+{
+    ByteReader in(blob);
+    if (in.u64() != JOB_MAGIC)
+        return false;
+    JobResult out;
+    out.seed = in.u64();
+    out.failed = in.u8() != 0;
+    out.kind = in.str();
+    out.signature = in.str();
+    out.detail = in.str();
+    out.steps = in.u64();
+    out.sec = std::bit_cast<double>(in.u64());
+    if (!obs::readCounters(in, out.perf) || !in.done())
+        return false;
+    jr = std::move(out);
+    return true;
 }
 
 CampaignReport
@@ -139,31 +180,24 @@ runCampaign(const CampaignConfig &cfg)
     rep.workers.resize(std::max(1u, cfg.workers));
 
     Stopwatch wall;
-    std::atomic<uint64_t> next{0};
-
-    auto workerFn = [&](unsigned wid) {
-        for (;;) {
-            uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= cfg.seedCount)
-                break;
-            JobResult jr = runJob(cfg, cfg.seedBase + i);
-            jr.worker = wid;
-            rep.workers[wid].busySec += jr.sec;
-            ++rep.workers[wid].jobs;
-            rep.results[i] = std::move(jr);
-        }
-    };
-
-    if (cfg.workers <= 1) {
-        workerFn(0);
-    } else {
-        std::vector<std::thread> pool;
-        for (unsigned w = 0; w < cfg.workers; ++w)
-            pool.emplace_back(workerFn, w);
-        for (auto &t : pool)
-            t.join();
-    }
+    auto blobs = runPool(cfg.seedCount, cfg.workers, [&](size_t i) {
+        return encodeJob(runJob(cfg, cfg.seedBase + i));
+    });
     rep.elapsedSec = wall.elapsedSec();
+    for (size_t i = 0; i < blobs.size(); ++i) {
+        JobResult &jr = rep.results[i];
+        if (!blobs[i].ok || !decodeJob(blobs[i].bytes, jr)) {
+            // Its worker died (or sent garbage): failed, of its planned kind.
+            jr.seed = cfg.seedBase + i;
+            jr.failed = true;
+            jr.kind = jobKind(planJob(cfg, jr.seed));
+            jr.signature = blobs[i].ok ? "crash:bad-blob"
+                                       : describeWaitStatus(blobs[i].status);
+            jr.detail = "worker process lost the job: " + jr.signature;
+        }
+        rep.workers[blobs[i].worker].busySec += jr.sec;
+        ++rep.workers[blobs[i].worker].jobs;
+    }
 
     // ---- bucket failures by signature, in seed order ----
     std::map<std::string, size_t> index;
@@ -192,36 +226,21 @@ runCampaign(const CampaignConfig &cfg)
                    ? static_cast<double>(totalSteps) / rep.elapsedSec / 1e6
                    : 0;
 
-    // ---- shrink one representative per bucket (deterministic:
-    // single-threaded, bucket order is first-failing-seed order) ----
+    // ---- shrink one representative per bucket (deterministic: in
+    // this process, bucket order is first-failing-seed order) ----
     if (cfg.shrinkFailures) {
         for (auto &b : rep.buckets) {
+            // Rerunning a lost job could crash this process too.
+            if (b.signature.starts_with("crash:") ||
+                b.signature.starts_with("exit:"))
+                continue;
             JobPlan plan = planJob(cfg, b.repSeed);
             Rng rng(b.repSeed);
             wl::ShrinkableProgram sp =
                 wl::randomShrinkable(rng, plan.spec);
-
-            SignatureFn sig;
-            if (plan.difftest) {
-                uint64_t cycles = cfg.difftestMaxCycles;
-                xs::ModelOpts model = cfg.xsModel;
-                sig = [cycles, model](const wl::Program &p) {
-                    return runDiffTestOnce(p, cycles, model, nullptr,
-                                           nullptr);
-                };
-            } else {
-                const CampaignConfig *c = &cfg;
-                Engine ea = plan.a, eb = plan.b;
-                sig = [c, ea, eb](const wl::Program &p) {
-                    const BugInject *bug =
-                        c->bug.enabled ? &c->bug : nullptr;
-                    LockstepResult lr = runLockstep(
-                        ea, eb, p, c->maxSteps, bug, c->lockstep);
-                    return lr.div.diverged() ? lr.div.signature()
-                                             : std::string();
-                };
-            }
-
+            SignatureFn sig = [&cfg, plan](const wl::Program &p) {
+                return check(cfg, plan, p).signature;
+            };
             ShrinkResult sr = shrinkProgram(sp, b.signature, sig);
             b.shrunkChunks =
                 static_cast<unsigned>(sr.program.chunks.size());
@@ -295,35 +314,26 @@ CampaignReport::toJson() const
     }
     jw.endArray();
 
-    bool anyPerf = false;
-    for (const auto &jr : results)
-        anyPerf = anyPerf || jr.perf.valid;
-    if (anyPerf) {
+    // Aggregate view: the worker-count-invariant merged snapshot.
+    obs::CounterSnapshot total = perfCounters();
+    if (!total.values.empty()) {
         jw.key("perf_jobs").beginArray();
         for (const auto &jr : results) {
-            if (!jr.perf.valid)
+            if (jr.perf.values.empty())
                 continue;
-            const PerfSummary &p = jr.perf;
-            double ipc = p.cycles ? static_cast<double>(p.instrs) /
-                                        static_cast<double>(p.cycles)
-                                  : 0.0;
+            double cycles = static_cast<double>(jr.perf.get("dut.cycles"));
             jw.beginObject();
             jw.key("seed").value(jr.seed);
-            jw.key("cycles").value(p.cycles);
-            jw.key("instrs").value(p.instrs);
-            jw.key("ipc").value(ipc);
-            jw.key("branches").value(p.branches);
-            jw.key("branch_mispredicts").value(p.branchMispredicts);
-            jw.key("td_retiring").value(p.tdRetiring);
-            jw.key("td_frontend").value(p.tdFrontend);
-            jw.key("td_bad_speculation").value(p.tdBadSpec);
-            jw.key("td_backend_memory").value(p.tdBackendMem);
-            jw.key("td_backend_core").value(p.tdBackendCore);
+            for (const auto &f : PERF_FIELDS) {
+                uint64_t v = jr.perf.get(f.key);
+                jw.key(f.json).value(v);
+                if (f.field == &PC::instrs) // ipc follows instrs
+                    jw.key("ipc").value(
+                        cycles > 0 ? static_cast<double>(v) / cycles : 0.0);
+            }
             jw.endObject();
         }
         jw.endArray();
-        // Aggregate view: the worker-count-invariant merged snapshot.
-        obs::CounterSnapshot total = perfCounters();
         jw.key("perf_total").beginObject();
         for (const auto &[k, v] : total.values)
             jw.key(k).value(v);
@@ -376,23 +386,8 @@ obs::CounterSnapshot
 CampaignReport::perfCounters() const
 {
     obs::CounterSnapshot total;
-    for (const auto &jr : results) {
-        if (!jr.perf.valid)
-            continue;
-        const PerfSummary &p = jr.perf;
-        obs::CounterSnapshot one;
-        one.set("dut.jobs", 1);
-        one.set("dut.cycles", p.cycles);
-        one.set("dut.instrs", p.instrs);
-        one.set("dut.branches", p.branches);
-        one.set("dut.branch_mispredicts", p.branchMispredicts);
-        one.set("dut.topdown.retiring", p.tdRetiring);
-        one.set("dut.topdown.frontend", p.tdFrontend);
-        one.set("dut.topdown.bad_speculation", p.tdBadSpec);
-        one.set("dut.topdown.backend_memory", p.tdBackendMem);
-        one.set("dut.topdown.backend_core", p.tdBackendCore);
-        total.merge(one);
-    }
+    for (const auto &jr : results)
+        total.merge(jr.perf);
     return total;
 }
 

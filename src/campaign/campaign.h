@@ -25,7 +25,6 @@
 #include "campaign/lockstep.h"
 #include "obs/counter.h"
 #include "workload/shrinkable.h"
-#include "xiangshan/config.h"
 
 namespace minjie::campaign {
 
@@ -34,7 +33,7 @@ struct CampaignConfig
 {
     uint64_t seedBase = 1;
     uint64_t seedCount = 100;
-    unsigned workers = 1;       ///< worker threads (jobs in flight)
+    unsigned workers = 1;       ///< worker processes (<= 1: in-process)
     unsigned nInsts = 300;      ///< body instructions per random program
     uint64_t maxSteps = 100'000; ///< lockstep instruction budget per job
     uint64_t difftestMaxCycles = 2'000'000;
@@ -53,30 +52,9 @@ struct CampaignConfig
     };
 
     BugInject bug;              ///< optional self-test corruption
-    LockstepOptions lockstep;   ///< NEMU ablation flags for every job
-    xs::ModelOpts xsModel;      ///< DUT fast-path ablations (--xs-no-*)
     bool shrinkFailures = true; ///< delta-debug one rep per bucket
     std::string corpusDir;      ///< when set, write minimized failures
-    bool perf = false;          ///< collect per-job DUT perf summaries
-};
-
-/**
- * DUT performance summary of one DiffTest job (collected under
- * CampaignConfig::perf). A pure function of the seed, so aggregation
- * across workers is invariant.
- */
-struct PerfSummary
-{
-    bool valid = false;
-    uint64_t cycles = 0;
-    uint64_t instrs = 0;
-    uint64_t branches = 0;
-    uint64_t branchMispredicts = 0;
-    uint64_t tdRetiring = 0;
-    uint64_t tdFrontend = 0;
-    uint64_t tdBadSpec = 0;
-    uint64_t tdBackendMem = 0;
-    uint64_t tdBackendCore = 0;
+    bool perf = false;          ///< collect per-job DUT counters
 };
 
 /** What one seed runs: derived deterministically by planJob(). */
@@ -88,7 +66,8 @@ struct JobPlan
     workload::RandomSpec spec;
 };
 
-/** Outcome of one job. */
+/** Outcome of one job. A job whose worker died fails with its planned
+ *  kind and signature `crash:SIG<NAME>` or `exit:<code>`, unshrunk. */
 struct JobResult
 {
     uint64_t seed = 0;
@@ -98,8 +77,9 @@ struct JobResult
     std::string detail;    ///< human-readable first divergence
     uint64_t steps = 0;    ///< instructions checked (per engine)
     double sec = 0;
-    unsigned worker = 0;
-    PerfSummary perf;      ///< filled for DiffTest jobs under --perf
+    /** DiffTest job under CampaignConfig::perf: its DUT counters
+     *  ("dut.jobs" = 1, "dut.cycles", "dut.topdown.*"); else empty. */
+    obs::CounterSnapshot perf;
 };
 
 /** Failures grouped by divergence signature. */
@@ -151,13 +131,8 @@ struct CampaignReport
      */
     std::vector<KindTime> kindTimes() const;
 
-    /**
-     * Merge every per-job PerfSummary into one counter snapshot
-     * (keys "dut.cycles", "dut.topdown.retiring", ...). Deterministic
-     * and worker-count-invariant: results are iterated in seed order
-     * and merge() is a commutative sum, so 1-worker and N-worker runs
-     * of the same seed range serialize byte-identically.
-     */
+    /** Every job's DUT counters merged in seed order. merge() is a
+     *  commutative sum, so any worker count gives the same bytes. */
     obs::CounterSnapshot perfCounters() const;
 };
 
@@ -167,8 +142,14 @@ JobPlan planJob(const CampaignConfig &cfg, uint64_t seed);
 /** Run a single job (used by workers, shrinking and tests). */
 JobResult runJob(const CampaignConfig &cfg, uint64_t seed);
 
-/** Run the whole campaign with cfg.workers threads. */
+/** Run the whole campaign on cfg.workers pool processes. */
 CampaignReport runCampaign(const CampaignConfig &cfg);
+
+/** The pool blob of a job result (exposed for tests): every field,
+ *  perf in the `.mjt` counter-map encoding. decodeJob rejects,
+ *  with @p jr untouched, any blob that is not exactly one result. */
+std::vector<uint8_t> encodeJob(const JobResult &jr);
+bool decodeJob(const std::vector<uint8_t> &blob, JobResult &jr);
 
 } // namespace minjie::campaign
 

@@ -53,8 +53,7 @@ struct EngineBox
 };
 
 std::unique_ptr<EngineBox>
-makeEngine(Engine kind, const workload::Program &prog,
-           const LockstepOptions &opts)
+makeEngine(Engine kind, const workload::Program &prog)
 {
     auto box = std::make_unique<EngineBox>();
     prog.loadInto(box->sys.dram);
@@ -71,14 +70,10 @@ makeEngine(Engine kind, const workload::Program &prog,
         box->interp =
             std::make_unique<TciInterp>(box->sys.bus, 0, prog.entry);
         break;
-      case Engine::Nemu: {
-        auto n = std::make_unique<nemu::Nemu>(
+      case Engine::Nemu:
+        box->interp = std::make_unique<nemu::Nemu>(
             box->sys.bus, box->sys.dram, 0, prog.entry);
-        n->setChainingEnabled(opts.nemuChain);
-        n->setFastPathEnabled(opts.nemuFastPath);
-        box->interp = std::move(n);
         break;
-      }
     }
     return box;
 }
@@ -176,11 +171,10 @@ Divergence::describe() const
 
 LockstepResult
 runLockstep(Engine a, Engine b, const workload::Program &prog,
-            uint64_t maxSteps, const BugInject *bug,
-            const LockstepOptions &opts)
+            uint64_t maxSteps, const BugInject *bug)
 {
-    auto ea = makeEngine(a, prog, opts);
-    auto eb = makeEngine(b, prog, opts);
+    auto ea = makeEngine(a, prog);
+    auto eb = makeEngine(b, prog);
     LockstepResult res;
     Divergence &d = res.div;
 

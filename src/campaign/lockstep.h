@@ -80,19 +80,6 @@ struct LockstepResult
 };
 
 /**
- * Per-run engine tuning. The NEMU ablation flags mirror
- * `--nemu-no-chain` / `--nemu-no-fastpath`: the campaign exercises the
- * chained fast-path engine by default (divergences there are exactly
- * what co-simulation exists to catch), but either optimization can be
- * switched off to bisect a miscompare.
- */
-struct LockstepOptions
-{
-    bool nemuChain = true;    ///< block chaining + superblocks
-    bool nemuFastPath = true; ///< host-pointer TLB + direct-DRAM path
-};
-
-/**
  * Compare every segment of @p prog between memories @p a and @p b, a
  * page-sized chunk at a time. At the first differing byte, fill @p div
  * (kind Memory, pc = its address, reg = its offset in the segment,
@@ -112,8 +99,7 @@ bool compareMemory(mem::PhysMem &a, mem::PhysMem &b,
  */
 LockstepResult runLockstep(Engine a, Engine b, const workload::Program &prog,
                            uint64_t maxSteps,
-                           const BugInject *bug = nullptr,
-                           const LockstepOptions &opts = {});
+                           const BugInject *bug = nullptr);
 
 } // namespace minjie::campaign
 

@@ -26,9 +26,8 @@ Logger::log(LogLevel level, const char *fmt, ...)
         return;
     static const char *names[] = {"DEBUG", "INFO", "WARN", "ERROR"};
 
-    // Format the whole line first and emit it with ONE stdio call:
-    // concurrent campaign workers then interleave whole lines, never
-    // fragments (stdio locks per call, not per line).
+    // Format the whole line first and emit it with ONE stdio call: pool
+    // workers sharing stderr then interleave whole lines, never fragments.
     char body[960];
     va_list args;
     va_start(args, fmt);
@@ -42,7 +41,6 @@ Logger::log(LogLevel level, const char *fmt, ...)
     // both the parent and the snapshot child (lint MJ-FRK2-001).
     if (out != stderr)
         std::fflush(out);
-    lines_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

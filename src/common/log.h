@@ -10,7 +10,6 @@
 #ifndef MINJIE_COMMON_LOG_H
 #define MINJIE_COMMON_LOG_H
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -40,19 +39,10 @@ class Logger
     void log(LogLevel level, const char *fmt, ...)
         __attribute__((format(printf, 3, 4)));
 
-    /** Number of log lines emitted (used by tests). */
-    uint64_t
-    linesEmitted() const
-    {
-        return lines_.load(std::memory_order_relaxed);
-    }
-
   private:
     Logger() = default;
     LogLevel level_ = LogLevel::Warn;
     FILE *out_ = nullptr;
-    // Atomic: campaign worker threads log through the one instance.
-    std::atomic<uint64_t> lines_{0};
 };
 
 #define MJ_DEBUG(...) \

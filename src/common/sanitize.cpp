@@ -1,14 +1,10 @@
 /**
  * @file
  * Runtime defaults for sanitized builds (MINJIE_SANITIZE=...), tuned
- * for the fork()-based LightSSS snapshot scheme:
+ * for the fork()-based processes (LightSSS snapshots, pool workers):
  *
- *  - TSan aborts a multi-threaded process that forks unless told
- *    otherwise; LightSSS snapshots do exactly that (the campaign pool
- *    may be alive around the snapshotter), so die_after_fork=0. The
- *    snapshot child itself is single-threaded and exits via _exit().
- *  - ASan leak checking runs from atexit handlers; snapshot children
- *    leave through _exit() (LightSSS::finishReplay), so leaks are
+ *  - ASan leak checking runs from atexit handlers; forked children
+ *    (snapshots, pool workers) leave through _exit(), so leaks are
  *    reported exactly once, by the parent. abort_on_error makes a
  *    report kill the test instead of just logging.
  *  - UBSan prints the stack for every report and halts: a UB report
@@ -34,17 +30,6 @@ __asan_default_options()
            "detect_leaks=1:"
            "check_initialization_order=1:"
            "strict_init_order=1";
-}
-#endif
-
-#if defined(__SANITIZE_THREAD__) || MJ_HAS_FEATURE(thread_sanitizer)
-extern "C" const char *
-__tsan_default_options()
-{
-    // die_after_fork=0 is what makes LightSSS runnable under TSan.
-    return "die_after_fork=0:"
-           "halt_on_error=1:"
-           "second_deadlock_stack=1";
 }
 #endif
 

@@ -9,11 +9,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#if defined(__GLIBC__)
-#include <stdio_ext.h> // __fpurge: discard inherited stdio buffers
-#endif
-
 #include "common/clock.h"
+#include "common/fork_pool.h"
 #include "common/log.h"
 
 namespace minjie::lightsss {
@@ -102,7 +99,7 @@ LightSSS::tick(Cycle now)
     }
 
     Stopwatch sw;
-    pid_t pid = fork();
+    pid_t pid = forkChild();
     if (pid < 0) {
         MJ_WARN("LightSSS: fork() failed: %s", strerror(errno));
         close(pipefd[0]);
@@ -111,17 +108,8 @@ LightSSS::tick(Cycle now)
     }
 
     if (pid == 0) {
-        // Snapshot child: the parent's buffered-but-unflushed stdio
-        // bytes were duplicated into this address space by fork(). The
-        // parent will flush them itself, so DISCARD our copy — flushing
-        // it later would emit those bytes twice. Purge before the child
-        // produces any output of its own so nothing legitimate is lost.
-#if defined(__GLIBC__)
-        __fpurge(stdout);
-        __fpurge(stdin);
-#endif
-        // Release inherited snapshot handles (they belong to the
-        // parent) and sleep until woken.
+        // Snapshot child: release inherited snapshot handles (they
+        // belong to the parent) and sleep until woken.
         close(pipefd[1]);
         for (auto &snap : snapshots_)
             close(snap.wakeFd);

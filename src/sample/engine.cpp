@@ -1,18 +1,11 @@
 #include "sample/engine.h"
 
-#include <cerrno>
-
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
-#if defined(__GLIBC__)
-#include <malloc.h>    // malloc_trim
-#include <stdio_ext.h> // __fpurge: discard inherited stdio buffers
-#endif
 
 #include "checkpoint/pack.h"
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/fork_pool.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
 #include "obs/collect.h"
@@ -23,34 +16,6 @@ namespace minjie::sample {
 namespace {
 
 constexpr uint64_t BLOB_MAGIC = 0x4d4a534c30303031ULL; // "MJSL0001"
-
-bool
-writeAll(int fd, const uint8_t *p, size_t n)
-{
-    while (n) {
-        ssize_t w = ::write(fd, p, n);
-        if (w <= 0)
-            return false;
-        p += static_cast<size_t>(w);
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/** Drain @p fd to EOF (the child writes one blob and exits). */
-std::vector<uint8_t>
-readAll(int fd)
-{
-    std::vector<uint8_t> out;
-    uint8_t buf[4096];
-    for (;;) {
-        ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r <= 0)
-            break;
-        out.insert(out.end(), buf, buf + r);
-    }
-    return out;
-}
 
 /** Snapshot the whole SoC counter tree with bare "core0.*" keys. */
 obs::CounterSnapshot
@@ -100,7 +65,7 @@ SliceResult
 runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
 {
     SliceResult res;
-    if (i >= pack.count() || i == cfg.crashSliceForTest)
+    if (i >= pack.count())
         return res;
 
     PackReader handoff; // outlives soc, whose memory maps its pages
@@ -139,68 +104,6 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
     return res;
 }
 
-namespace {
-
-struct Inflight
-{
-    pid_t pid;
-    int fd;
-    size_t idx;
-};
-
-/** Child body: evaluate one slice, pipe the blob back, _exit. Never
- *  returns. The child inherits the parent's read-only pack mapping
- *  (or COW heap copy), so no checkpoint bytes are re-transferred. */
-[[noreturn]] void
-childMain(const PackReader &pack, size_t idx, const SampleConfig &cfg,
-          int wfd)
-{
-#if defined(__GLIBC__)
-    // Discard stdio bytes duplicated from the parent by fork(); the
-    // parent flushes its own copy. This worker writes only to wfd.
-    __fpurge(stdout);
-    __fpurge(stdin);
-#endif
-    if (idx == cfg.crashSliceForTest)
-        ::_exit(42); // simulated crash: die without reporting
-    SliceResult r = runSlice(pack, idx, cfg);
-    auto blob = encodeSlice(r);
-    writeAll(wfd, blob.data(), blob.size());
-    ::close(wfd);
-    ::_exit(0);
-}
-
-/** Reap whichever in-flight worker reports first into its result
- *  slot, so one long slice does not hold back the refill. */
-void
-reapOne(std::vector<Inflight> &inflight, std::vector<SliceResult> &out)
-{
-    std::vector<pollfd> fds;
-    fds.reserve(inflight.size());
-    for (const Inflight &f : inflight)
-        fds.push_back({f.fd, POLLIN, 0});
-    int ready;
-    do {
-        ready = ::poll(fds.data(), fds.size(), -1);
-    } while (ready < 0 && errno == EINTR);
-    size_t k = 0; // poll failed: block on the oldest instead
-    while (ready > 0 && k + 1 < fds.size() && fds[k].revents == 0)
-        ++k;
-    Inflight f = inflight[k];
-    inflight.erase(inflight.begin() + static_cast<ptrdiff_t>(k));
-    std::vector<uint8_t> blob = readAll(f.fd);
-    ::close(f.fd);
-    int status = 0;
-    ::waitpid(f.pid, &status, 0);
-    bool cleanExit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    SliceResult r;
-    if (!cleanExit || !decodeSlice(blob, r))
-        r = SliceResult{}; // crashed / truncated pipe: failed slice
-    out[f.idx] = std::move(r);
-}
-
-} // namespace
-
 SampleReport
 runSampled(const PackReader &pack, const SampleConfig &cfg)
 {
@@ -210,55 +113,21 @@ runSampled(const PackReader &pack, const SampleConfig &cfg)
     rep.slices.resize(n);
 
     Stopwatch sw;
-    if (cfg.workers <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            rep.slices[i] = runSlice(pack, i, cfg);
-    } else {
-#if defined(__GLIBC__)
-        // fork() copies the page-table entries of every resident heap
-        // page, freed ones included (e.g. a pack writer's pool just
-        // serialized): hand those back first so no worker inherits them.
-        ::malloc_trim(0);
-#endif
-        std::vector<Inflight> inflight;
-        size_t next = 0;
-        while (next < n || !inflight.empty()) {
-            if (next < n && inflight.size() < cfg.workers) {
-                int fds[2];
-                if (::pipe(fds) != 0) {
-                    rep.slices[next] = runSlice(pack, next, cfg);
-                    ++next;
-                    continue;
-                }
-                pid_t pid = ::fork();
-                if (pid == 0) {
-                    ::close(fds[0]);
-                    childMain(pack, next, cfg, fds[1]);
-                }
-                ::close(fds[1]);
-                if (pid < 0) {
-                    // Fork pressure: degrade to in-process, results
-                    // stay identical (the slice itself is
-                    // deterministic either way).
-                    ::close(fds[0]);
-                    rep.slices[next] = runSlice(pack, next, cfg);
-                } else {
-                    inflight.push_back({pid, fds[0], next});
-                }
-                ++next;
-            } else {
-                reapOne(inflight, rep.slices);
-            }
-        }
-    }
+    const pid_t parent = ::getpid();
+    auto results = runPool(n, cfg.workers, [&](size_t i) {
+        if (i == cfg.crashSliceForTest && ::getpid() != parent)
+            ::_exit(42);
+        return encodeSlice(runSlice(pack, i, cfg));
+    });
     rep.wallSec = sw.elapsedSec();
 
     // Deterministic reduction: checkpoint order, exact integer
     // weights. Worker scheduling cannot reorder or change anything
-    // below because results are indexed by slice.
+    // below because results are indexed by slice. A slice whose worker
+    // died, or whose blob is garbled, stays failed.
     for (size_t i = 0; i < n; ++i) {
-        const SliceResult &s = rep.slices[i];
-        if (!s.ok) {
+        SliceResult &s = rep.slices[i];
+        if (!results[i].ok || !decodeSlice(results[i].bytes, s) || !s.ok) {
             ++rep.failures;
             continue;
         }

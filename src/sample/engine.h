@@ -1,14 +1,13 @@
 /**
  * @file
- * Fork-fanout sampled-simulation engine (paper Section III-D3).
+ * Sampled-simulation engine (paper Section III-D3).
  *
  * Each SimPoint slice restores a checkpoint from the shared read-only
  * pack, optionally fast-forwards `warmupInsts` functionally on NEMU,
  * then measures a detailed window on the XIANGSHAN core. Slices are
- * independent, so the engine forks one worker per slice (at most
- * `workers` in flight, LightSSS-style COW fork) and pipes back the
- * window's CounterSnapshot; a crashing slice kills only its own
- * process and is reported as a failed slice, never as a lost run.
+ * independent, so they run on the fork pool (common/fork_pool.h) and
+ * come back as slice blobs; a crashing slice kills only its own worker
+ * and is reported as a failed slice, never as a lost run.
  *
  * Reduction is deterministic by construction: results are indexed by
  * slice and merged in checkpoint order with exact integer SimPoint
@@ -33,7 +32,7 @@ namespace minjie::sample {
 
 struct SampleConfig
 {
-    /** Forked workers in flight; <= 1 runs slices in-process. */
+    /** Forked worker processes; <= 1 runs slices in-process. */
     unsigned workers = 1;
     /** Functional-warmup instructions on NEMU before the detailed
      *  window (moves the measurement point past the checkpoint). */
@@ -46,9 +45,8 @@ struct SampleConfig
     uint64_t dramMb = 256;
     xs::CoreConfig coreCfg = xs::CoreConfig::nh();
 
-    /** Test hook: the slice with this index dies without reporting
-     *  (forked: child _exit(42); in-process: marked failed), so tests
-     *  can pin crash isolation without a real crash. */
+    /** Test hook: a forked worker dies (_exit(42)) on the slice with
+     *  this index, so tests can pin crash isolation. */
     size_t crashSliceForTest = SIZE_MAX;
 };
 
@@ -106,7 +104,7 @@ SliceResult runSlice(const PackReader &pack, size_t i,
 SampleReport runSampled(const PackReader &pack,
                         const SampleConfig &cfg);
 
-/** Wire format of one slice result (pipe payload; exposed for
+/** Wire format of one slice result (pool blob; exposed for
  *  tests): ok, cycles and instrs, then the counters in the `.mjt`
  *  counter-map encoding (obs::writeCounters). decodeSlice rejects,
  *  with @p r untouched, any blob that is not exactly one result. */

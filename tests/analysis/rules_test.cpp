@@ -126,18 +126,23 @@ TEST(Rules, ForkFixtureFiresExactIds)
 TEST(Rules, ForkRulesCoverSampleEngineScope)
 {
     // Regression for the scope extension that came with the sampled
-    // simulation engine: src/sample/ forks one worker per SimPoint
-    // slice, so its functions are fork-path roots too.
-    auto res = lintOne("fork.cpp", "src/sample/fixture.cpp");
-    EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 5);
-    EXPECT_EQ(res.findings.size(), 5u);
+    // simulation engine: src/sample/ runs its slices in forked
+    // workers, so its functions are fork-path roots too. So do
+    // campaign jobs, and the fork pool runs both.
+    for (const char *path : {"src/sample/fixture.cpp",
+                             "src/campaign/fixture.cpp",
+                             "src/common/fork_pool.cpp"}) {
+        auto res = lintOne("fork.cpp", path);
+        EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 5) << path;
+        EXPECT_EQ(res.findings.size(), 5u) << path;
+    }
 }
 
 TEST(Rules, ForkRulesStopAtLightsssBoundary)
 {
-    // The campaign driver quiesces before snapshots; threads and
-    // mutexes are legal there.
-    auto res = lintOne("fork.cpp", "src/campaign/fixture.cpp");
+    // Code that never runs in a forked process may start threads and
+    // take locks.
+    auto res = lintOne("fork.cpp", "src/workload/fixture.cpp");
     EXPECT_EQ(idCounts(res)["MJ-FRK2-001"], 0);
 }
 

@@ -188,6 +188,45 @@ TEST(Campaign, JsonReportCarriesBucketTable)
     EXPECT_NE(js.find("\"failing_jobs\""), std::string::npos);
 }
 
+TEST(Campaign, JobBlobRoundtrip)
+{
+    // A failed lockstep job and a DiffTest job carrying DUT counters
+    // both come back field for field.
+    CampaignConfig cfg = buggyConfig(1, 1);
+    cfg.perf = true;
+    JobResult lock;
+    for (uint64_t seed = 1; seed < 50 && !lock.failed; ++seed)
+        lock = runJob(cfg, seed);
+    ASSERT_TRUE(lock.failed);
+    cfg.difftestPct = 100;
+    JobResult dt = runJob(cfg, 2);
+    ASSERT_FALSE(dt.perf.values.empty());
+
+    for (const JobResult &jr : {lock, dt}) {
+        const std::vector<uint8_t> blob = encodeJob(jr);
+        JobResult back;
+        ASSERT_TRUE(decodeJob(blob, back));
+        EXPECT_EQ(back.seed, jr.seed);
+        EXPECT_EQ(back.failed, jr.failed);
+        EXPECT_EQ(back.kind, jr.kind);
+        EXPECT_EQ(back.signature, jr.signature);
+        EXPECT_EQ(back.detail, jr.detail);
+        EXPECT_EQ(back.steps, jr.steps);
+        EXPECT_EQ(back.sec, jr.sec);
+        EXPECT_EQ(back.perf, jr.perf);
+
+        // A short or padded blob is rejected and leaves its target be.
+        std::vector<uint8_t> cut(blob.begin(), blob.end() - 1);
+        std::vector<uint8_t> padded = blob;
+        padded.push_back(0);
+        JobResult keep;
+        keep.detail = "untouched";
+        EXPECT_FALSE(decodeJob(cut, keep));
+        EXPECT_FALSE(decodeJob(padded, keep));
+        EXPECT_EQ(keep.detail, "untouched");
+    }
+}
+
 TEST(Campaign, KindTimesCoverEveryJob)
 {
     CampaignConfig cfg = buggyConfig(40, 2);

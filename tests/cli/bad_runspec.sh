@@ -27,12 +27,16 @@ minjie-campaign)
     good=""
     bad="--jobs abc
 --jobs
+--jobs 0
 --seeds 10x
 --seeds 99999999999999999999
 --seed-base -1
 --insts ten
 --fp-pct 0x
 --difftest-pct 4294967296
+--difftest-pct 150
+--fp-pct 400
+--rvc-pct 101
 --pairs spike-qemu
 --inject-bug nosuchop
 --inject-bug xor:zz

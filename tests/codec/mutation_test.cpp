@@ -1,8 +1,8 @@
 /**
  * @file
  * Mutation harness for every decoder of bytes from disk or a pipe: the
- * arch blob, `.mjk` packs, slice blobs, `.mjt` artifacts and `.mjc`
- * corpus files. Each decoder is fed every truncation of a valid input
+ * arch blob, `.mjk` packs, slice and campaign job blobs, `.mjt`
+ * artifacts and `.mjc` corpus files. Each decoder is fed every truncation of a valid input
  * (every length below 4 KiB, strided above) and seeded flips of 1-4
  * bits. A decoder may accept a flipped input — a flipped page byte
  * still makes a well-formed pack — but it must not crash or read out
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign.h"
 #include "campaign/corpus.h"
 #include "checkpoint/checkpoint.h"
 #include "checkpoint/generator.h"
@@ -193,6 +194,38 @@ TEST(Mutation, SliceBlob)
     forEachFlip(good, 4000, 4, [&](const std::vector<uint8_t> &m) {
         sample::SliceResult r;
         sample::decodeSlice(m, r);
+    });
+}
+
+TEST(Mutation, JobBlob)
+{
+    campaign::CampaignConfig cfg;
+    cfg.nInsts = 100;
+    cfg.difftestPct = 100;
+    cfg.perf = true;
+    campaign::JobResult jr = campaign::runJob(cfg, 3);
+    jr.failed = true;
+    jr.signature = "rd:alu:xor";
+    jr.detail = "mutation harness";
+    const auto good = campaign::encodeJob(jr);
+    campaign::JobResult back;
+    ASSERT_TRUE(campaign::decodeJob(good, back));
+    EXPECT_EQ(back.perf, jr.perf);
+    EXPECT_GT(back.perf.get("dut.cycles"), 0u);
+
+    campaign::JobResult sentinel;
+    sentinel.detail = "untouched";
+    for (size_t len : cuts(good.size())) {
+        campaign::JobResult r = sentinel;
+        EXPECT_FALSE(campaign::decodeJob(prefix(good, len), r)) << len;
+        EXPECT_EQ(r.detail, "untouched") << len;
+    }
+    auto padded = good;
+    padded.push_back(0);
+    EXPECT_FALSE(campaign::decodeJob(padded, back));
+    forEachFlip(good, 4000, 9, [&](const std::vector<uint8_t> &m) {
+        campaign::JobResult r;
+        campaign::decodeJob(m, r);
     });
 }
 

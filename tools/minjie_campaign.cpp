@@ -6,9 +6,9 @@
  *   minjie-campaign --jobs 8 --seeds 500 --difftest-pct 5
  *   minjie-campaign --seeds 200 --inject-bug xor --corpus-dir tests/corpus
  *
- * Runs thousands of randomized co-simulation jobs across a worker
- * pool, buckets failures by first-divergence signature, delta-debugs
- * one representative per bucket to a minimal reproducer, and emits a
+ * Runs thousands of randomized co-simulation jobs on forked workers,
+ * buckets failures by first-divergence signature, delta-debugs one
+ * representative per bucket to a minimal reproducer, and emits a
  * machine-readable JSON report. Results are a pure function of the
  * seed range: --jobs changes throughput, never findings.
  */
@@ -17,7 +17,8 @@
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
+
+#include <unistd.h>
 
 #include "campaign/campaign.h"
 #include "common/parse.h"
@@ -36,28 +37,20 @@ usage()
         "minjie-campaign [options]\n"
         "  --seeds N        number of jobs / seeds (default 200)\n"
         "  --seed-base N    first seed (default 1)\n"
-        "  --jobs N         worker threads (default: hardware threads)\n"
+        "  --jobs N         worker processes, >= 1 (default: online CPUs)\n"
         "  --insts N        body instructions per program (default 300)\n"
-        "  --fp-pct P       %% of seeds with fp programs (default 25)\n"
-        "  --rvc-pct P      %% of seeds with compressed code (default 30)\n"
+        "  --fp-pct P       %% of seeds with fp programs, 0-100 (default 25)\n"
+        "  --rvc-pct P      %% of seeds with RVC code, 0-100 (default 30)\n"
         "  --difftest-pct P %% of seeds run as NEMU-vs-XiangShan DiffTest\n"
-        "                   co-simulation (default 0)\n"
+        "                   co-simulation, 0-100 (default 0)\n"
         "  --pairs A-B,...  engine pairs to cycle through, e.g.\n"
         "                   spike-tci,nemu-spike (engines: spike,\n"
         "                   dromajo, tci, nemu)\n"
         "  --inject-bug OP[:MASK]\n"
         "                   self-test: corrupt OP's destination on one\n"
         "                   engine (e.g. xor, add:0x80000000)\n"
-        "  --nemu-no-chain  ablate NEMU block chaining in lockstep jobs\n"
-        "  --nemu-no-fastpath\n"
-        "                   ablate NEMU's memory fast path (host TLB +\n"
-        "                   direct DRAM) in lockstep jobs\n"
-        "  --xs-no-bitset   DUT reference scan-based scheduling in\n"
-        "                   DiffTest jobs (cycle-exact, slower)\n"
-        "  --xs-no-skip     ablate DUT event-driven idle-cycle skipping\n"
-        "  --perf           collect per-job DUT perf summaries for\n"
-        "                   DiffTest jobs (top-down buckets, ipc) and\n"
-        "                   a merged aggregate in the JSON report\n"
+        "  --perf           per-job DUT counters of DiffTest jobs and their\n"
+        "                   merged top-down aggregate in the JSON report\n"
         "  --no-shrink      skip delta-debugging of failures\n"
         "  --corpus-dir D   write minimized failures into D as .mjc\n"
         "  --out FILE       write the JSON report to FILE (default\n"
@@ -131,7 +124,8 @@ main(int argc, char **argv)
 {
     CampaignConfig cfg;
     cfg.seedCount = 200;
-    cfg.workers = std::max(1u, std::thread::hardware_concurrency());
+    long cpus = ::sysconf(_SC_NPROCESSORS_ONLN);
+    cfg.workers = cpus > 1 ? static_cast<unsigned>(cpus) : 1;
     std::string outFile = "campaign.json";
 
     for (int i = 1; i < argc; ++i) {
@@ -146,15 +140,15 @@ main(int argc, char **argv)
         else if (a == "--seed-base" && (v = next()))
             number = parseNum(v, cfg.seedBase);
         else if (a == "--jobs" && (v = next()))
-            number = parseNum(v, cfg.workers);
+            number = parseNum(v, cfg.workers) && cfg.workers > 0;
         else if (a == "--insts" && (v = next()))
             number = parseNum(v, cfg.nInsts);
         else if (a == "--fp-pct" && (v = next()))
-            number = parseNum(v, cfg.fpPct);
+            number = parseNum(v, cfg.fpPct) && cfg.fpPct <= 100;
         else if (a == "--rvc-pct" && (v = next()))
-            number = parseNum(v, cfg.rvcPct);
+            number = parseNum(v, cfg.rvcPct) && cfg.rvcPct <= 100;
         else if (a == "--difftest-pct" && (v = next()))
-            number = parseNum(v, cfg.difftestPct);
+            number = parseNum(v, cfg.difftestPct) && cfg.difftestPct <= 100;
         else if (a == "--pairs" && (v = next())) {
             if (!parsePairs(v, cfg.pairs)) {
                 std::fprintf(stderr, "bad --pairs: %s\n", v);
@@ -165,14 +159,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "bad --inject-bug: %s\n", v);
                 return 2;
             }
-        } else if (a == "--nemu-no-chain") {
-            cfg.lockstep.nemuChain = false;
-        } else if (a == "--nemu-no-fastpath") {
-            cfg.lockstep.nemuFastPath = false;
-        } else if (a == "--xs-no-bitset") {
-            cfg.xsModel.bitsetSched = false;
-        } else if (a == "--xs-no-skip") {
-            cfg.xsModel.skipAhead = false;
         } else if (a == "--perf") {
             cfg.perf = true;
         } else if (a == "--no-shrink") {
@@ -190,8 +176,8 @@ main(int argc, char **argv)
             return 2;
         }
         if (!number) {
-            std::fprintf(stderr, "%s needs a number, got '%s'\n", a.c_str(),
-                         v);
+            std::fprintf(stderr, "%s needs a number in range, got '%s'\n",
+                         a.c_str(), v);
             return 2;
         }
     }

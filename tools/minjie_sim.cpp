@@ -99,7 +99,7 @@ usage()
         "                 (xiangshan or nemu; read with minjie-trace)\n"
         "  --chrome F     with --trace: also write Chrome trace JSON\n"
         "  --archdb       with --trace: print the ArchDB report\n"
-        "  --sample       SimPoint sampled evaluation (fork-fanout)\n"
+        "  --sample       SimPoint sampled evaluation (fork pool)\n"
         "  --workers N    forked slice workers (default 1)\n"
         "  --warmup M     functional-warmup instructions per slice\n"
         "  --measure N    detailed window per slice (default 20000)\n"
