@@ -130,7 +130,7 @@ main()
         std::printf("[lightsss] replay finished; see "
                     "difftest_demo_replay.log\n\n");
     } else {
-        std::printf("[lightsss] no snapshot available\n\n");
+        std::printf("[lightsss] no snapshot replayed the failure\n\n");
     }
 
     // ArchDB: query the transactions on the affected line, as the

@@ -4,21 +4,51 @@
  * bytes, backed by its own anonymous mapping. The kernel zero-fills a
  * page on first touch, so a large, sparsely used table (a cache's tag
  * array) costs neither a memset at construction nor resident memory
- * for the part never touched, and leaves no free-but-retained heap
- * behind when it is destroyed.
+ * for the part never touched.
+ *
+ * Mappings are recycled. A destroyed array's mapping goes to a bounded
+ * per-process pool after its data pages are zeroed again, and the next
+ * array of the same page-rounded size takes it before mmap is called.
+ * A process that builds the same tables job after job (a campaign
+ * worker, one SoC per program) thus starts each job from pages that are
+ * already zero and already faulted in.
  */
 
 #ifndef MINJIE_COMMON_ZEROED_ARRAY_H
 #define MINJIE_COMMON_ZEROED_ARRAY_H
 
 #include <cstddef>
-#include <new>
 #include <type_traits>
 #include <utility>
 
-#include <sys/mman.h>
-
 namespace minjie {
+
+namespace zeroed {
+
+/** The pool keeps at most this many mappings, of at most this many
+ *  bytes in all; a release beyond either bound unmaps. */
+constexpr size_t kPoolMappings = 64;
+constexpr size_t kPoolBytes = size_t{64} << 20;
+
+/** A mapping of @p bytes (rounded up to pages) that reads as zeros:
+ *  a pooled one of the same rounded size, else a fresh one.
+ *  Throws std::bad_alloc when mmap fails. */
+void *acquire(size_t bytes);
+
+/**
+ * Give back a mapping from acquire(). Its pages that can hold data are
+ * zeroed: resident ones by memset, swapped-out ones by MADV_DONTNEED,
+ * as one read of /proc/self/pagemap tells. A mapping of a few pages,
+ * where that read costs more than the memset, is zeroed whole. The
+ * mapping is then pooled, or unmapped when the pool is full or its
+ * residency cannot be read.
+ */
+void release(void *p, size_t bytes);
+
+/** Mappings the pool holds now. */
+size_t pooled();
+
+} // namespace zeroed
 
 template <typename T>
 class ZeroedArray
@@ -32,19 +62,14 @@ class ZeroedArray
 
     explicit ZeroedArray(size_t n) : size_(n)
     {
-        if (n == 0)
-            return;
-        void *p = mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (p == MAP_FAILED)
-            throw std::bad_alloc();
-        data_ = static_cast<T *>(p);
+        if (n)
+            data_ = static_cast<T *>(zeroed::acquire(bytes()));
     }
 
     ~ZeroedArray()
     {
         if (data_)
-            munmap(data_, bytes());
+            zeroed::release(data_, bytes());
     }
 
     ZeroedArray(ZeroedArray &&o) noexcept
@@ -66,6 +91,9 @@ class ZeroedArray
     ZeroedArray &operator=(const ZeroedArray &) = delete;
 
     T &operator[](size_t i) { return data_[i]; }
+    const T &operator[](size_t i) const { return data_[i]; }
+    T *data() { return data_; }
+    size_t size() const { return size_; }
     T *begin() { return data_; }
     T *end() { return data_ + size_; }
 

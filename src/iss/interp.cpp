@@ -9,13 +9,13 @@ SpikeInterp::stepOnce(ExecInfo *info)
 {
     Addr pc = st_.pc;
     Entry &e = cache_[(pc >> 1) & mask_];
-    if (e.pc != pc) {
+    if (e.tag != pc + 1) {
         ++misses_;
         uint32_t raw;
         Trap t = mmu_.fetch(pc, raw);
         if (t.pending())
             return t;
-        e.pc = pc;
+        e.tag = pc + 1;
         e.di = decode(raw);
     } else {
         ++hits_;
@@ -25,7 +25,7 @@ SpikeInterp::stepOnce(ExecInfo *info)
     // after the flush fence.i performs.
     if (e.di.op == Op::FenceI) {
         for (auto &entry : cache_)
-            entry.pc = ~0ULL;
+            entry.tag = 0;
     }
     return t;
 }

@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/zeroed_array.h"
 #include "isa/decode.h"
 #include "iss/exec.h"
 
@@ -136,13 +137,15 @@ class SpikeInterp : public Interp
     isa::Trap stepOnce(ExecInfo *info) override;
 
   private:
+    /** tag = pc + 1: an all-zero entry is empty, even at pc 0 (tag 0
+     *  would name pc ~0, which is odd and never fetched). */
     struct Entry
     {
-        Addr pc = ~0ULL;
+        Addr tag = 0;
         isa::DecodedInst di;
     };
     uint64_t mask_;
-    std::vector<Entry> cache_;
+    ZeroedArray<Entry> cache_;
     uint64_t hits_ = 0, misses_ = 0;
 };
 

@@ -160,13 +160,19 @@ LightSSS::triggerReplay(Cycle failCycle)
     close(oldest.wakeFd);
 
     int status = 0;
-    waitpid(oldest.pid, &status, 0);
-    MJ_INFO("LightSSS: replay child %d finished with status %d",
-            oldest.pid, WEXITSTATUS(status));
+    pid_t r = 0;
+    do
+        r = waitpid(oldest.pid, &status, 0);
+    while (r < 0 && errno == EINTR);
+    bool ok = r == oldest.pid && WIFEXITED(status) &&
+              WEXITSTATUS(status) == 0;
+    MJ_INFO("LightSSS: replay child %d finished: %s", oldest.pid,
+            r == oldest.pid ? describeWaitStatus(status).c_str()
+                            : std::strerror(errno));
 
     // Remaining (younger) snapshots are no longer needed.
     discardAll();
-    return true;
+    return ok;
 }
 
 void

@@ -73,7 +73,7 @@ class LightSSS
      * A failure was detected at @p failCycle: wake the oldest snapshot
      * to replay the failure window, wait for it to finish, and drop all
      * snapshots. @return false when no snapshot exists (e.g. failure
-     * before the first interval).
+     * before the first interval) or the replay child did not exit 0.
      */
     bool triggerReplay(Cycle failCycle);
 

@@ -28,10 +28,10 @@ Tage::Tage(unsigned totalEntries, uint64_t seed)
 {
     indexBits_ = log2i(entriesPerTable_);
     for (auto &t : tables_)
-        t.resize(entriesPerTable_);
-    base_.assign(8192, 0);
+        t = ZeroedArray<TaggedEntry>(entriesPerTable_);
+    base_ = ZeroedArray<int8_t>(8192);
     for (auto &t : sc_)
-        t.assign(SC_ENTRIES, 0);
+        t = ZeroedArray<int8_t>(SC_ENTRIES);
 }
 
 unsigned
@@ -178,8 +178,8 @@ constexpr unsigned Ittage::HIST_LEN[2];
 Ittage::Ittage(unsigned entries) : entries_(entries / 2)
 {
     for (auto &t : tables_)
-        t.resize(entries_);
-    base_.assign(entries_, 0);
+        t = ZeroedArray<Entry>(entries_);
+    base_ = ZeroedArray<Addr>(entries_);
 }
 
 unsigned

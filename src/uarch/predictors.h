@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/zeroed_array.h"
 
 namespace minjie::uarch {
 
@@ -81,15 +82,15 @@ class Tage
 
     unsigned entriesPerTable_;
     unsigned indexBits_;
-    std::vector<TaggedEntry> tables_[N_TABLES];
-    std::vector<int8_t> base_; // bimodal: -2..1, >=0 taken
+    ZeroedArray<TaggedEntry> tables_[N_TABLES];
+    ZeroedArray<int8_t> base_; // bimodal: -2..1, >=0 taken
     uint64_t ghr_ = 0;         // 64-bit global history
 
     // Statistical corrector: per-table 6-bit signed counters summed
     // against the TAGE output.
     static constexpr unsigned SC_TABLES = 2;
     static constexpr unsigned SC_ENTRIES = 1024;
-    std::vector<int8_t> sc_[SC_TABLES];
+    ZeroedArray<int8_t> sc_[SC_TABLES];
     int scThreshold_ = 6;
 
     uint64_t rngState_;
@@ -129,8 +130,8 @@ class Ittage
     };
     static constexpr unsigned HIST_LEN[2] = {8, 24};
     unsigned entries_;
-    std::vector<Entry> tables_[2];
-    std::vector<Addr> base_;
+    ZeroedArray<Entry> tables_[2];
+    ZeroedArray<Addr> base_;
     uint64_t pathHist_ = 0;
 
     unsigned idx(unsigned t, Addr pc) const;
@@ -181,7 +182,7 @@ class MicroBtb
         return static_cast<unsigned>((pc >> 1) % entries_);
     }
     unsigned entries_;
-    std::vector<Entry> table_;
+    ZeroedArray<Entry> table_;
 };
 
 /** 4-way set-associative BTB with true-LRU. */
@@ -205,7 +206,7 @@ class Btb
         uint64_t lru = 0;
     };
     unsigned sets_, ways_;
-    std::vector<Entry> table_;
+    ZeroedArray<Entry> table_;
     uint64_t tick_ = 0;
     mutable uint64_t hits_ = 0, misses_ = 0;
 };

@@ -10,9 +10,8 @@
 #ifndef MINJIE_UARCH_TLB_H
 #define MINJIE_UARCH_TLB_H
 
-#include <vector>
-
 #include "common/types.h"
+#include "common/zeroed_array.h"
 
 namespace minjie::uarch {
 
@@ -40,7 +39,7 @@ class TimingTlb
         if (sets_ == 0)
             sets_ = 1;
         ways_ = ways;
-        entries_.assign(cfg.entries, {});
+        entries_ = ZeroedArray<Entry>(cfg.entries);
     }
 
     bool
@@ -97,7 +96,7 @@ class TimingTlb
     };
     TlbCfg cfg_;
     unsigned sets_, ways_;
-    std::vector<Entry> entries_;
+    ZeroedArray<Entry> entries_;
     uint64_t tick_ = 0;
     TlbStats stats_;
 };

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -69,7 +70,9 @@ struct Program
 class Asm
 {
   public:
-    explicit Asm(Addr base) : base_(base) {}
+    /** Reserves room for a typical random-program chunk up front, so
+     *  emitting one does not regrow the buffer as it goes. */
+    explicit Asm(Addr base) : base_(base) { code_.reserve(128); }
 
     Addr here() const { return base_ + code_.size(); }
     Addr base() const { return base_; }
@@ -273,7 +276,8 @@ class Asm
         store(isa::Op::Sb, rs, 8, t6);
     }
 
-    /** Finalize: resolve fixups and return the code segment. */
+    /** Finalize: resolve fixups and return the code segment. The code
+     *  moves out, so the assembler is spent afterwards. */
     Program::Segment
     finish()
     {
@@ -289,7 +293,7 @@ class Asm
             write32(f.offset, patched);
         }
         fixups_.clear();
-        return {base_, code_};
+        return {base_, std::move(code_)};
     }
 
   private:

@@ -80,14 +80,14 @@ Core::Core(const CoreConfig &cfg, HartId hart, iss::System &sys,
     while (cap < span)
         cap <<= 1;
     winMask_ = cap - 1;
-    recRing_.resize(cap);
+    recRing_ = ZeroedArray<Rec>(cap);
     rob_.init(cfg_.robSize + 1);
     fetchBuffer_.init(cfg_.fetchBufferSize + 1);
-    decodeCache_.resize(kDecodeCacheSize);
-    readyBits_.assign((cap + 63) / 64, 0);
-    pendingSrcs_.assign(cap, 0);
-    slotFu_.assign(cap, 0);
-    slotSeq_.assign(cap, 0);
+    decodeCache_ = ZeroedArray<DecodeEnt>(kDecodeCacheSize);
+    readyBits_ = ZeroedArray<uint64_t>((cap + 63) / 64);
+    pendingSrcs_ = ZeroedArray<uint8_t>(cap);
+    slotFu_ = ZeroedArray<uint8_t>(cap);
+    slotSeq_ = ZeroedArray<uint64_t>(cap);
     waiters_.assign(cap, {});
     skipEnabled_ = cfg_.model.skipAhead;
 }

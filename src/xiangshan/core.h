@@ -27,6 +27,7 @@
 #include <map>
 #include <vector>
 
+#include "common/zeroed_array.h"
 #include "difftest/probes.h"
 #include "iss/exec.h"
 #include "iss/system.h"
@@ -423,7 +424,7 @@ class Core
     // (fetch writes each ~300-byte record exactly once, in place);
     // rob_ and fetchBuffer_ carry only sequence numbers, so the
     // fetch -> dispatch -> commit flow never copies a Rec.
-    std::vector<Rec> recRing_; ///< [slotOf(seq)] payloads of live seqs
+    ZeroedArray<Rec> recRing_; ///< [slotOf(seq)] payloads of live seqs
     SeqRing rob_;
     uint64_t nextSeq_ = 1;
     uint64_t lastCommittedSeq_ = 0;
@@ -451,7 +452,7 @@ class Core
     // set until the slot is reallocated to a new seq at fetch. The
     // scan path recomputes the same predicate from Rec fields instead.
     unsigned winMask_ = 0; ///< winCap - 1, winCap = pow2 >= max inflight
-    std::vector<uint64_t> readyBits_;
+    ZeroedArray<uint64_t> readyBits_;
     /// Pending completion events (cycle, seq), min-heap on cycle.
     std::vector<std::pair<Cycle, uint64_t>> compHeap_;
 
@@ -463,7 +464,7 @@ class Core
         bool valid = false;
     };
     static constexpr size_t kDecodeCacheSize = 8192; ///< pow2
-    std::vector<DecodeEnt> decodeCache_;
+    ZeroedArray<DecodeEnt> decodeCache_;
     /// Events due exactly one cycle out (the single-cycle-op common
     /// case): they always fire at the very next drain, so a plain
     /// FIFO avoids the heap's push/pop entirely.
@@ -477,9 +478,9 @@ class Core
     // (bits persist until slot reuse, which commit-gates) and because
     // the oracle-driven frontend has no wrong-path flush: RS entries
     // leave only via issue, so queue membership never needs revoking.
-    std::vector<uint8_t> pendingSrcs_;           ///< [slot] unready srcs
-    std::vector<uint8_t> slotFu_;                ///< [slot] FuType
-    std::vector<uint64_t> slotSeq_;              ///< [slot] seq
+    ZeroedArray<uint8_t> pendingSrcs_;           ///< [slot] unready srcs
+    ZeroedArray<uint8_t> slotFu_;                ///< [slot] FuType
+    ZeroedArray<uint64_t> slotSeq_;              ///< [slot] seq
     std::vector<std::vector<uint32_t>> waiters_; ///< [slot] -> consumers
     std::vector<uint64_t> readyQ_[N_FU]; ///< ready, ascending seq
     unsigned rsCount_[N_FU] = {};        ///< RS occupancy (fast mode)

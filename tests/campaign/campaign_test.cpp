@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "campaign/campaign.h"
 #include "campaign/lockstep.h"
 #include "campaign/shrink.h"
+#include "isa/csr.h"
+#include "iss/interp.h"
+#include "iss/system.h"
 #include "workload/shrinkable.h"
 
 namespace {
@@ -71,6 +76,43 @@ TEST(Lockstep, InjectedBugIsCaughtAtFirstDivergence)
         EXPECT_EQ(r.div.valA ^ r.div.valB, 1u);
     }
     EXPECT_TRUE(caught) << "no program in the seed range used xor";
+}
+
+TEST(Lockstep, JumpToPcZeroTrapsAlike)
+{
+    // Jumping to pc 0, outside DRAM, is an instruction access fault.
+    // Spike's decode cache starts as zero bytes and tags entries with
+    // pc + 1; a zero entry must not read as a cached decode of pc 0.
+    // The code starts past the base so that no instruction fills the
+    // entry pc 0 maps to.
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase + 0x100);
+    a.li(wl::t0, layout.auxCode);
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_MTVEC, wl::t0);
+    a.jr(wl::zero);
+    wl::Asm h(layout.auxCode);
+    h.csr(isa::Op::Csrrs, wl::a0, isa::CSR_MCAUSE, wl::zero);
+    h.csr(isa::Op::Csrrs, wl::a1, isa::CSR_MEPC, wl::zero);
+    h.exit(0);
+    wl::Program prog;
+    prog.entry = a.base();
+    prog.segments.push_back(a.finish());
+    prog.segments.push_back(h.finish());
+
+    for (Engine other : {Engine::Dromajo, Engine::Tci}) {
+        auto r = runLockstep(Engine::Spike, other, prog, 1000);
+        EXPECT_FALSE(r.div.diverged()) << engineName(other) << ": "
+                                       << r.div.describe();
+        EXPECT_TRUE(r.exited) << engineName(other);
+    }
+    iss::System sys(32);
+    prog.loadInto(sys.dram);
+    iss::SpikeInterp spike(sys.bus, 0, prog.entry);
+    spike.run(1000);
+    EXPECT_TRUE(sys.simctrl.exited());
+    EXPECT_EQ(spike.state().x[wl::a0],
+              static_cast<uint64_t>(isa::Exc::InstAccessFault));
+    EXPECT_EQ(spike.state().x[wl::a1], 0u);
 }
 
 TEST(Campaign, BucketingGroupsIdenticalDivergences)
@@ -224,6 +266,36 @@ TEST(Campaign, JobBlobRoundtrip)
         EXPECT_FALSE(decodeJob(cut, keep));
         EXPECT_FALSE(decodeJob(padded, keep));
         EXPECT_EQ(keep.detail, "untouched");
+    }
+}
+
+TEST(Campaign, JobRepeatsInOneProcess)
+{
+    // A job's tables come from mappings earlier jobs in the process
+    // wrote all over; it must still run exactly as it did first.
+    CampaignConfig cfg;
+    cfg.fpPct = 25;
+    cfg.rvcPct = 30;
+    cfg.difftestPct = 50;
+    cfg.perf = true;
+    std::vector<JobResult> first; // each kind's first job, as it ran
+    for (uint64_t seed = 1; seed < 200; ++seed) {
+        JobResult jr = runJob(cfg, seed);
+        auto sameKind = [&](const JobResult &f) { return f.kind == jr.kind; };
+        if (std::none_of(first.begin(), first.end(), sameKind))
+            first.push_back(jr);
+    }
+    ASSERT_GE(first.size(), 5u);
+
+    for (uint64_t seed = 1000; seed < 1050; ++seed)
+        runJob(cfg, seed);
+    for (const JobResult &f : first) {
+        JobResult again = runJob(cfg, f.seed);
+        EXPECT_EQ(again.kind, f.kind);
+        EXPECT_EQ(again.failed, f.failed) << f.kind;
+        EXPECT_EQ(again.steps, f.steps) << f.kind;
+        EXPECT_EQ(again.signature, f.signature) << f.kind;
+        EXPECT_EQ(again.perf, f.perf) << f.kind;
     }
 }
 

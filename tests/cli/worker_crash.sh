@@ -6,9 +6,9 @@
 #   worker_crash.sh path/to/minjie-campaign WORKDIR [SIGNATURE]
 #
 # SIGNATURE, an extended regular expression, defaults to crash:SIGSEGV.
-# Under ASan the runtime catches the signal, reports it and dies by
-# exit(1), or by abort() with abort_on_error=1, so an ASan build passes
-# one of those two signatures instead.
+# Under ASan the runtime catches the signal, reports it and, with the
+# abort_on_error=1 that src/common/sanitize.cpp links into every binary,
+# dies by abort(), so an ASan build passes crash:SIGABRT instead.
 tool="$1"
 dir="$2"
 want="${3:-crash:SIGSEGV}"

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -240,6 +242,24 @@ TEST(LightSSS, DiscardAllLeavesNoUnreapedChild)
         sss.tick(2200);
         sss.tick(2300);
     }
+    EXPECT_TRUE(noChildren());
+}
+
+TEST(LightSSS, CrashedReplayIsNotCompleted)
+{
+    // A replay child killed by a signal did not replay anything: the
+    // caller must not report the replay as done, and must reap it.
+    LightSSS sss({1000, 2, true});
+    for (Cycle c = 0; c <= 3000; c += 500) {
+        if (sss.tick(c) == LightSSS::Role::ReplayChild) {
+            rlimit noCore{0, 0};
+            setrlimit(RLIMIT_CORE, &noCore);
+            std::signal(SIGSEGV, SIG_DFL);
+            std::raise(SIGSEGV);
+            LightSSS::finishReplay(0);
+        }
+    }
+    EXPECT_FALSE(sss.triggerReplay(3000));
     EXPECT_TRUE(noChildren());
 }
 

@@ -241,12 +241,14 @@ runXiangshan(const Options &opt, const wl::Program &prog,
     // skip-ahead the fork grid coarsens across idle stretches but
     // every forked state is still exact.
     Stopwatch sw;
+    bool replayChild = false;
     auto run = soc.runWhile(2'000'000'000, [&](Cycle cycle) {
         if ((dt && !dt->ok()) ||
             soc.core(0).perf().instrs >= opt.maxInstrs)
             return false;
         if (opt.lightsssInterval &&
             sss.tick(cycle) == lightsss::LightSSS::Role::ReplayChild) {
+            replayChild = true;
             Logger::instance().setLevel(LogLevel::Debug);
             std::printf("[lightsss] replay child running to cycle %llu\n",
                         static_cast<unsigned long long>(
@@ -265,10 +267,15 @@ runXiangshan(const Options &opt, const wl::Program &prog,
         size_t start = commits.size() > 8 ? commits.size() - 8 : 0;
         for (size_t i = start; i < commits.size(); ++i)
             std::printf("  %s\n", commits[i].c_str());
+        // A replay child succeeds by reproducing the failure.
+        if (replayChild)
+            lightsss::LightSSS::finishReplay(0);
         if (opt.lightsssInterval && sss.triggerReplay(run.cycles))
             std::printf("[lightsss] debug replay completed\n");
         rc = 1;
     } else {
+        if (replayChild)
+            lightsss::LightSSS::finishReplay(1); // failure not reproduced
         sss.discardAll();
         const auto &p = soc.core(0).perf();
         std::printf("[xiangshan-%s] %llu instrs, %llu cycles, ipc %.3f "
