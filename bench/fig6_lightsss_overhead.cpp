@@ -20,7 +20,13 @@ using namespace minjie::lightsss;
 
 namespace {
 
-double
+struct Run
+{
+    double sec = 0;
+    LightSssStats sss;
+};
+
+Run
 runWithInterval(unsigned nCores, const wl::Program &prog,
                 Cycle interval /* 0 = disabled */, Cycle maxCycles)
 {
@@ -35,9 +41,9 @@ runWithInterval(unsigned nCores, const wl::Program &prog,
             LightSSS::finishReplay(0); // never triggered here
         return true;
     });
-    double sec = sw.elapsedSec();
+    Run run{sw.elapsedSec(), sss.stats()};
     sss.discardAll();
-    return sec;
+    return run;
 }
 
 } // namespace
@@ -66,16 +72,22 @@ main()
                                : wl::memStressProgram(iters * 30, 16);
         std::printf("%u-core XIANGSHAN (%s):\n", cores,
                     prog.name.c_str());
-        std::printf("  %-10s %12s %10s\n", "interval", "sim time",
-                    "vs off");
+        std::printf("  %-10s %12s %10s %20s\n", "interval", "sim time",
+                    "vs off", "COW faults/interval");
         double base = 0;
         for (unsigned i = 0; i < std::size(intervals); ++i) {
-            double sec = runWithInterval(cores, prog, intervals[i],
-                                         maxCycles);
+            Run run = runWithInterval(cores, prog, intervals[i],
+                                      maxCycles);
             if (i == 0)
-                base = sec;
-            std::printf("  %-10s %10.3fs %9.1f%%\n", labels[i], sec,
-                        base > 0 ? 100.0 * sec / base : 0.0);
+                base = run.sec;
+            // Faults need two forks: "-" when the run ended first.
+            std::string faults =
+                run.sss.forks > 1
+                    ? std::to_string(run.sss.faultsPerInterval())
+                    : "-";
+            std::printf("  %-10s %10.3fs %9.1f%% %20s\n", labels[i],
+                        run.sec, base > 0 ? 100.0 * run.sec / base : 0.0,
+                        faults.c_str());
         }
         std::printf("\n");
     }

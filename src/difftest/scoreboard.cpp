@@ -91,8 +91,14 @@ PermissionScoreboard::onTransaction(const Transaction &txn)
       }
 
       case TxnKind::ProbeInvalid:
-        if (auto it = perms_.find(txn.line); it != perms_.end())
+      case TxnKind::Evict:
+        // A line no L1 holds has no entry, so the table stays as small
+        // as what the L1s hold.
+        if (auto it = perms_.find(txn.line); it != perms_.end()) {
             set(it->second, Perm::None);
+            if (it->second == 0)
+                perms_.erase(it);
+        }
         break;
 
       case TxnKind::ProbeShared:
@@ -102,7 +108,8 @@ PermissionScoreboard::onTransaction(const Transaction &txn)
         break;
 
       case TxnKind::Release: {
-        // A release without a prior permission is a protocol bug.
+        // A release without a prior permission is a protocol bug; a
+        // missing entry means no L1 holds the line.
         auto it = perms_.find(txn.line);
         if (it == perms_.end() || (it->second & mine) == 0)
             violation("release from a cache holding no permission", txn);

@@ -8,7 +8,9 @@
  * Each line's permissions are one packed word: 2 bits of Perm per L1
  * cache, indexed by a small id the name registry hands out on a cache's
  * first transaction. Non-L1 names map to "ignore" once, so the per-
- * transaction cost is a pointer scan plus one hash lookup.
+ * transaction cost is a pointer scan plus one hash lookup. A ProbeInvalid
+ * or Evict that leaves a word at 0 erases its line, so the table holds
+ * no more lines than the L1s do.
  */
 
 #ifndef MINJIE_DIFFTEST_SCOREBOARD_H
@@ -45,6 +47,8 @@ class PermissionScoreboard
         return violations_;
     }
     uint64_t transactionsChecked() const { return checked_; }
+    /** Lines some L1 holds a permission for (table entries). */
+    size_t trackedLines() const { return perms_.size(); }
 
   private:
     static constexpr int IGNORE = -1;

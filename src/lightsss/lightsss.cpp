@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -23,6 +24,15 @@ struct WakeMsg
     uint64_t action; ///< 0 = die, 1 = replay
     uint64_t targetCycle;
 };
+
+/** Minor page faults this process has taken so far. */
+uint64_t
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<uint64_t>(ru.ru_minflt);
+}
 
 } // namespace
 
@@ -134,9 +144,13 @@ LightSSS::tick(Cycle now)
     // Parent.
     close(pipefd[0]);
     snapshots_.push_back({pid, pipefd[1], now});
-    ++stats_.forks;
     stats_.lastForkUs = sw.elapsedUs();
     stats_.totalForkUs += stats_.lastForkUs;
+    uint64_t faults = minorFaults();
+    if (stats_.forks)
+        stats_.intervalFaults += faults - lastForkFaults_;
+    lastForkFaults_ = faults;
+    ++stats_.forks;
     return Role::Parent;
 }
 

@@ -47,6 +47,17 @@ struct LightSssStats
     uint64_t lastForkUs = 0;   ///< wall time of the last fork() call
     uint64_t totalForkUs = 0;
     uint64_t kills = 0;        ///< snapshots dropped (beyond keep limit)
+    /** The parent's minor page faults from each fork to the next,
+     *  summed over the forks - 1 completed intervals: mostly the
+     *  copy-on-write copies of the pages it dirtied. */
+    uint64_t intervalFaults = 0;
+
+    /** Mean minor faults per completed snapshot interval. */
+    uint64_t
+    faultsPerInterval() const
+    {
+        return forks > 1 ? intervalFaults / (forks - 1) : 0;
+    }
 };
 
 class LightSSS
@@ -114,6 +125,7 @@ class LightSSS
     std::deque<Snapshot> snapshots_;
     std::vector<pid_t> dropped_; ///< told to exit, not yet reaped
     Cycle lastForkCycle_ = 0;
+    uint64_t lastForkFaults_ = 0; ///< parent minor faults at last fork
     Cycle snapshotCycle_ = 0;
     Cycle replayTarget_ = 0;
     LightSssStats stats_;

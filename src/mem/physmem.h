@@ -44,6 +44,9 @@ class PhysMem
         : base_(base), size_(size), epoch_(nextEpoch())
     {
     }
+    /** Not copied or moved: its page cache points into its own map. */
+    PhysMem(const PhysMem &) = delete;
+    PhysMem &operator=(const PhysMem &) = delete;
 
     Addr base() const { return base_; }
     uint64_t size() const { return size_; }
@@ -66,7 +69,7 @@ class PhysMem
             return false;
         data = 0;
         if (((addr & PAGE_MASK) + size) <= PAGE_SIZE) {
-            std::memcpy(&data, readPtr(addr), size);
+            copyBytes(&data, readPtr(addr), size);
         } else {
             for (unsigned i = 0; i < size; ++i)
                 data |= static_cast<uint64_t>(*readPtr(addr + i)) << (8 * i);
@@ -81,7 +84,7 @@ class PhysMem
         if (!contains(addr, size))
             return false;
         if (((addr & PAGE_MASK) + size) <= PAGE_SIZE) {
-            std::memcpy(writePtr(addr), &data, size);
+            copyBytes(writePtr(addr), &data, size);
         } else {
             for (unsigned i = 0; i < size; ++i)
                 *writePtr(addr + i) = static_cast<uint8_t>(data >> (8 * i));
@@ -118,7 +121,7 @@ class PhysMem
         Slot &slot = pages_[pfn];
         markDirty(slot, pfn);
         if (slot.page)
-            std::memcpy(slot.page->data(), src, PAGE_SIZE);
+            std::memcpy(slot.page.get(), src, PAGE_SIZE);
         else
             slot.src = src;
     }
@@ -201,7 +204,6 @@ class PhysMem
         for (Addr pfn : dirty_)
             pages_.find(pfn)->second.dirty = false;
         dirty_.clear();
-        lastWPfn_ = ~0ULL;
         epoch_ = nextEpoch();
     }
 
@@ -212,20 +214,42 @@ class PhysMem
     {
         pages_.clear();
         dirty_.clear();
-        lastPfn_ = lastWPfn_ = ~0ULL;
+        for (Hint &h : hints_)
+            h = {};
         epoch_ = nextEpoch();
     }
 
   private:
-    using Page = std::vector<uint8_t>;
 
     /** A private page, or until its first touch a mapped source. */
     struct Slot
     {
-        std::unique_ptr<Page> page;
+        std::unique_ptr<uint8_t[]> page;
         const uint8_t *src = nullptr;
         bool dirty = false;
     };
+
+    /** memcpy() of an access's 1, 2, 4 or 8 bytes as one move of that
+     *  width instead of a library call. */
+    template <typename T>
+    static void
+    move(void *dst, const void *src)
+    {
+        T v;
+        std::memcpy(&v, src, sizeof(T));
+        std::memcpy(dst, &v, sizeof(T));
+    }
+    static void
+    copyBytes(void *dst, const void *src, unsigned size)
+    {
+        switch (size) {
+          case 1: move<uint8_t>(dst, src); break;
+          case 2: move<uint16_t>(dst, src); break;
+          case 4: move<uint32_t>(dst, src); break;
+          case 8: move<uint64_t>(dst, src); break;
+          default: std::memcpy(dst, src, size); break;
+        }
+    }
 
     static uint64_t
     nextEpoch()
@@ -243,47 +267,55 @@ class PhysMem
         }
     }
 
+    /** A page with its private copy: the entry of a direct-mapped
+     *  pfn -> slot cache in front of pages_, whose nodes stay put
+     *  until clear(). */
+    struct Hint
+    {
+        Addr pfn = ~0ULL;
+        uint8_t *data = nullptr;
+        Slot *slot = nullptr;
+    };
+    static constexpr unsigned kHints = 32; ///< pow2
+
     /** The slot of @p pfn with a private page, allocating (or copying
      *  a mapped source into) one on first touch — which marks it. */
-    Slot &
+    const Hint &
     touch(Addr pfn)
     {
+        Hint &h = hints_[pfn & (kHints - 1)];
+        if (h.pfn == pfn)
+            return h;
         Slot &slot = pages_[pfn];
         if (!slot.page) {
-            slot.page = slot.src ? std::make_unique<Page>(
-                                       slot.src, slot.src + PAGE_SIZE)
-                                 : std::make_unique<Page>(PAGE_SIZE, 0);
+            if (slot.src) {
+                slot.page =
+                    std::make_unique_for_overwrite<uint8_t[]>(PAGE_SIZE);
+                std::memcpy(slot.page.get(), slot.src, PAGE_SIZE);
+            } else {
+                slot.page = std::make_unique<uint8_t[]>(PAGE_SIZE);
+            }
             slot.src = nullptr;
             markDirty(slot, pfn);
         }
-        return slot;
+        h = {pfn, slot.page.get(), &slot};
+        return h;
     }
 
     const uint8_t *
     readPtr(Addr addr)
     {
-        Addr pfn = addr >> PAGE_SHIFT;
-        if (pfn != lastPfn_) {
-            lastPage_ = touch(pfn).page->data();
-            lastPfn_ = pfn;
-        }
-        return lastPage_ + (addr & PAGE_MASK);
+        return touch(addr >> PAGE_SHIFT).data + (addr & PAGE_MASK);
     }
 
-    /** Like readPtr(), but marks the page. Its one-entry cache only
-     *  ever holds a page marked since the last clearDirty(), so a hit
-     *  never skips the mark. */
+    /** Like readPtr(), but marks the page. */
     uint8_t *
     writePtr(Addr addr)
     {
         Addr pfn = addr >> PAGE_SHIFT;
-        if (pfn != lastWPfn_) {
-            Slot &slot = touch(pfn);
-            markDirty(slot, pfn);
-            lastWPage_ = lastPage_ = slot.page->data();
-            lastWPfn_ = lastPfn_ = pfn;
-        }
-        return lastWPage_ + (addr & PAGE_MASK);
+        const Hint &h = touch(pfn);
+        markDirty(*h.slot, pfn);
+        return h.data + (addr & PAGE_MASK);
     }
 
     /** Call fn(base, bytes) for each page of @p pfns. */
@@ -294,7 +326,7 @@ class PhysMem
         for (Addr pfn : pfns) {
             const Slot &slot = pages_.find(pfn)->second;
             fn(pfn << PAGE_SHIFT,
-               slot.page ? slot.page->data() : slot.src);
+               slot.page ? slot.page.get() : slot.src);
         }
     }
 
@@ -302,10 +334,7 @@ class PhysMem
     uint64_t size_;
     std::unordered_map<Addr, Slot> pages_;
     std::vector<Addr> dirty_; ///< pfns with Slot::dirty set
-    Addr lastPfn_ = ~0ULL;    ///< one-entry caches (read, write)
-    uint8_t *lastPage_ = nullptr;
-    Addr lastWPfn_ = ~0ULL;
-    uint8_t *lastWPage_ = nullptr;
+    Hint hints_[kHints];      ///< [pfn % kHints], see touch()
     uint64_t epoch_;
 };
 

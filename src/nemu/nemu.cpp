@@ -182,6 +182,9 @@ Nemu::Nemu(mem::MemPort &bus, mem::PhysMem &dram, HartId hart, Addr entry,
     uops_.reserve(cap_ + 256);
     cold_.reserve(cap_ + 256);
     handlerTable(false); // force label collection before first translation
+    // @p dram is the bus's DRAM: the interpreter's own loads, stores and
+    // fetches (the step path DiffTest drives) skip the bus dispatch.
+    mmu_.bindDram(&dram);
     stampRegime();
     // A guest TLB flush (sfence.vma) must also shoot down the cached
     // host pointers derived from those translations.

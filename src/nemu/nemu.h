@@ -81,7 +81,7 @@ class Nemu : public iss::Interp
   public:
     /**
      * @param bus         full system bus (MMIO and translated accesses)
-     * @param dram        DRAM for the direct fast path
+     * @param dram        the DRAM behind @p bus, for the direct paths
      * @param uopCacheCap uop cache capacity (paper selects 16384)
      */
     Nemu(mem::MemPort &bus, mem::PhysMem &dram, HartId hart, Addr entry,

@@ -18,6 +18,7 @@ txnKindName(TxnKind kind)
       case TxnKind::Release: return "Release";
       case TxnKind::MemRead: return "MemRead";
       case TxnKind::MemWrite: return "MemWrite";
+      case TxnKind::Evict: return "Evict";
     }
     return "?";
 }
@@ -32,33 +33,53 @@ Cache::Cache(std::string name, const CacheCfg &cfg, Cache *parent,
                                   (cfg.lineBytes * cfg.ways));
     if (sets_ == 0)
         sets_ = 1;
+    if (cfg.ways > Line::MAX_RANKS)
+        fatal("cache %s: more than %u ways", name_.c_str(), Line::MAX_RANKS);
+    setMask_ = isPow2(sets_) ? sets_ - 1 : 0;
+    lineShift_ = log2i(cfg.lineBytes);
     lineMask_ = cfg.lineBytes - 1;
     lines_ = ZeroedArray<Line>(static_cast<size_t>(sets_) * cfg.ways);
     mshrs_.assign(cfg.mshrs, {});
 }
 
-unsigned
-Cache::setIndex(Addr line) const
+Cache::Line *
+Cache::setOf(Addr line)
 {
-    return static_cast<unsigned>((line / cfg_.lineBytes) % sets_);
+    uint64_t n = line >> lineShift_;
+    uint64_t set = setMask_ ? n & setMask_ : n % sets_;
+    return &lines_[set * cfg_.ways];
 }
 
 Cache::Line *
-Cache::findLine(Addr line)
+Cache::find(Line *set, Addr line) const
 {
-    unsigned set = setIndex(line);
-    for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[static_cast<size_t>(set) * cfg_.ways + w];
-        if (l.st != CohState::I && l.tag == line)
-            return &l;
-    }
+    uint64_t tag = tagOf(line);
+    for (unsigned w = 0; w < cfg_.ways; ++w)
+        if ((set[w].word & ~Line::META) == tag && set[w].valid())
+            return &set[w];
     return nullptr;
 }
 
-const Cache::Line *
-Cache::findLine(Addr line) const
+void
+Cache::touch(Line *set, Line *l)
 {
-    return const_cast<Cache *>(this)->findLine(line);
+    unsigned r = l->rank();
+    if (r == 0)
+        return; // already the most recent: nothing to write
+    for (unsigned w = 0; w < cfg_.ways; ++w)
+        if (set[w].valid() && set[w].rank() < r)
+            set[w].word += 1ULL << Line::RANK_SHIFT;
+    l->setRank(0);
+}
+
+void
+Cache::invalidate(Line *set, Line *l)
+{
+    unsigned r = l->rank();
+    l->word = 0;
+    for (unsigned w = 0; w < cfg_.ways; ++w)
+        if (set[w].valid() && set[w].rank() > r)
+            set[w].word -= 1ULL << Line::RANK_SHIFT;
 }
 
 bool
@@ -71,14 +92,17 @@ CohState
 Cache::state(Addr line) const
 {
     const Line *l = findLine(lineAddr(line));
-    return l ? l->st : CohState::I;
+    return l ? l->st() : CohState::I;
 }
 
 void
 Cache::flushAll()
 {
+    // Reads of never-written pages map the shared zero page; only
+    // lines that hold something are written.
     for (auto &l : lines_)
-        l.st = CohState::I;
+        if (l.word)
+            l.word = 0;
     for (auto &m : mshrs_)
         m.line = ~0ULL;
 }
@@ -134,17 +158,18 @@ Cache::probeInvalidate(Addr line, Cycle now)
     unsigned lat = 0;
     for (auto *c : children_)
         lat += c->probeInvalidate(line, now);
-    Line *l = findLine(line);
+    Line *set = setOf(line);
+    Line *l = find(set, line);
     if (l) {
         ++stats_.probesReceived;
-        if (l->st == CohState::M) {
+        if (l->st() == CohState::M) {
             ++stats_.writebacks;
             // Dirty data leaves with (before) the invalidation ack.
             log(TxnKind::Release, line, now);
             lat += 4; // dirty data travels to the prober
         }
         log(TxnKind::ProbeInvalid, line, now);
-        l->st = CohState::I;
+        invalidate(set, l);
         lat += 2;
     }
     return lat;
@@ -156,16 +181,16 @@ Cache::probeShared(Addr line, Cycle now)
     unsigned lat = 0;
     for (auto *c : children_)
         lat += c->probeShared(line, now);
-    Line *l = findLine(line);
-    if (l && (l->st == CohState::M || l->st == CohState::E)) {
+    Line *l = find(setOf(line), line);
+    if (l && (l->st() == CohState::M || l->st() == CohState::E)) {
         ++stats_.probesReceived;
-        if (l->st == CohState::M) {
+        if (l->st() == CohState::M) {
             ++stats_.writebacks;
             log(TxnKind::Release, line, now);
             lat += 4;
         }
         log(TxnKind::ProbeShared, line, now);
-        l->st = CohState::S;
+        l->setSt(CohState::S);
         lat += 2;
     }
     return lat;
@@ -174,33 +199,38 @@ Cache::probeShared(Addr line, Cycle now)
 unsigned
 Cache::install(Addr line, CohState st, Cycle now)
 {
-    unsigned set = setIndex(line);
+    // The first invalid way, else the least recently used line (the
+    // highest rank of a full set).
+    Line *set = setOf(line);
     Line *victim = nullptr;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[static_cast<size_t>(set) * cfg_.ways + w];
-        if (l.st == CohState::I) {
+        Line &l = set[w];
+        if (!l.valid()) {
             victim = &l;
             break;
         }
-        if (!victim || l.lru < victim->lru)
+        if (!victim || l.rank() > victim->rank())
             victim = &l;
     }
     unsigned lat = 0;
-    if (victim->st != CohState::I) {
-        if (victim->st == CohState::M) {
+    if (victim->valid()) {
+        Addr old = lineOf(*victim);
+        if (victim->st() == CohState::M) {
             ++stats_.writebacks;
-            log(TxnKind::Release, victim->tag, now);
+            log(TxnKind::Release, old, now);
         }
+        log(TxnKind::Evict, old, now);
         if (cfg_.inclusive) {
             // Inclusive victims must leave the children too.
             for (auto *c : children_)
-                lat += c->probeInvalidate(victim->tag, now);
+                lat += c->probeInvalidate(old, now);
         }
-        victim->st = CohState::I;
+        victim->word = 0; // the highest rank: no gap to close
     }
-    victim->tag = line;
-    victim->st = st;
-    victim->lru = ++tick_;
+    for (unsigned w = 0; w < cfg_.ways; ++w)
+        if (set[w].valid())
+            set[w].word += 1ULL << Line::RANK_SHIFT;
+    victim->word = tagOf(line) | static_cast<uint64_t>(st);
     return lat;
 }
 
@@ -231,11 +261,12 @@ Cache::acquire(Cache *requester, Addr line, bool exclusive,
         }
     }
 
-    Line *l = findLine(line);
+    Line *set = setOf(line);
+    Line *l = find(set, line);
     if (l) {
         ++stats_.hits;
-        l->lru = ++tick_;
-        if (exclusive && l->st == CohState::S) {
+        touch(set, l);
+        if (exclusive && l->st() == CohState::S) {
             // Upgrade requires permission from our parent.
             ++stats_.upgrades;
             if (parent_) {
@@ -244,7 +275,7 @@ Cache::acquire(Cache *requester, Addr line, bool exclusive,
             } else if (dram_) {
                 lat += 0; // top level owns the directory
             }
-            l->st = CohState::M;
+            l->setSt(CohState::M);
         }
         grantExcl = exclusive || !peerHeld;
         log(grantExcl ? TxnKind::GrantExclusive : TxnKind::GrantShared,
@@ -281,25 +312,29 @@ Cache::acquire(Cache *requester, Addr line, bool exclusive,
 unsigned
 Cache::access(Addr paddr, bool write, Cycle now)
 {
+    if ((paddr >> lineShift_) >> 56)
+        fatal("cache %s: address 0x%llx beyond the tag range",
+              name_.c_str(), static_cast<unsigned long long>(paddr));
     Addr line = lineAddr(paddr);
-    Line *l = findLine(line);
+    Line *set = setOf(line);
+    Line *l = find(set, line);
 
     if (l) {
         ++stats_.hits;
-        l->lru = ++tick_;
+        touch(set, l);
         unsigned lat = cfg_.hitLatency;
         if (write) {
-            if (l->st == CohState::S) {
+            if (l->st() == CohState::S) {
                 ++stats_.upgrades;
                 log(TxnKind::AcquireExclusive, line, now);
                 if (parent_) {
                     bool excl = false;
                     lat += parent_->acquire(this, line, true, excl, now);
                 }
-                l->st = CohState::M;
+                l->setSt(CohState::M);
                 log(TxnKind::GrantExclusive, line, now + lat);
-            } else if (l->st == CohState::E) {
-                l->st = CohState::M;
+            } else if (l->st() == CohState::E) {
+                l->setSt(CohState::M);
             }
         }
         return lat;

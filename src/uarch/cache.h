@@ -5,9 +5,9 @@
  * Data lives in the functional PhysMem; these caches track tags, MESI
  * states, LRU and MSHR occupancy, and return access latencies. Parent
  * caches coordinate coherence with TileLink-flavoured transactions
- * (Acquire / Probe / Grant / Release) that are reported to an optional
- * transaction log — the paper's ArchDB records exactly these, and the
- * DiffTest permission scoreboard (Section III-B2b) checks them.
+ * (Acquire / Probe / Grant / Release / Evict) that are reported to an
+ * optional transaction log — the paper's ArchDB records exactly these,
+ * and the DiffTest permission scoreboard (Section III-B2b) checks them.
  */
 
 #ifndef MINJIE_UARCH_CACHE_H
@@ -47,6 +47,7 @@ enum class TxnKind : uint8_t {
     Release,          ///< dirty writeback from child
     MemRead,
     MemWrite,
+    Evict,            ///< a cache dropped its replacement victim
 };
 
 const char *txnKindName(TxnKind kind);
@@ -161,15 +162,40 @@ class Cache
     void addTxnLog(TxnLog log);
 
   private:
-    /** All-zero bytes are the default, invalid line: lines_ starts
-     *  zeroed. */
+    /**
+     * One tag-array entry in 8 bytes: the line number (address >>
+     * log2(lineBytes)) in the top 56 bits, the line's recency rank in
+     * its set in bits 7:2, and its CohState in bits 1:0. The valid
+     * lines of a set hold exactly the ranks 0 (most recently used) to
+     * n-1, so the highest rank is the least recently used line: the
+     * same victim an unbounded LRU stamp would pick. All-zero bytes are
+     * the default, invalid line: lines_ starts zeroed.
+     */
     struct Line
     {
-        Addr tag = 0;
-        CohState st = CohState::I;
-        uint64_t lru = 0;
+        static constexpr uint64_t META = 0xff;
+        static constexpr unsigned RANK_SHIFT = 2;
+        static constexpr unsigned MAX_RANKS = 64;
+
+        uint64_t word = 0;
+
+        CohState st() const { return static_cast<CohState>(word & 3); }
+        bool valid() const { return st() != CohState::I; }
+        unsigned rank() const { return (word >> RANK_SHIFT) & 63; }
+        void
+        setSt(CohState s)
+        {
+            word = (word & ~3ULL) | static_cast<uint64_t>(s);
+        }
+        void
+        setRank(unsigned r)
+        {
+            word = (word & ~(63ULL << RANK_SHIFT)) |
+                   (static_cast<uint64_t>(r) << RANK_SHIFT);
+        }
     };
     static_assert(static_cast<int>(CohState::I) == 0);
+    static_assert(sizeof(Line) == 8);
 
     struct Mshr
     {
@@ -178,9 +204,27 @@ class Cache
     };
 
     Addr lineAddr(Addr paddr) const { return paddr & ~lineMask_; }
-    unsigned setIndex(Addr line) const;
-    Line *findLine(Addr line);
-    const Line *findLine(Addr line) const;
+    /** The tag bits of @p line as they sit in Line::word. */
+    uint64_t tagOf(Addr line) const
+    {
+        return (line >> lineShift_) << 8;
+    }
+    Addr lineOf(const Line &l) const
+    {
+        return (l.word >> 8) << lineShift_;
+    }
+    /** First way of the set @p line maps to. */
+    Line *setOf(Addr line);
+    /** The valid way of @p set holding @p line, or nullptr. */
+    Line *find(Line *set, Addr line) const;
+    const Line *findLine(Addr line) const
+    {
+        return find(const_cast<Cache *>(this)->setOf(line), line);
+    }
+    /** Make @p l the most recently used line of @p set. */
+    void touch(Line *set, Line *l);
+    /** Invalidate @p l, closing the gap it leaves in @p set's ranks. */
+    void invalidate(Line *set, Line *l);
 
     /**
      * Serve a child's Acquire. Handles peer probes, self lookup, and
@@ -220,8 +264,9 @@ class Cache
     ZeroedArray<Line> lines_; ///< zero-filled page by page on touch
     std::vector<Mshr> mshrs_;
     unsigned sets_;
+    unsigned setMask_;    ///< sets_ - 1 when sets_ is a power of two, else 0
+    unsigned lineShift_;  ///< log2(lineBytes)
     Addr lineMask_;
-    uint64_t tick_ = 0;
     CacheStats stats_;
     std::vector<TxnLog> txnLogs_;
 };

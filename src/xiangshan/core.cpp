@@ -60,7 +60,8 @@ Core::Core(const CoreConfig &cfg, HartId hart, iss::System &sys,
            uarch::MemHierarchy &mem, Addr entry)
     : cfg_(cfg), hart_(hart), sys_(sys), mem_(mem), mmu_(oracle_, sys.bus),
       ubtb_(cfg.ubtbEntries), btb_(cfg.btbEntries), tage_(cfg.tageEntries),
-      ittage_(512), ras_(cfg.rasDepth)
+      ittage_(512), ras_(cfg.rasDepth),
+      inflightStores_(cfg.sqSize + cfg.storeBufferSize)
 {
     oracle_.reset(entry, hart);
     oracle_.csr.timeSrc = nullptr;
@@ -88,7 +89,8 @@ Core::Core(const CoreConfig &cfg, HartId hart, iss::System &sys,
     pendingSrcs_ = ZeroedArray<uint8_t>(cap);
     slotFu_ = ZeroedArray<uint8_t>(cap);
     slotSeq_ = ZeroedArray<uint64_t>(cap);
-    waiters_.assign(cap, {});
+    waitHead_ = ZeroedArray<uint32_t>(cap);
+    waitNext_ = ZeroedArray<uint32_t>(3 * static_cast<size_t>(cap));
     skipEnabled_ = cfg_.model.skipAhead;
 }
 
@@ -147,11 +149,15 @@ Core::markReady(uint64_t seq)
     // while waiters exist (reuse requires the producer to commit,
     // which requires this very event to have fired), so every entry
     // in the list is live.
-    auto &w = waiters_[slotOf(seq)];
-    for (uint32_t c : w)
+    // The wake order does not matter: insertReady keeps readyQ_
+    // seq-sorted.
+    uint32_t &head = waitHead_[slotOf(seq)];
+    for (uint32_t n = head; n; n = waitNext_[n - 1]) {
+        uint32_t c = (n - 1) / 3;
         if (--pendingSrcs_[c] == 0)
             insertReady(slotFu_[c], slotSeq_[c]);
-    w.clear();
+    }
+    head = 0;
 }
 
 void
@@ -265,7 +271,6 @@ Core::oracleStep(Rec &rec)
         if (irq != ~0ULL) {
             takeInterrupt(oracle_, static_cast<Irq>(irq));
             rec.trapped = true;
-            rec.trapCause = irq;
             rec.serialize = true;
             rec.fu = FuType::Jmp;
             rec.nextPc = oracle_.pc;
@@ -283,12 +288,11 @@ Core::oracleStep(Rec &rec)
         takeTrap(oracle_, ft, rec.pc);
         ++oracle_.instret;
         rec.trapped = true;
-        rec.trapCause = static_cast<uint64_t>(ft.cause);
         rec.serialize = true;
         rec.fu = FuType::Jmp;
         rec.nextPc = oracle_.pc;
         rec.probe.trap = true;
-        rec.probe.trapCause = rec.trapCause;
+        rec.probe.trapCause = static_cast<uint64_t>(ft.cause);
         return true;
     }
 
@@ -317,12 +321,11 @@ Core::oracleStep(Rec &rec)
         ++oracle_.csr.minstret;
         ++oracle_.csr.mcycle;
         rec.trapped = true;
-        rec.trapCause = static_cast<uint64_t>(Exc::LoadPageFault);
         rec.serialize = true;
         rec.fu = FuType::Jmp;
         rec.nextPc = oracle_.pc;
         rec.probe.trap = true;
-        rec.probe.trapCause = rec.trapCause;
+        rec.probe.trapCause = static_cast<uint64_t>(Exc::LoadPageFault);
         rec.probe.memVaddr = vaddr;
         return true;
     }
@@ -355,9 +358,8 @@ Core::oracleStep(Rec &rec)
     if (et.pending()) {
         takeTrap(oracle_, et, rec.pc);
         rec.trapped = true;
-        rec.trapCause = static_cast<uint64_t>(et.cause);
         rec.probe.trap = true;
-        rec.probe.trapCause = rec.trapCause;
+        rec.probe.trapCause = static_cast<uint64_t>(et.cause);
     }
     ++oracle_.instret;
     ++oracle_.csr.minstret;
@@ -388,11 +390,6 @@ Core::oracleStep(Rec &rec)
             rec.probe.memPaddr = info.memPaddr;
             rec.probe.memData = info.memData;
             rec.probe.memSize = info.memSize;
-            rec.isLoad = !info.isStore;
-            rec.isStore = info.isStore;
-            rec.memVaddr = info.memVaddr;
-            rec.memPaddr = info.memPaddr;
-            rec.memSize = info.memSize;
         }
         rec.probe.scFailed = info.scFailed;
         if (info.memValid && info.isStore && !info.isMmio) {
@@ -585,8 +582,7 @@ Core::doFetch()
         if (cfg_.model.bitsetSched)
             clearReadyBit(seq); // slot reuse: retire any stale bit
         Rec &rec = ring(seq);
-        rec = Rec{};
-        rec.seq = seq;
+        rec.reset(seq);
 
         if (!oracleStep(rec)) {
             --nextSeq_;
@@ -645,12 +641,14 @@ Core::doDispatch()
             ++perf_.robFullStalls;
             break;
         }
-        if (rec.isLoad && lqUsed_ >= cfg_.lqSize)
+        if (rec.probe.isLoad && lqUsed_ >= cfg_.lqSize)
             break;
-        if (rec.isStore && sqUsed_ >= cfg_.sqSize)
+        if (rec.probe.isStore && sqUsed_ >= cfg_.sqSize)
             break;
 
-        bool intDest = !rec.trapped && writesIntRd(rec.di);
+        // oracleStep() sets rdWritten exactly when an untrapped
+        // instruction writes an integer rd.
+        bool intDest = rec.probe.rdWritten;
         bool fpDest = !rec.trapped && writesFpRd(rec.di.op);
         if (intDest && intPrfUsed_ + 32 >= cfg_.intPrf)
             break;
@@ -666,9 +664,10 @@ Core::doDispatch()
             Rec &prev = ring(rob_.back());
             if (prev.seq + 1 == rec.seq && prev.fu == FuType::Alu &&
                 !prev.issued && !prev.eliminated &&
-                !prev.fusedWithPrev && !prev.isLoad &&
-                rec.fu == FuType::Alu && !rec.isLoad && !rec.isStore &&
-                writesIntRd(prev.di) && intDest &&
+                !prev.fusedWithPrev && !prev.probe.isLoad &&
+                rec.fu == FuType::Alu && !rec.probe.isLoad &&
+                !rec.probe.isStore &&
+                prev.probe.rdWritten && intDest &&
                 prev.di.rd == rec.di.rd &&
                 (rec.di.rs1 == prev.di.rd || rec.di.rs2 == prev.di.rd)) {
                 fused = true;
@@ -714,7 +713,7 @@ Core::doDispatch()
             // Split store-address/data: the STA uop (in the RS) only
             // waits for the address; the data dependency is tracked
             // separately and gates commit.
-            if (rec.isStore && cfg_.splitStaStd && !isAmo(op)) {
+            if (rec.probe.isStore && cfg_.splitStaStd && !isAmo(op)) {
                 rec.storeDataSrc = rec.src[1];
                 rec.src[1] = 0;
             }
@@ -739,11 +738,11 @@ Core::doDispatch()
             }
         }
 
-        if (rec.isLoad)
+        if (rec.probe.isLoad)
             ++lqUsed_;
-        if (rec.isStore) {
+        if (rec.probe.isStore) {
             ++sqUsed_;
-            inflightStores_[rec.memPaddr & ~7ULL].push_back(rec.seq);
+            inflightStores_.push(rec.probe.memPaddr & ~7ULL, rec.seq);
         }
 
         rec.fusedWithPrev = fused;
@@ -774,11 +773,13 @@ Core::doDispatch()
                 slotSeq_[slot] = seq;
                 slotFu_[slot] = static_cast<uint8_t>(placed.fu);
                 uint8_t pending = 0;
-                for (uint64_t p :
-                     {placed.src[0], placed.src[1], placed.src[2]}) {
+                for (unsigned k = 0; k < 3; ++k) {
+                    uint64_t p = placed.src[k];
                     if (p != 0 && !srcDone(p)) {
                         ++pending;
-                        waiters_[slotOf(p)].push_back(slot);
+                        uint32_t &head = waitHead_[slotOf(p)];
+                        waitNext_[3 * slot + k] = head;
+                        head = 3 * slot + k + 1;
                     }
                 }
                 pendingSrcs_[slot] = pending;
@@ -837,30 +838,24 @@ Core::doIssue()
             }
 
             unsigned lat = fu.latency;
-            if (r->fu == FuType::Ldu && r->isLoad) {
+            if (r->fu == FuType::Ldu && r->probe.isLoad) {
                 if (r->probe.skip) {
                     lat = 20; // MMIO round trip
                 } else {
                     // Store-to-load forwarding from an older in-flight
                     // store to the same 8-byte slot.
                     // Youngest in-flight store older than the load.
-                    auto it = inflightStores_.find(r->memPaddr & ~7ULL);
+                    uint64_t best = inflightStores_.youngestBefore(
+                        r->probe.memPaddr & ~7ULL, seq);
                     Rec *st = nullptr;
                     bool fromBuffer = false;
-                    if (it != inflightStores_.end()) {
-                        uint64_t best = 0;
-                        for (uint64_t sseq : it->second)
-                            if (sseq < seq && sseq > best)
-                                best = sseq;
-                        if (best) {
-                            st = recBySeq(best);
-                            // Committed but not yet drained: the store
-                            // buffer forwards directly.
-                            fromBuffer =
-                                !st && best <= lastCommittedSeq_;
-                        }
+                    if (best) {
+                        st = recBySeq(best);
+                        // Committed but not yet drained: the store
+                        // buffer forwards directly.
+                        fromBuffer = !st && best <= lastCommittedSeq_;
                     }
-                    if (st && st->isStore) {
+                    if (st && st->probe.isStore) {
                         if (!srcReady(st->storeDataSrc) ||
                             st->completedAt == 0 ||
                             st->completedAt > now_) {
@@ -873,14 +868,14 @@ Core::doIssue()
                         lat = cfg_.storeForwardLatency;
                         ++perf_.storeForwards;
                     } else {
-                        lat = 2 + mem_.load(hart_, r->memVaddr,
-                                            r->memPaddr, now_);
+                        lat = 2 + mem_.load(hart_, r->probe.memVaddr,
+                                            r->probe.memPaddr, now_);
                     }
                 }
                 ++perf_.loads;
             } else if (r->fu == FuType::Sta && isAmo(r->di.op)) {
-                lat = 2 + mem_.store(hart_, r->memVaddr, r->memPaddr,
-                                     now_);
+                lat = 2 + mem_.store(hart_, r->probe.memVaddr,
+                                     r->probe.memPaddr, now_);
             }
 
             r->issued = true;
@@ -1028,13 +1023,7 @@ Core::drainStoreBuffer()
     PendingStore ps = storeBuffer_.front();
     storeBuffer_.pop_front();
     mem_.store(hart_, ps.vaddr, ps.paddr, now_);
-    auto it = inflightStores_.find(ps.paddr & ~7ULL);
-    if (it != inflightStores_.end()) {
-        auto &v = it->second;
-        v.erase(std::remove(v.begin(), v.end(), ps.seq), v.end());
-        if (v.empty())
-            inflightStores_.erase(it);
-    }
+    inflightStores_.retire(ps.seq);
     if (storeHook_)
         storeHook_({hart_, ps.paddr, ps.data, ps.size});
     if (trace_)
@@ -1051,7 +1040,7 @@ Core::doCommit()
         Rec &rec = ring(rob_.front());
         if (rec.completedAt == 0 || rec.completedAt > now_)
             break;
-        if (rec.isStore) {
+        if (rec.probe.isStore) {
             // Store data must be ready (split STA/STD) and the store
             // buffer must have room.
             if (!srcReady(rec.storeDataSrc))
@@ -1061,25 +1050,18 @@ Core::doCommit()
                 break;
         }
 
-        if (rec.isStore && !rec.probe.skip) {
-            storeBuffer_.push_back({rec.memVaddr, rec.memPaddr,
-                                    rec.probe.memData, rec.memSize,
+        if (rec.probe.isStore && !rec.probe.skip) {
+            storeBuffer_.push_back({rec.probe.memVaddr, rec.probe.memPaddr,
+                                    rec.probe.memData, rec.probe.memSize,
                                     rec.seq, now_ + 4});
             ++perf_.stores;
-        } else if (rec.isStore) {
+        } else if (rec.probe.isStore) {
             // MMIO stores never enter the store buffer; drop them from
             // the in-flight set at commit.
-            auto it = inflightStores_.find(rec.memPaddr & ~7ULL);
-            if (it != inflightStores_.end()) {
-                auto &v = it->second;
-                v.erase(std::remove(v.begin(), v.end(), rec.seq),
-                        v.end());
-                if (v.empty())
-                    inflightStores_.erase(it);
-            }
+            inflightStores_.retire(rec.seq);
         }
 
-        if (rec.isLoad && faultMask_ && !rec.probe.skip) {
+        if (rec.probe.isLoad && faultMask_ && !rec.probe.skip) {
             // DiffTest demo: corrupt one committed load value (the
             // register view and the memory-data view consistently, as
             // a real datapath bug would).
@@ -1112,12 +1094,12 @@ Core::doCommit()
         if (commitBatchHook_)
             commitBatch_.push_back(rec.probe);
 
-        if (rec.isLoad)
+        if (rec.probe.isLoad)
             --lqUsed_;
-        if (rec.isStore)
+        if (rec.probe.isStore)
             --sqUsed_;
         if (!rec.eliminated) {
-            if (writesIntRd(rec.di) && !rec.trapped)
+            if (rec.probe.rdWritten)
                 --intPrfUsed_;
             else if (!rec.trapped && writesFpRd(rec.di.op))
                 --fpPrfUsed_;
@@ -1125,7 +1107,7 @@ Core::doCommit()
         // Clear the rename map if this instruction is still the
         // youngest producer of its destination.
         if (!rec.trapped) {
-            if (writesIntRd(rec.di) &&
+            if (rec.probe.rdWritten &&
                 renameMap_[srcSlot(rec.di.rd, false)] == rec.seq)
                 renameMap_[srcSlot(rec.di.rd, false)] = 0;
             else if (writesFpRd(rec.di.op) &&
@@ -1170,7 +1152,7 @@ Core::classifyCycle(unsigned committed)
         ++perf_.tdRetiring;
     } else if (!rob_.empty()) {
         const Rec &head = ring(rob_.front());
-        if (head.isLoad || head.isStore)
+        if (head.probe.isLoad || head.probe.isStore)
             ++perf_.tdBackendMem;
         else
             ++perf_.tdBackendCore;

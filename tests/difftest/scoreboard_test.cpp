@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -8,6 +9,7 @@
 
 #include "common/rng.h"
 #include "difftest/scoreboard.h"
+#include "uarch/hierarchy.h"
 
 namespace {
 
@@ -101,6 +103,65 @@ TEST(Scoreboard, DifferentLinesIndependent)
     EXPECT_TRUE(sb.ok());
 }
 
+TEST(Scoreboard, EvictDropsThePermission)
+{
+    PermissionScoreboard sb;
+    int a, b;
+    sb.onTransaction(txn(TxnKind::GrantExclusive, 0x100, &a, "L1D.0"));
+    sb.onTransaction(txn(TxnKind::Release, 0x100, &a, "L1D.0"));
+    sb.onTransaction(txn(TxnKind::Evict, 0x100, &a, "L1D.0"));
+    EXPECT_EQ(sb.trackedLines(), 0u);
+    sb.onTransaction(txn(TxnKind::GrantExclusive, 0x100, &b, "L1I.0"));
+    EXPECT_TRUE(sb.ok());
+}
+
+/** A real hierarchy streams four times what its L1s hold: the table
+ *  never outgrows the L1s, and the checks still fire afterwards. */
+TEST(Scoreboard, TableStaysWithinL1Capacity)
+{
+    uarch::MemCfg cfg;
+    uarch::MemHierarchy mem(cfg, 1);
+    PermissionScoreboard sb;
+    mem.setTxnLog([&sb](const Transaction &t) { sb.onTransaction(t); });
+    const size_t l1Lines =
+        (cfg.l1i.sizeBytes + cfg.l1d.sizeBytes) / cfg.l1d.lineBytes;
+    const Addr base = 0x80000000;
+    const Addr lines = 4 * l1Lines;
+    size_t most = 0;
+    Addr lastFetched = 0;
+    for (Addr i = 0; i < lines; ++i) {
+        Addr a = base + i * 64;
+        if (i % 3 == 0) {
+            mem.store(0, a, a, i);
+        } else if (i % 3 == 1) {
+            mem.load(0, a, a, i);
+        } else {
+            mem.fetch(0, a, a, i);
+            lastFetched = a;
+        }
+        most = std::max(most, sb.trackedLines());
+    }
+    EXPECT_TRUE(sb.ok());
+    EXPECT_GT(sb.transactionsChecked(), lines);
+    EXPECT_GT(most, l1Lines / 2);
+    EXPECT_LE(most, l1Lines);
+
+    // A release from a cache that holds no permission: line 0 left
+    // the L1D long ago.
+    int peer;
+    sb.onTransaction(txn(TxnKind::Release, base, &mem.l1d(0), "L1D.0"));
+    ASSERT_EQ(sb.violations().size(), 1u);
+    EXPECT_NE(sb.violations()[0].find("release"), std::string::npos);
+    // An exclusive grant while a peer holds the line: the last line
+    // fetched is still in the L1I.
+    ASSERT_TRUE(mem.l1i(0).holds(lastFetched));
+    sb.onTransaction(
+        txn(TxnKind::GrantExclusive, lastFetched, &peer, "L1D.1"));
+    ASSERT_EQ(sb.violations().size(), 2u);
+    EXPECT_NE(sb.violations()[1].find("exclusive grant"),
+              std::string::npos);
+}
+
 /**
  * The scoreboard as it was first written: a line -> (cache name ->
  * permission) nested map. The differential test below holds the packed
@@ -141,6 +202,7 @@ class NestedMapScoreboard
             lineMap[txn.cacheName] = Perm::Shared;
             break;
           case TxnKind::ProbeInvalid:
+          case TxnKind::Evict:
             lineMap[txn.cacheName] = Perm::None;
             break;
           case TxnKind::ProbeShared:
@@ -157,6 +219,20 @@ class NestedMapScoreboard
           default:
             break;
         }
+    }
+
+    /** Lines some cache holds a permission for. */
+    size_t
+    heldLines() const
+    {
+        size_t n = 0;
+        for (const auto &[line, lineMap] : perms)
+            for (const auto &[cache, perm] : lineMap)
+                if (perm != Perm::None) {
+                    ++n;
+                    break;
+                }
+        return n;
     }
 
     std::map<Addr, std::map<std::string, Perm>> perms;
@@ -184,7 +260,7 @@ TEST(Scoreboard, MatchesNestedMapSemantics)
         TxnKind::GrantShared,   TxnKind::GrantExclusive,
         TxnKind::ProbeShared,   TxnKind::ProbeInvalid,
         TxnKind::Release,       TxnKind::MemRead,
-        TxnKind::MemWrite,
+        TxnKind::MemWrite,      TxnKind::Evict,
     };
     for (uint64_t seed = 0; seed < 64; ++seed) {
         Rng rng(0x5c0 + seed);
@@ -216,6 +292,8 @@ TEST(Scoreboard, MatchesNestedMapSemantics)
             ASSERT_EQ(packed.transactionsChecked(), nested.checked)
                 << "seed " << seed << " at " << at;
             ASSERT_EQ(packed.violations(), nested.violations)
+                << "seed " << seed << " at " << at;
+            ASSERT_EQ(packed.trackedLines(), nested.heldLines())
                 << "seed " << seed << " at " << at;
         }
         EXPECT_GT(nested.violations.size(), 0u) << "seed " << seed;

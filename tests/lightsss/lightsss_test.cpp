@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <vector>
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -50,6 +51,24 @@ TEST(LightSSS, ForkIsCheap)
     // The headline claim: a fork costs far less than an SSS image
     // (paper: 535us vs 3.671s). Allow generous slack for CI noise.
     EXPECT_LT(sss.stats().lastForkUs, 200'000u);
+    sss.discardAll();
+}
+
+TEST(LightSSS, CountsCopyOnWriteFaultsPerInterval)
+{
+    // Every page written after a fork is shared with the live
+    // snapshot, so the write takes a copy-on-write fault.
+    constexpr size_t kPages = 64;
+    std::vector<uint8_t> mem(kPages * 4096, 1);
+    LightSSS sss({100, 2, true});
+    for (Cycle c = 0; c <= 400; c += 100) {
+        sss.tick(c);
+        for (size_t p = 0; p < kPages; ++p)
+            ++mem[p * 4096];
+    }
+    ASSERT_EQ(sss.stats().forks, 5u);
+    EXPECT_GE(sss.stats().intervalFaults, 4 * kPages);
+    EXPECT_GE(sss.stats().faultsPerInterval(), kPages);
     sss.discardAll();
 }
 

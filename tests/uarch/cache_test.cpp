@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
+#include "common/rng.h"
 #include "uarch/hierarchy.h"
 
 namespace {
@@ -209,6 +214,102 @@ TEST(Cache, MshrPressureStalls)
     EXPECT_GE(c, a);
     EXPECT_GT(c, b);
     EXPECT_GE(mem.l1d(0).stats().mshrStalls, 1u);
+}
+
+/** Two one-set, six-way L1s under a shared L2: the victims of L1 "a"
+ *  are what the Evict transactions name. */
+struct SixWayPair
+{
+    DramModel dram{DramCfg{}};
+    Cache l2{"L2", {1 << 20, 8, 10, 64, false, 16}, nullptr, &dram};
+    Cache a{"L1D.0", {6 * 64, 6, 1, 64, false, 4}, &l2, nullptr};
+    Cache b{"L1D.1", {6 * 64, 6, 1, 64, false, 4}, &l2, nullptr};
+    std::vector<Addr> evicted; ///< a's victims, in order
+
+    SixWayPair()
+    {
+        l2.addChild(&a);
+        l2.addChild(&b);
+        l2.setTxnLog([this](const Transaction &t) {
+            if (t.kind == TxnKind::Evict && t.cache == &a)
+                evicted.push_back(t.line);
+        });
+    }
+
+    static Addr line(unsigned i) { return 0x80000000 + i * 64ULL; }
+};
+
+TEST(Cache, SixWaySetEvictsExactLru)
+{
+    SixWayPair h;
+    Cycle now = 0;
+    for (unsigned i = 0; i < 6; ++i)
+        h.a.access(h.line(i), false, now++);
+    h.a.access(h.line(0), false, now++); // hit: 1 is now the LRU line
+    h.a.access(h.line(6), false, now++); // evicts 1
+    h.b.access(h.line(2), true, now++);  // peer write invalidates 2
+    EXPECT_FALSE(h.a.holds(h.line(2)));
+    h.a.access(h.line(7), false, now++); // fills the hole, no victim
+    h.a.access(h.line(8), false, now++); // evicts 3
+    h.a.access(h.line(4), true, now++);  // hit: 5 is now the LRU line
+    h.a.access(h.line(9), false, now++); // evicts 5
+    h.a.access(h.line(0), false, now++); // hit
+    h.a.access(h.line(1), false, now++); // evicts 6
+    EXPECT_EQ(h.evicted, (std::vector<Addr>{h.line(1), h.line(3),
+                                            h.line(5), h.line(6)}));
+}
+
+/** A way invalidated and refilled over and over must not push the
+ *  ranks of the lines beside it past their 6-bit field. */
+TEST(Cache, SixWaySetRanksStayBoundedUnderChurn)
+{
+    SixWayPair h;
+    Cycle now = 0;
+    for (unsigned i = 0; i < 6; ++i)
+        h.a.access(h.line(i), false, now++);
+    for (unsigned k = 0; k < 200; ++k) {
+        h.b.access(h.line(5), true, now++);  // invalidates 5 in a
+        h.a.access(h.line(5), false, now++); // refills the same way
+    }
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_TRUE(h.a.holds(h.line(i)));
+    h.a.access(h.line(6), false, now++); // evicts 0, the oldest
+    EXPECT_EQ(h.evicted, std::vector<Addr>{h.line(0)});
+}
+
+/** The same set against a recency list over random traffic: a's own
+ *  reads and writes, and b's writes (which invalidate a's copy) and
+ *  reads (which downgrade it without touching its recency). */
+TEST(Cache, SixWaySetMatchesRecencyList)
+{
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+        SixWayPair h;
+        Rng rng(0xca5e + seed);
+        std::list<Addr> lru; // front = least recently used
+        std::vector<Addr> expect;
+        for (Cycle now = 0; now < 3000; ++now) {
+            Addr x = h.line(static_cast<unsigned>(rng.below(10)));
+            bool write = rng.chance(30);
+            auto it = std::find(lru.begin(), lru.end(), x);
+            if (rng.chance(75)) {
+                h.a.access(x, write, now);
+                if (it != lru.end()) {
+                    lru.erase(it);
+                } else if (lru.size() == 6) {
+                    expect.push_back(lru.front());
+                    lru.pop_front();
+                }
+                lru.push_back(x);
+            } else {
+                h.b.access(x, write, now);
+                if (write && it != lru.end())
+                    lru.erase(it);
+            }
+            ASSERT_EQ(h.evicted, expect) << "seed " << seed;
+            for (Addr l : lru)
+                ASSERT_TRUE(h.a.holds(l)) << "seed " << seed;
+        }
+    }
 }
 
 } // namespace

@@ -298,14 +298,16 @@ runXiangshan(const Options &opt, const wl::Program &prog,
             const auto &ss = sss.stats();
             std::printf(
                 "[cosim] %.0f commits/s checked, lightsss %llu forks "
-                "%llu kills, fork us total %llu last %llu\n",
+                "%llu kills, fork us total %llu last %llu, "
+                "faults/interval %llu\n",
                 sec > 0 ? static_cast<double>(
                               dt->stats().commitsChecked) / sec
                         : 0.0,
                 static_cast<unsigned long long>(ss.forks),
                 static_cast<unsigned long long>(ss.kills),
                 static_cast<unsigned long long>(ss.totalForkUs),
-                static_cast<unsigned long long>(ss.lastForkUs));
+                static_cast<unsigned long long>(ss.lastForkUs),
+                static_cast<unsigned long long>(ss.faultsPerInterval()));
         }
         if (soc.system().simctrl.exited())
             std::printf("workload exit code: %llu\n",
