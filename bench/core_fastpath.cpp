@@ -15,16 +15,11 @@
  *                 fast must stay >= 2x the full reference config at a
  *                 fixed budget, best paired ratio of 5 interleaved
  *                 reps; exit 1 otherwise
- *   --json FILE   write the measured matrix as machine-readable JSON
- *                 (CI uploads this as BENCH_core.json)
  */
 
 #include "bench_util.h"
 
 #include <cstring>
-#include <fstream>
-
-#include "common/jsonw.h"
 
 using namespace bench;
 using namespace minjie;
@@ -139,37 +134,6 @@ speedups(const std::vector<Row> &rows)
     return s;
 }
 
-void
-writeJson(const std::string &file, const std::vector<Row> &rows,
-          InstCount budget, double gate, double geo)
-{
-    JsonWriter jw;
-    jw.beginObject();
-    jw.key("bench").value("core_fastpath");
-    jw.key("budget_instrs").value(static_cast<uint64_t>(budget));
-    jw.key("gate_min_speedup").value(gate);
-    jw.key("geomean_speedup").value(geo);
-    jw.key("workloads").beginArray();
-    for (const Row &r : rows) {
-        jw.beginObject();
-        jw.key("name").value(r.workload);
-        for (int c = 0; c < N_CONFIGS; ++c)
-            jw.key(std::string("mips_") + kConfigs[c].name)
-                .value(r.mips[c]);
-        jw.key("speedup_paired").value(r.pairRatio);
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.endObject();
-    std::ofstream f(file);
-    f << jw.str() << "\n";
-    if (!f)
-        std::fprintf(stderr, "core_fastpath: cannot write %s\n",
-                     file.c_str());
-    else
-        std::printf("JSON written to %s\n", file.c_str());
-}
-
 /**
  * Perf-regression smoke gate: the combined fast paths must stay at
  * least 2x the full reference configuration. They are load-bearing
@@ -178,7 +142,7 @@ writeJson(const std::string &file, const std::vector<Row> &rows,
  * silently shipping a slower simulator.
  */
 int
-runSmoke(const std::string &jsonFile)
+runSmoke()
 {
     constexpr InstCount BUDGET = 250'000;
     // Runs are ~100 ms each, short enough that scheduler and frequency
@@ -198,7 +162,7 @@ runSmoke(const std::string &jsonFile)
     // fast-path machinery's health, and a gate there would miss real
     // regressions (same reasoning fig8's smoke uses to exclude
     // host-cache-bound proxies). The full matrix across all phases
-    // stays visible in the default mode and in BENCH_core.json.
+    // stays visible in the default mode.
     const std::vector<unsigned> gateCps = {1, 6, 8};
 
     std::printf("=== core fastpath smoke: fast vs reference model "
@@ -211,8 +175,6 @@ runSmoke(const std::string &jsonFile)
     printTable(rows);
     double g = geomean(speedups(rows));
     std::printf("%-14s %43s %8.2fx\n", "geomean", "", g);
-    if (!jsonFile.empty())
-        writeJson(jsonFile, rows, BUDGET, MIN_RATIO, g);
     if (g < MIN_RATIO) {
         std::printf("\nFAIL: fast-path speedup %.2fx < %.1fx gate\n", g,
                     MIN_RATIO);
@@ -229,20 +191,16 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    std::string jsonFile;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonFile = argv[++i];
         else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--json FILE]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
             return 2;
         }
     }
     if (smoke)
-        return runSmoke(jsonFile);
+        return runSmoke();
 
     bool fast = fastMode();
     unsigned nCheckpoints = fast ? 3 : 8;
@@ -261,7 +219,5 @@ main(int argc, char **argv)
     printTable(rows);
     double g = geomean(speedups(rows));
     std::printf("%-14s %43s %8.2fx\n", "geomean", "", g);
-    if (!jsonFile.empty())
-        writeJson(jsonFile, rows, budget, 0.0, g);
     return 0;
 }

@@ -16,17 +16,14 @@
  *
  * Flags:
  *   --smoke       scaling-regression gate (ctest label "bench-smoke")
- *   --json FILE   machine-readable results (CI: BENCH_sample.json)
  */
 
 #include "bench_util.h"
 
 #include <cstring>
-#include <fstream>
 #include <thread>
 
 #include "checkpoint/generator.h"
-#include "common/jsonw.h"
 #include "sample/engine.h"
 
 using namespace bench;
@@ -40,11 +37,8 @@ struct Row
 {
     std::string workload;
     size_t slices = 0;
-    size_t poolPages = 0;
-    size_t packKb = 0;
     double serialSec = 0;   ///< best of reps, workers=1
     double parallelSec = 0; ///< best of reps, workers=8
-    double weightedIpc = 0;
     bool invariant = false; ///< serial and parallel reduced identically
 
     double
@@ -67,8 +61,6 @@ measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps)
     if (!pack.openMemory(sample::packFromGen(gen)))
         return row;
     row.slices = pack.count();
-    row.poolPages = pack.poolPages();
-    row.packKb = pack.sizeBytes() / 1024;
 
     sample::SampleConfig cfg;
     cfg.measureInsts = 30'000;
@@ -88,7 +80,6 @@ measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps)
     }
     row.serialSec = serial.wallSec;
     row.parallelSec = parallel.wallSec;
-    row.weightedIpc = serial.weightedIpc();
     row.invariant =
         serial.allOk() && parallel.allOk() &&
         serial.weighted == parallel.weighted &&
@@ -116,44 +107,8 @@ measureSuite(const std::vector<wl::ProxySpec> &suite, InstCount budget,
     return rows;
 }
 
-void
-writeJson(const std::string &file, const std::vector<Row> &rows,
-          unsigned hostCores, bool gateEnforced, double geo)
-{
-    JsonWriter jw;
-    jw.beginObject();
-    jw.key("bench").value("sample_parallel");
-    jw.key("workers").value(static_cast<uint64_t>(PAR_WORKERS));
-    jw.key("host_cores").value(static_cast<uint64_t>(hostCores));
-    jw.key("gate_enforced").value(gateEnforced);
-    jw.key("geomean_speedup").value(geo);
-    jw.key("workloads").beginArray();
-    for (const Row &r : rows) {
-        jw.beginObject();
-        jw.key("name").value(r.workload);
-        jw.key("slices").value(static_cast<uint64_t>(r.slices));
-        jw.key("pool_pages").value(static_cast<uint64_t>(r.poolPages));
-        jw.key("pack_kb").value(static_cast<uint64_t>(r.packKb));
-        jw.key("serial_sec").value(r.serialSec);
-        jw.key("parallel_sec").value(r.parallelSec);
-        jw.key("speedup").value(r.speedup());
-        jw.key("weighted_ipc").value(r.weightedIpc);
-        jw.key("invariant").value(r.invariant);
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.endObject();
-    std::ofstream f(file);
-    f << jw.str() << "\n";
-    if (!f)
-        std::fprintf(stderr, "sample_parallel: cannot write %s\n",
-                     file.c_str());
-    else
-        std::printf("JSON written to %s\n", file.c_str());
-}
-
 int
-runSmoke(const std::string &jsonFile)
+runSmoke()
 {
     constexpr double MIN_SPEEDUP = 3.0;
     unsigned hostCores = std::thread::hardware_concurrency();
@@ -183,8 +138,6 @@ runSmoke(const std::string &jsonFile)
     }
     double geo = geomean(sp);
     std::printf("\ngeomean speedup: %.2fx\n", geo);
-    if (!jsonFile.empty())
-        writeJson(jsonFile, rows, hostCores, enforce, geo);
 
     if (!allInvariant) {
         std::printf("FAIL: serial and parallel reductions diverged\n");
@@ -206,20 +159,16 @@ int
 main(int argc, char **argv)
 {
     bool smoke = false;
-    std::string jsonFile;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            jsonFile = argv[++i];
         else {
-            std::fprintf(stderr, "usage: %s [--smoke] [--json FILE]\n",
-                         argv[0]);
+            std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
             return 2;
         }
     }
     if (smoke)
-        return runSmoke(jsonFile);
+        return runSmoke();
 
     bool fast = fastMode();
     auto suite = wl::specIntSuite();
@@ -239,9 +188,5 @@ main(int argc, char **argv)
             sp.push_back(r.speedup());
     std::printf("\ngeomean speedup: %.2fx (host cores: %u)\n",
                 geomean(sp), std::thread::hardware_concurrency());
-    if (!jsonFile.empty())
-        writeJson(jsonFile, rows,
-                  std::thread::hardware_concurrency(), false,
-                  geomean(sp));
     return 0;
 }

@@ -18,7 +18,7 @@
 #include <cstdio>
 
 #include "checkpoint/generator.h"
-#include "sample/store.h"
+#include "sample/engine.h"
 #include "xiangshan/soc.h"
 
 using namespace minjie;
@@ -58,37 +58,29 @@ main()
         std::printf("      pack parse FAILED\n");
         return 1;
     }
-    // Exact-integer reduction: weighted cycles over weighted
-    // instructions, each slice scaled by its weight numerator.
-    uint64_t wCycles = 0, wInstrs = 0;
+    // Warmup then measure (paper: 20M + 20M; scaled down here), one
+    // slice per checkpoint, reduced with the exact integer weights.
+    sample::SampleConfig cfg;
+    cfg.warmupInsts = 30'000;
+    cfg.measureInsts = 50'000;
+    cfg.maxCycles = 100'000'000;
+    auto rep = sample::runSampled(pack, cfg);
     for (size_t i = 0; i < pack.count(); ++i) {
-        xs::Soc soc(xs::CoreConfig::nh());
-        if (!pack.restoreInto(i, soc.core(0).oracleState(),
-                              soc.system().dram)) {
+        const auto &s = rep.slices[i];
+        if (!s.ok) {
             std::printf("      checkpoint %zu: restore FAILED\n", i);
             return 1;
         }
-        // Warmup then measure (paper: 20M + 20M; scaled down here).
-        soc.runUntilInstrs(30'000, 50'000'000);
-        Cycle warmCycles = soc.core(0).perf().cycles;
-        InstCount warmInstrs = soc.core(0).perf().instrs;
-        soc.runUntilInstrs(warmInstrs + 50'000, 100'000'000);
-        uint64_t cycles = soc.core(0).perf().cycles - warmCycles;
-        uint64_t instrs = soc.core(0).perf().instrs - warmInstrs;
-        wCycles += pack.weightNum(i) * cycles;
-        wInstrs += pack.weightNum(i) * instrs;
         std::printf("      checkpoint %zu @%9llu insts  weight %llu/%llu  "
                     "cpi %.3f\n",
                     i, static_cast<unsigned long long>(pack.instCount(i)),
                     static_cast<unsigned long long>(pack.weightNum(i)),
                     static_cast<unsigned long long>(pack.weightDen()),
-                    static_cast<double>(cycles) /
-                        static_cast<double>(std::max<uint64_t>(1, instrs)));
+                    static_cast<double>(s.cycles) /
+                        static_cast<double>(std::max<uint64_t>(1, s.instrs)));
     }
 
-    double estCpi = wInstrs ? static_cast<double>(wCycles) /
-                                  static_cast<double>(wInstrs)
-                            : 0.0;
+    double estCpi = rep.weightedCpi();
     double estIpc = estCpi > 0 ? 1.0 / estCpi : 0;
     std::printf("\nweighted estimate: ipc %.3f   full run: ipc %.3f   "
                 "deviation: %+.1f%%\n",

@@ -36,8 +36,7 @@ DiffTest::DiffTest(xs::Soc &dut, const RuleConfig &rules)
                 [this](const StoreProbe &p) { globalMem_->onStore(p); });
     }
     dut.mem().setTxnLog([this](const uarch::Transaction &t) {
-        if (rules_.scoreboard)
-            scoreboard_.onTransaction(t);
+        scoreboard_.onTransaction(t);
     });
 }
 
@@ -219,17 +218,15 @@ DiffTest::onCommit(HartId hart, const CommitProbe &probe)
 
     // ---- diff-rule: forced SC failure ----
     if (probe.scFailed) {
-        if (rules_.scFailure) {
-            unsigned &count = forcedAtPc_[probe.pc];
-            if (++count > rules_.maxForcedPerPc * 4) {
-                report(DivergenceReport::Kind::Rule, hart, probe,
-                       "sc-failure-livelock");
-                fail(hart, "sc-failure rule repeated excessively");
-                return;
-            }
-            ++stats_.forcedScFailures;
-            refSt.resValid = false; // the REF's SC now fails naturally
+        unsigned &count = forcedAtPc_[probe.pc];
+        if (++count > rules_.maxForcedPerPc * 4) {
+            report(DivergenceReport::Kind::Rule, hart, probe,
+                   "sc-failure-livelock");
+            fail(hart, "sc-failure rule repeated excessively");
+            return;
         }
+        ++stats_.forcedScFailures;
+        refSt.resValid = false; // the REF's SC now fails naturally
     }
 
     // ---- step the REF one instruction ----
@@ -257,7 +254,7 @@ DiffTest::onCommit(HartId hart, const CommitProbe &probe)
     // Destination-register equivalence.
     if (probe.rdWritten && refSt.x[probe.rd] != probe.rdValue) {
         bool patched = false;
-        if (probe.isLoad && rules_.globalMemory && globalMem_) {
+        if (probe.isLoad && globalMem_) {
             // ---- diff-rule: the value may come from another hart's
             // store that the single-core REF cannot see. The Global
             // Memory records stores at their oracle-time execution; a
@@ -309,7 +306,7 @@ DiffTest::onCommit(HartId hart, const CommitProbe &probe)
 
     // CSR rule evaluation on serializing instructions (the only points
     // where the DUT's committed CSR view is architecturally settled).
-    if (rules_.csrRules && (probe.trap || triggersCsrCheck(probe.inst))) {
+    if (probe.trap || triggersCsrCheck(probe.inst)) {
         ++stats_.csrChecks;
         CsrProbe dutCsr;
         dut_.core(hart).fillCsrProbe(dutCsr);

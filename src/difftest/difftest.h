@@ -49,11 +49,7 @@ struct RuleConfig
 {
     bool skipMmio = true;
     bool pageFault = true;
-    bool scFailure = true;
     bool forcedInterrupt = true;
-    bool globalMemory = true;   ///< multi-core load-value rule
-    bool csrRules = true;
-    bool scoreboard = true;
     unsigned maxForcedPerPc = 8; ///< repeat guard (Section III-B2c)
 };
 
@@ -134,9 +130,6 @@ class DiffTest
     {
         onMismatch_ = std::move(fn);
     }
-
-    /** Reconfigure the rule set on-the-fly. */
-    RuleConfig &rules() { return rules_; }
 
     /**
      * Run the DUT under co-simulation until completion or a mismatch.

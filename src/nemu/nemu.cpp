@@ -911,6 +911,13 @@ struct NemuExec
             // Instruction fetch fault: the target instruction was never
             // dispatched; only previously completed uops are counted.
             InstCount done = chunk - budget;
+            if (budget == 0 && done > 0) {
+                // The budget ended with the jump: stop with pc at its
+                // target, so the next step takes the fault, as the
+                // step() engines do.
+                trap = Trap::none();
+                goto block_boundary;
+            }
             st.instret += done;
             st.csr.minstret += done;
             st.csr.mcycle += done;

@@ -1,24 +1,8 @@
 #include "obs/counter.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/jsonw.h"
 
 namespace minjie::obs {
-
-bool
-enabled()
-{
-    static const bool on = [] {
-        const char *env = std::getenv("MINJIE_OBS");
-        if (!env)
-            return true;
-        return std::strcmp(env, "off") != 0 &&
-               std::strcmp(env, "0") != 0;
-    }();
-    return on;
-}
 
 CounterSnapshot
 CounterSnapshot::delta(const CounterSnapshot &earlier) const

@@ -13,7 +13,7 @@
  *
  * The tree is populated from the simulators' existing stats structs at
  * snapshot points (see collect.h), never from hot loops, so the layer
- * costs nothing when observability is off (MINJIE_OBS=off).
+ * costs nothing between snapshots.
  */
 
 #ifndef MINJIE_OBS_COUNTER_H
@@ -25,13 +25,6 @@
 #include <string>
 
 namespace minjie::obs {
-
-/**
- * Runtime master switch: false when the environment sets MINJIE_OBS to
- * "off" or "0". Read once per process; tools and drivers consult it
- * before attaching tracers or collecting counters.
- */
-bool enabled();
 
 /** Flattened, order-stable view of a counter tree. */
 class CounterSnapshot

@@ -2,12 +2,9 @@
 
 #include <unistd.h>
 
-#include "checkpoint/pack.h"
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/fork_pool.h"
-#include "iss/system.h"
-#include "nemu/nemu.h"
 #include "obs/collect.h"
 #include "obs/serialize.h"
 
@@ -65,41 +62,22 @@ SliceResult
 runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
 {
     SliceResult res;
-    if (i >= pack.count())
-        return res;
-
-    PackReader handoff; // outlives soc, whose memory maps its pages
     xs::Soc soc(cfg.coreCfg, 1, cfg.dramMb);
-    const PackReader *from = &pack;
-    size_t slot = i;
-    if (cfg.warmupInsts > 0) {
-        // Functional warmup: fast-forward on NEMU from the checkpoint,
-        // then hand the advanced state to the detailed core through a
-        // one-slot pack. The measurement point moves warmupInsts past
-        // the slice start.
-        iss::System warm(cfg.dramMb);
-        nemu::Nemu nemu(warm.bus, warm.dram, 0, 0);
-        if (!pack.restoreInto(i, nemu.state(), warm.dram))
-            return res;
-        nemu.flushUopCache();
-        nemu.setHaltFn([&] { return warm.simctrl.exited(); });
-        nemu.run(cfg.warmupInsts);
-        checkpoint::PackWriter writer(1, 1);
-        writer.snapshot(0, nemu.state(), warm.dram, 0, 1);
-        if (!handoff.openMemory(writer.bytes()))
-            return res;
-        from = &handoff;
-        slot = 0;
-    }
-    if (!from->restoreInto(slot, soc.core(0).oracleState(),
-                           soc.system().dram))
+    if (!pack.restoreInto(i, soc.core(0).oracleState(), soc.system().dram))
         return res;
 
+    // Paper protocol (Section III-D3): warm the detailed core from the
+    // checkpoint, then measure; only the measured window is reported.
+    // With no warmup this runs no cycle.
+    soc.runUntilInstrs(cfg.warmupInsts, cfg.maxCycles);
+    const auto &perf = soc.core(0).perf();
+    const Cycle warmCycles = perf.cycles;
+    const InstCount warmInstrs = perf.instrs;
     auto before = socSnapshot(soc);
-    soc.runUntilInstrs(cfg.measureInsts, cfg.maxCycles);
+    soc.runUntilInstrs(warmInstrs + cfg.measureInsts, cfg.maxCycles);
     res.counters = socSnapshot(soc).delta(before);
-    res.cycles = soc.core(0).perf().cycles;
-    res.instrs = soc.core(0).perf().instrs;
+    res.cycles = perf.cycles - warmCycles;
+    res.instrs = perf.instrs - warmInstrs;
     res.ok = true;
     return res;
 }

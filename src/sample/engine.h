@@ -3,8 +3,9 @@
  * Sampled-simulation engine (paper Section III-D3).
  *
  * Each SimPoint slice restores a checkpoint from the shared read-only
- * pack, optionally fast-forwards `warmupInsts` functionally on NEMU,
- * then measures a detailed window on the XIANGSHAN core. Slices are
+ * pack into a XIANGSHAN SoC, runs `warmupInsts` on that detailed core
+ * to warm its caches and predictors, then measures the next
+ * `measureInsts` (the paper's warm-then-measure protocol). Slices are
  * independent, so they run on the fork pool (common/fork_pool.h) and
  * come back as slice blobs; a crashing slice kills only its own worker
  * and is reported as a failed slice, never as a lost run.
@@ -34,14 +35,15 @@ struct SampleConfig
 {
     /** Forked worker processes; <= 1 runs slices in-process. */
     unsigned workers = 1;
-    /** Functional-warmup instructions on NEMU before the detailed
-     *  window (moves the measurement point past the checkpoint). */
+    /** Detailed-warmup instructions run on the measured core before
+     *  its window: they warm caches and predictors, move the
+     *  measurement point past the checkpoint, and are not reported. */
     uint64_t warmupInsts = 0;
     /** Detailed-core measurement window, in committed instructions. */
     uint64_t measureInsts = 20'000;
-    /** Per-slice detailed-cycle budget. */
+    /** Detailed-cycle budget of the warmup and of the window, each. */
     Cycle maxCycles = 20'000'000;
-    /** Functional DRAM size for both warmup and detail. */
+    /** DRAM size of the slice's SoC. */
     uint64_t dramMb = 256;
     xs::CoreConfig coreCfg = xs::CoreConfig::nh();
 

@@ -84,7 +84,8 @@ TEST(Lockstep, JumpToPcZeroTrapsAlike)
     // Spike's decode cache starts as zero bytes and tags entries with
     // pc + 1; a zero entry must not read as a cached decode of pc 0.
     // The code starts past the base so that no instruction fills the
-    // entry pc 0 maps to.
+    // entry pc 0 maps to. NEMU's threaded engine must end a one-step
+    // run at the jump and fault on the next step, as the others do.
     wl::Layout layout;
     wl::Asm a(layout.codeBase + 0x100);
     a.li(wl::t0, layout.auxCode);
@@ -99,7 +100,7 @@ TEST(Lockstep, JumpToPcZeroTrapsAlike)
     prog.segments.push_back(a.finish());
     prog.segments.push_back(h.finish());
 
-    for (Engine other : {Engine::Dromajo, Engine::Tci}) {
+    for (Engine other : {Engine::Dromajo, Engine::Tci, Engine::Nemu}) {
         auto r = runLockstep(Engine::Spike, other, prog, 1000);
         EXPECT_FALSE(r.div.diverged()) << engineName(other) << ": "
                                        << r.div.describe();

@@ -8,7 +8,7 @@
 #include "difftest/difftest.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
-#include "sample/store.h"
+#include "sample/engine.h"
 #include "workload/asm.h"
 #include "xiangshan/soc.h"
 
@@ -366,29 +366,6 @@ TEST(Checkpoint, RestoresIntoCycleModel)
     EXPECT_GT(soc.core(0).perf().ipc(), 0.05);
 }
 
-/** Weighted CPI over the pack's checkpoints with the exact-integer
- *  reduction: weighted cycles over weighted instructions. */
-double
-estimateCpi(const sample::PackReader &pack, InstCount warm,
-            InstCount measure)
-{
-    uint64_t wCycles = 0, wInstrs = 0;
-    for (size_t i = 0; i < pack.count(); ++i) {
-        xs::Soc soc(xs::CoreConfig::nh());
-        EXPECT_TRUE(pack.restoreInto(i, soc.core(0).oracleState(),
-                                     soc.system().dram));
-        soc.runUntilInstrs(warm, 5'000'000);
-        Cycle warmCycles = soc.core(0).perf().cycles;
-        InstCount warmInstrs = soc.core(0).perf().instrs;
-        soc.runUntilInstrs(warmInstrs + measure, 20'000'000);
-        wCycles += pack.weightNum(i) * (soc.core(0).perf().cycles - warmCycles);
-        wInstrs += pack.weightNum(i) * (soc.core(0).perf().instrs - warmInstrs);
-    }
-    return wInstrs ? static_cast<double>(wCycles) /
-                         static_cast<double>(wInstrs)
-                   : 0.0;
-}
-
 TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
 {
     // The paper reports a 5-10% deviation against real hardware and
@@ -406,8 +383,17 @@ TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
 
     auto gen = generateCheckpoints(prog, 30'000, 4, 10'000'000);
     auto pack = openPack(gen);
-    double coldEstimate = estimateCpi(pack, 1'000, 10'000);
-    double warmEstimate = estimateCpi(pack, 15'000, 10'000);
+    // Each slice warms the detailed core, then measures 10k
+    // instructions; the sample engine reduces with the exact weights.
+    sample::SampleConfig cfg;
+    cfg.measureInsts = 10'000;
+    cfg.warmupInsts = 1'000;
+    auto cold = sample::runSampled(pack, cfg);
+    cfg.warmupInsts = 15'000;
+    auto warm = sample::runSampled(pack, cfg);
+    ASSERT_TRUE(cold.allOk() && warm.allOk());
+    double coldEstimate = cold.weightedCpi();
+    double warmEstimate = warm.weightedCpi();
 
     // Sanity band: cold-state estimates overshoot (every miss is
     // compulsory in a short window) but stay within an order of

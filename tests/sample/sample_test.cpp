@@ -17,6 +17,7 @@
 #include "common/bytes.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
+#include "obs/collect.h"
 #include "sample/engine.h"
 #include "sample/store.h"
 #include "workload/shrinkable.h"
@@ -382,7 +383,7 @@ TEST(SampleEngine, CrashIsolation)
     EXPECT_TRUE(rep.stack.sumsExactly());
 }
 
-TEST(SampleEngine, FunctionalWarmupAdvancesMeasurementPoint)
+TEST(SampleEngine, WarmupAdvancesMeasurementPoint)
 {
     auto gen = makeGen();
     auto pack = makePack(gen);
@@ -402,6 +403,87 @@ TEST(SampleEngine, FunctionalWarmupAdvancesMeasurementPoint)
     EXPECT_GE(a.instrs, cold.measureInsts);
     EXPECT_GE(b.instrs, cold.measureInsts);
     EXPECT_NE(a.counters, b.counters);
+}
+
+/** The paper's slice protocol written out by hand: restore into a
+ *  fresh SoC, run @p warm instructions, then measure @p measure more;
+ *  the result covers the measured window only. */
+sample::SliceResult
+handSlice(const sample::PackReader &pack, size_t i, InstCount warm,
+          InstCount measure, Cycle maxCycles)
+{
+    sample::SliceResult r;
+    xs::Soc soc(xs::CoreConfig::nh());
+    if (!pack.restoreInto(i, soc.core(0).oracleState(), soc.system().dram))
+        return r;
+    auto snapshot = [&] {
+        obs::CounterGroup root;
+        obs::collectSoc(root, soc);
+        obs::CounterSnapshot s;
+        root.flattenInto(s, "");
+        return s;
+    };
+    soc.runUntilInstrs(warm, maxCycles);
+    Cycle c0 = soc.core(0).perf().cycles;
+    InstCount n0 = soc.core(0).perf().instrs;
+    auto before = snapshot();
+    soc.runUntilInstrs(n0 + measure, maxCycles);
+    r.counters = snapshot().delta(before);
+    r.cycles = soc.core(0).perf().cycles - c0;
+    r.instrs = soc.core(0).perf().instrs - n0;
+    r.ok = true;
+    return r;
+}
+
+TEST(SampleEngine, DetailedWarmupMatchesHandLoop)
+{
+    // runSlice and runSampled must measure exactly the window the
+    // hand-written restore -> warm -> measure loop measures, with and
+    // without warmup, in-process and forked.
+    auto pack = makePack(makeGen());
+    ASSERT_GE(pack.count(), 2u);
+
+    for (InstCount warm : {0u, 5'000u}) {
+        sample::SampleConfig cfg;
+        cfg.warmupInsts = warm;
+        cfg.measureInsts = 3'000;
+        cfg.maxCycles = 5'000'000;
+        std::vector<sample::SliceResult> hand;
+        uint64_t wCycles = 0, wInstrs = 0;
+        for (size_t i = 0; i < pack.count(); ++i) {
+            hand.push_back(handSlice(pack, i, warm, cfg.measureInsts,
+                                     cfg.maxCycles));
+            ASSERT_TRUE(hand.back().ok);
+            wCycles += pack.weightNum(i) * hand.back().cycles;
+            wInstrs += pack.weightNum(i) * hand.back().instrs;
+        }
+
+        auto one = sample::runSlice(pack, 1, cfg);
+        ASSERT_TRUE(one.ok);
+        EXPECT_EQ(one.cycles, hand[1].cycles) << "warm " << warm;
+        EXPECT_EQ(one.instrs, hand[1].instrs) << "warm " << warm;
+        EXPECT_EQ(one.counters, hand[1].counters) << "warm " << warm;
+
+        for (unsigned w : {1u, 2u}) {
+            cfg.workers = w;
+            auto rep = sample::runSampled(pack, cfg);
+            ASSERT_TRUE(rep.allOk()) << w << " workers";
+            for (size_t i = 0; i < pack.count(); ++i) {
+                const auto &s = rep.slices[i];
+                EXPECT_EQ(s.cycles, hand[i].cycles)
+                    << "warm " << warm << " slice " << i;
+                EXPECT_EQ(s.instrs, hand[i].instrs)
+                    << "warm " << warm << " slice " << i;
+                EXPECT_EQ(s.counters, hand[i].counters)
+                    << "warm " << warm << " slice " << i;
+                EXPECT_GE(s.instrs, cfg.measureInsts);
+            }
+            EXPECT_EQ(rep.weightedCycles, wCycles);
+            EXPECT_EQ(rep.weightedInstrs, wInstrs);
+            EXPECT_TRUE(rep.stack.sumsExactly());
+            EXPECT_EQ(rep.stack.cycles, wCycles);
+        }
+    }
 }
 
 TEST(SampleEngine, InProcessAndForkedSliceAgree)

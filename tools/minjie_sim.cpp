@@ -101,7 +101,8 @@ usage()
         "  --archdb       with --trace: print the ArchDB report\n"
         "  --sample       SimPoint sampled evaluation (fork pool)\n"
         "  --workers N    forked slice workers (default 1)\n"
-        "  --warmup M     functional-warmup instructions per slice\n"
+        "  --warmup M     detailed-warmup instructions per slice,\n"
+        "                 run before the window and not measured\n"
         "  --measure N    detailed window per slice (default 20000)\n"
         "  --interval N   SimPoint interval length (default 50000)\n"
         "  --max-k K      max SimPoint clusters (default 4)\n"
@@ -176,7 +177,7 @@ runInterpreter(const Options &opt, const wl::Program &prog)
     // traced run steps instruction by instruction (the base-class
     // run); untraced runs keep the threaded-code fast path.
     obs::TraceBuffer trace(TRACE_CAP);
-    const bool traced = !opt.traceOut.empty() && obs::enabled();
+    const bool traced = !opt.traceOut.empty();
     uint64_t blocks = 0;
     if (traced)
         nemu->setBlockHook([&](Addr pc, uint32_t len) {
@@ -201,10 +202,8 @@ runInterpreter(const Options &opt, const wl::Program &prog)
     if (opt.traceOut.empty())
         return 0;
     obs::CounterGroup root;
-    if (traced) {
-        obs::collectNemu(root, *nemu);
-        root.set("instrs", r.executed);
-    }
+    obs::collectNemu(root, *nemu);
+    root.set("instrs", r.executed);
     return writeTrace(opt, root, trace.events());
 }
 
@@ -222,8 +221,7 @@ runXiangshan(const Options &opt, const wl::Program &prog,
     }
 
     obs::TraceBuffer trace(TRACE_CAP);
-    const bool traced = !opt.traceOut.empty() && obs::enabled();
-    if (traced) {
+    if (!opt.traceOut.empty()) {
         for (unsigned c = 0; c < soc.numCores(); ++c)
             soc.core(c).setTrace(&trace);
         obs::attachCacheTrace(soc.mem(), trace);
@@ -319,8 +317,7 @@ runXiangshan(const Options &opt, const wl::Program &prog,
     // A mismatching run keeps DiffTest's divergence window: the trace
     // events leading up to the first bad commit.
     obs::CounterGroup root;
-    if (traced)
-        obs::collectSoc(root, soc);
+    obs::collectSoc(root, soc);
     bool window = dt && !dt->ok() && !dt->divergenceWindow().empty();
     return writeTrace(opt, root,
                       window ? dt->divergenceWindow() : trace.events())
