@@ -43,7 +43,10 @@ main()
 
     // ---- checkpoint generation ----
     std::printf("[2/3] profiling + SimPoint + checkpoint generation...\n");
-    auto gen = generateCheckpoints(prog, 100'000, 6, 100'000'000);
+    // Profile the first 600k of the program's ~649k instructions, so
+    // every checkpoint leaves room for its 80k-instruction warmup and
+    // window below: a slice cut short by the exit would fail.
+    auto gen = generateCheckpoints(prog, 100'000, 6, 600'000);
     std::printf("      %llu instructions profiled at %.0f MIPS; "
                 "%zu checkpoints generated at %.0f MIPS\n",
                 static_cast<unsigned long long>(gen.totalInsts),
@@ -68,7 +71,10 @@ main()
     for (size_t i = 0; i < pack.count(); ++i) {
         const auto &s = rep.slices[i];
         if (!s.ok) {
-            std::printf("      checkpoint %zu: restore FAILED\n", i);
+            std::printf("      checkpoint %zu: FAILED (measured %llu of "
+                        "%llu instrs)\n",
+                        i, static_cast<unsigned long long>(s.instrs),
+                        static_cast<unsigned long long>(cfg.measureInsts));
             return 1;
         }
         std::printf("      checkpoint %zu @%9llu insts  weight %llu/%llu  "

@@ -16,6 +16,28 @@ mips(InstCount insts, double sec)
     return sec > 0 ? static_cast<double>(insts) / sec / 1e6 : 0;
 }
 
+/**
+ * Program::loadInto() that maps each segment's whole pages instead of
+ * copying them (PhysMem::mapPage), so a pass copies only the pages it
+ * writes; the partial pages at a segment's ends are copied. @p prog
+ * must outlive @p pm's contents.
+ */
+void
+mapProgram(const workload::Program &prog, mem::PhysMem &pm)
+{
+    constexpr Addr P = mem::PhysMem::PAGE_SIZE;
+    for (const auto &seg : prog.segments) {
+        const uint8_t *bytes = seg.bytes.data();
+        const Addr end = seg.base + seg.bytes.size();
+        const Addr lo = std::min((seg.base + P - 1) & ~(P - 1), end);
+        const Addr hi = std::max(end & ~(P - 1), lo);
+        pm.load(seg.base, bytes, lo - seg.base);
+        for (Addr a = lo; a < hi; a += P)
+            pm.mapPage(a, bytes + (a - seg.base));
+        pm.load(hi, bytes + (hi - seg.base), end - hi);
+    }
+}
+
 } // namespace
 
 GenResult
@@ -26,10 +48,12 @@ generateCheckpoints(const workload::Program &prog,
     GenResult out;
 
     // ---- pass 1: profile BBVs in NEMU's threaded engine ----
+    // Both passes map the image from prog, which outlives their
+    // systems, instead of copying it.
     std::vector<Bbv> bbvs;
     {
         iss::System sys(256);
-        prog.loadInto(sys.dram);
+        mapProgram(prog, sys.dram);
         nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
         nemu.setHaltFn([&] { return sys.simctrl.exited(); });
         nemu.profileBbvs(intervalInsts);
@@ -68,7 +92,7 @@ generateCheckpoints(const workload::Program &prog,
     out.checkpoints.resize(sp.intervals.size());
     out.pack = PackWriter(sp.weightDen(), sp.intervals.size());
     iss::System sys(256);
-    prog.loadInto(sys.dram);
+    mapProgram(prog, sys.dram);
     nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
 

@@ -1,5 +1,7 @@
 #include "checkpoint/pack.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "checkpoint/checkpoint.h"
@@ -25,17 +27,29 @@ pageIsZero(const uint8_t *data)
     return true;
 }
 
-/** FNV-1a over one page, folded 8 bytes at a time. */
+/** FNV-1a-style hash of one page in four independent lanes (words
+ *  i, i+1, i+2, i+3 of each 32 bytes), so the four multiply chains
+ *  overlap instead of forming one serial chain. */
 uint64_t
 hashPage(const uint8_t *page)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t i = 0; i < mem::PhysMem::PAGE_SIZE; i += 8) {
-        uint64_t w;
-        std::memcpy(&w, page + i, 8);
-        h = (h ^ w) * 0x100000001b3ULL;
+    constexpr uint64_t prime = 0x100000001b3ULL;
+    uint64_t h[4] = {0xcbf29ce484222325ULL, 0x84222325cbf29ce4ULL,
+                     0x9e3779b97f4a7c15ULL, 0xc2b2ae3d27d4eb4fULL};
+    for (size_t i = 0; i < mem::PhysMem::PAGE_SIZE; i += 32) {
+        for (unsigned l = 0; l < 4; ++l) {
+            uint64_t w;
+            std::memcpy(&w, page + i + 8 * l, 8);
+            h[l] = (h[l] ^ w) * prime;
+        }
     }
-    return h;
+    // Fold the lanes, then MurmurHash3's fmix64: the index uses the
+    // low bits, which the multiply chains alone mix poorly.
+    uint64_t x = h[0] ^ std::rotl(h[1], 16) ^ std::rotl(h[2], 32) ^
+                 std::rotl(h[3], 48);
+    x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
+    x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+    return x ^ (x >> 33);
 }
 
 } // namespace
@@ -46,10 +60,17 @@ PackWriter::poolIndexFor(const uint8_t *page)
     ++hashed_;
     if (pageIsZero(page))
         return ZERO;
-    auto &bucket = hashToIdx_[hashPage(page)];
-    for (uint64_t idx : bucket) {
-        if (std::memcmp(poolPage(idx), page, PAGE) == 0)
-            return idx;
+    // Open addressing, linear probing; the hash only picks where to
+    // look, and a pool page is reused only when its bytes match.
+    if (2 * (poolPages_ + 1) > index_.size())
+        growIndex();
+    const uint64_t hash = hashPage(page);
+    const size_t mask = index_.size() - 1;
+    size_t b = hash & mask;
+    for (; index_[b].idx != ZERO; b = (b + 1) & mask) {
+        if (index_[b].hash == hash &&
+            std::memcmp(poolPage(index_[b].idx), page, PAGE) == 0)
+            return index_[b].idx;
     }
     uint64_t idx = poolPages_++;
     if (idx % CHUNK_PAGES == 0)
@@ -57,8 +78,25 @@ PackWriter::poolIndexFor(const uint8_t *page)
             std::make_unique_for_overwrite<uint8_t[]>(CHUNK_PAGES * PAGE));
     std::memcpy(chunks_.back().get() + idx % CHUNK_PAGES * PAGE, page,
                 PAGE);
-    bucket.push_back(idx);
+    index_[b] = {hash, idx};
     return idx;
+}
+
+void
+PackWriter::growIndex()
+{
+    std::vector<IndexEnt> old(std::max<size_t>(64, 2 * index_.size()),
+                              IndexEnt{0, ZERO});
+    old.swap(index_);
+    const size_t mask = index_.size() - 1;
+    for (const IndexEnt &e : old) {
+        if (e.idx == ZERO)
+            continue;
+        size_t b = e.hash & mask;
+        while (index_[b].idx != ZERO)
+            b = (b + 1) & mask;
+        index_[b] = e;
+    }
 }
 
 void

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -106,6 +105,8 @@ class PackWriter
 
     /** Pool index of @p page's content (adding it), or ZERO. */
     uint64_t poolIndexFor(const uint8_t *page);
+    /** Double index_ (at least 64 entries) and re-insert its pages. */
+    void growIndex();
 
     /** The pool grows by fixed chunks, never by reallocation: a
      *  doubling vector re-copies (and re-faults) the whole pool. */
@@ -120,7 +121,16 @@ class PackWriter
     std::vector<Entry> table_;
     std::vector<std::unique_ptr<uint8_t[]>> chunks_;
     size_t poolPages_ = 0;
-    std::unordered_map<uint64_t, std::vector<uint64_t>> hashToIdx_;
+    /** Dedup index entry: a pool page and its content hash; idx ==
+     *  ZERO marks an empty entry. */
+    struct IndexEnt
+    {
+        uint64_t hash;
+        uint64_t idx;
+    };
+    /** Open-addressed table of every pool page, size a power of two
+     *  at least twice poolPages_. */
+    std::vector<IndexEnt> index_;
     /** Every allocated page of the last snapshot, ascending base. */
     std::vector<std::pair<uint64_t, uint64_t>> live_;
     uint64_t liveEpoch_ = 0; ///< memory epoch live_ is current for

@@ -29,10 +29,10 @@ Mmu::effectivePriv(Access acc) const
 }
 
 bool
-Mmu::translationOn() const
+Mmu::translationOn(Access acc) const
 {
     return (st_.csr.satp >> SATP_MODE_SHIFT) == SATP_MODE_SV39 &&
-           effectivePriv(Access::Load) != Priv::M;
+           effectivePriv(acc) != Priv::M;
 }
 
 Exc

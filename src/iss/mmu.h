@@ -70,8 +70,9 @@ class Mmu
         flushHook_ = std::move(hook);
     }
 
-    /** True when translation is active for data accesses. */
-    bool translationOn() const;
+    /** True when translation is active for @p acc (MPRV applies to
+     *  loads and stores, not to fetches). */
+    bool translationOn(Access acc) const;
 
     const MmuStats &stats() const { return stats_; }
     mem::MemPort &mem() { return mem_; }

@@ -22,15 +22,21 @@ namespace minjie::mem {
  * a 16 GB guest-physical space costs only what the workload dirties —
  * this is also what makes LightSSS fork()/COW snapshots cheap.
  *
- * Dirty tracking: every write-capable accessor (write, load, mapPage,
- * hostPage) marks its page dirty, and so does the first touch that
- * allocates a page or copies a mapped one; read() and hostPageRO() do
- * not. clearDirty() empties the set and bumps epoch(), so a host
- * pointer handed out by hostPage() before the clear — which could
- * write without marking — is dropped by its holder before the next
- * write (NEMU checks epoch() at every run()). The checkpoint pack
- * writer uses the set to re-hash only the pages written since the
- * previous snapshot.
+ * Mapped pages (mapPage) are read in place: read() serves their bytes
+ * from the mapped source, and the page is copied into a private page
+ * only by its first write or when hostPage()/hostPageRO() must hand out
+ * a stable pointer. A run that only reads an image thus copies none of
+ * it.
+ *
+ * Dirty tracking: the write-capable accessors (write, load, mapPage,
+ * hostPage) mark their page dirty; read() and hostPageRO() never do,
+ * not even when they allocate a zero page or copy a mapped one, since
+ * neither changes what the page reads as. clearDirty() empties the set
+ * and bumps epoch(), so a host pointer handed out by hostPage() before
+ * the clear — which could write without marking — is dropped by its
+ * holder before the next write (NEMU checks epoch() at every run()).
+ * The checkpoint pack writer uses the set to re-hash only the pages
+ * written since the previous snapshot.
  */
 class PhysMem
 {
@@ -109,10 +115,11 @@ class PhysMem
 
     /**
      * Back the page at page-aligned @p base with the read-only bytes at
-     * @p src without copying them. The first touch of the page through
-     * any accessor, read or write, copies them into a private page, so
-     * no pointer handed out by hostPage/hostPageRO ever aliases @p src.
-     * @p src must stay valid until the next clear().
+     * @p src without copying them: reads are served from @p src until
+     * the page's first write or a hostPage()/hostPageRO() call copies
+     * it into a private page, so no pointer handed out ever aliases
+     * @p src. A page that already has a private copy is overwritten at
+     * once. @p src must stay valid until the next clear().
      */
     void
     mapPage(Addr base, const uint8_t *src)
@@ -120,10 +127,14 @@ class PhysMem
         Addr pfn = base >> PAGE_SHIFT;
         Slot &slot = pages_[pfn];
         markDirty(slot, pfn);
-        if (slot.page)
+        if (slot.page) {
             std::memcpy(slot.page.get(), src, PAGE_SIZE);
-        else
+        } else {
             slot.src = src;
+            Hint &h = hints_[pfn & (kHints - 1)];
+            if (h.pfn == pfn)
+                h = {};
+        }
     }
 
     /**
@@ -142,15 +153,15 @@ class PhysMem
         return writePtr(pageBase);
     }
 
-    /** Read-only hostPage(): does not mark the page dirty (unless this
-     *  first touch allocates it). Valid until clear(). */
+    /** Read-only hostPage(): a private page like hostPage()'s, but the
+     *  page is not marked dirty. Valid until clear(). */
     const uint8_t *
     hostPageRO(Addr addr)
     {
         Addr pageBase = addr & ~PAGE_MASK;
         if (!contains(pageBase, PAGE_SIZE))
             return nullptr;
-        return readPtr(pageBase);
+        return ownedHint(pageBase >> PAGE_SHIFT).write;
     }
 
     /**
@@ -169,7 +180,7 @@ class PhysMem
 
     /**
      * Visit every allocated page in ascending address order (for
-     * checkpoints and SSS snapshots); a mapped page never touched is
+     * checkpoints and SSS snapshots); a mapped page not yet copied is
      * visited through its source. Sorted visitation is load-bearing:
      * consumers serialize the pages, and two runs that touched the same
      * pages in different orders must produce identical images.
@@ -221,7 +232,7 @@ class PhysMem
 
   private:
 
-    /** A private page, or until its first touch a mapped source. */
+    /** A private page, or until its first write a mapped source. */
     struct Slot
     {
         std::unique_ptr<uint8_t[]> page;
@@ -267,55 +278,74 @@ class PhysMem
         }
     }
 
-    /** A page with its private copy: the entry of a direct-mapped
-     *  pfn -> slot cache in front of pages_, whose nodes stay put
-     *  until clear(). */
+    /** The entry of a direct-mapped pfn -> slot cache in front of
+     *  pages_, whose nodes stay put until clear(). */
     struct Hint
     {
         Addr pfn = ~0ULL;
-        uint8_t *data = nullptr;
+        const uint8_t *read = nullptr; ///< private page or mapped source
+        uint8_t *write = nullptr;      ///< private page, or nullptr
         Slot *slot = nullptr;
     };
     static constexpr unsigned kHints = 32; ///< pow2
 
-    /** The slot of @p pfn with a private page, allocating (or copying
-     *  a mapped source into) one on first touch — which marks it. */
-    const Hint &
-    touch(Addr pfn)
+    /** The cache entry of @p pfn, allocating a zero page on the first
+     *  touch of a page that is neither allocated nor mapped. */
+    Hint &
+    hint(Addr pfn)
     {
         Hint &h = hints_[pfn & (kHints - 1)];
-        if (h.pfn == pfn)
-            return h;
+        return h.pfn == pfn ? h : fill(h, pfn);
+    }
+
+    /** hint() of @p pfn with a private page, copying a mapped source
+     *  into one if needed. Marks nothing. */
+    Hint &
+    ownedHint(Addr pfn)
+    {
+        Hint &h = hint(pfn);
+        return h.write ? h : own(h);
+    }
+
+    // The miss paths stay out of line: read() and write() are inlined
+    // into every load and store handler of the interpreters.
+
+    [[gnu::noinline]] Hint &
+    fill(Hint &h, Addr pfn)
+    {
         Slot &slot = pages_[pfn];
-        if (!slot.page) {
-            if (slot.src) {
-                slot.page =
-                    std::make_unique_for_overwrite<uint8_t[]>(PAGE_SIZE);
-                std::memcpy(slot.page.get(), slot.src, PAGE_SIZE);
-            } else {
-                slot.page = std::make_unique<uint8_t[]>(PAGE_SIZE);
-            }
-            slot.src = nullptr;
-            markDirty(slot, pfn);
-        }
-        h = {pfn, slot.page.get(), &slot};
+        if (!slot.page && !slot.src)
+            slot.page = std::make_unique<uint8_t[]>(PAGE_SIZE);
+        h = {pfn, slot.page ? slot.page.get() : slot.src, slot.page.get(),
+             &slot};
+        return h;
+    }
+
+    [[gnu::noinline]] Hint &
+    own(Hint &h)
+    {
+        Slot &slot = *h.slot;
+        slot.page = std::make_unique_for_overwrite<uint8_t[]>(PAGE_SIZE);
+        std::memcpy(slot.page.get(), slot.src, PAGE_SIZE);
+        slot.src = nullptr;
+        h.read = h.write = slot.page.get();
         return h;
     }
 
     const uint8_t *
     readPtr(Addr addr)
     {
-        return touch(addr >> PAGE_SHIFT).data + (addr & PAGE_MASK);
+        return hint(addr >> PAGE_SHIFT).read + (addr & PAGE_MASK);
     }
 
-    /** Like readPtr(), but marks the page. */
+    /** A private page's byte at @p addr; marks the page. */
     uint8_t *
     writePtr(Addr addr)
     {
         Addr pfn = addr >> PAGE_SHIFT;
-        const Hint &h = touch(pfn);
+        Hint &h = ownedHint(pfn);
         markDirty(*h.slot, pfn);
-        return h.data + (addr & PAGE_MASK);
+        return h.write + (addr & PAGE_MASK);
     }
 
     /** Call fn(base, bytes) for each page of @p pfns. */
@@ -334,7 +364,7 @@ class PhysMem
     uint64_t size_;
     std::unordered_map<Addr, Slot> pages_;
     std::vector<Addr> dirty_; ///< pfns with Slot::dirty set
-    Hint hints_[kHints];      ///< [pfn % kHints], see touch()
+    Hint hints_[kHints];      ///< [pfn % kHints], see hint()
     uint64_t epoch_;
 };
 

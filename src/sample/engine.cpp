@@ -78,7 +78,10 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
     res.counters = socSnapshot(soc).delta(before);
     res.cycles = perf.cycles - warmCycles;
     res.instrs = perf.instrs - warmInstrs;
-    res.ok = true;
+    // A window cut short (program exit or maxCycles, in the warmup or
+    // the window) fails: the reduction must not give it a full weight.
+    res.ok = warmInstrs >= cfg.warmupInsts &&
+             res.instrs >= cfg.measureInsts;
     return res;
 }
 

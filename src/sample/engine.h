@@ -55,6 +55,9 @@ struct SampleConfig
 /** One evaluated slice (measurement window only, warmup excluded). */
 struct SliceResult
 {
+    /** False when the checkpoint did not restore, or the warmup or
+     *  the window ended (program exit, maxCycles) short of its
+     *  instruction count; cycles and instrs still hold what ran. */
     bool ok = false;
     uint64_t cycles = 0;
     uint64_t instrs = 0;

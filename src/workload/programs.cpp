@@ -15,12 +15,20 @@ using isa::Op;
 
 namespace {
 
-/** Append a little-endian 64-bit value to a byte vector. */
-void
-push64(std::vector<uint8_t> &v, uint64_t x)
+/** @p n little-endian 64-bit words, word i = @p word(i), written in
+ *  place into a vector sized once. */
+template <typename F>
+std::vector<uint8_t>
+words64(size_t n, F &&word)
 {
-    for (int i = 0; i < 8; ++i)
-        v.push_back(static_cast<uint8_t>(x >> (8 * i)));
+    std::vector<uint8_t> v(n * 8);
+    uint8_t *p = v.data();
+    for (size_t i = 0; i < n; ++i, p += 8) {
+        uint64_t x = word(i);
+        for (int b = 0; b < 8; ++b)
+            p[b] = static_cast<uint8_t>(x >> (8 * b));
+    }
+    return v;
 }
 
 /** Build a single-cycle pointer ring of @p n nodes at @p base with
@@ -151,19 +159,12 @@ buildProxy(const ProxySpec &spec, uint64_t iterations, uint64_t seed,
     prog.segments.push_back(
         {ringBase, buildRing(ringBase, ringBytes / 64, rng, 64)});
 
-    std::vector<uint8_t> ints;
-    ints.reserve(wsBytes);
-    for (size_t i = 0; i < wsBytes / 8; ++i)
-        push64(ints, rng.next());
-    prog.segments.push_back({intsBase, std::move(ints)});
-
-    std::vector<uint8_t> dbls;
-    dbls.reserve(dblsBytes);
-    for (size_t i = 0; i < dblsBytes / 8; ++i) {
+    prog.segments.push_back(
+        {intsBase, words64(wsBytes / 8, [&](size_t) { return rng.next(); })});
+    prog.segments.push_back({dblsBase, words64(dblsBytes / 8, [](size_t i) {
         double d = 1.0 + static_cast<double>(i % 997) * 0.001;
-        push64(dbls, std::bit_cast<uint64_t>(d));
-    }
-    prog.segments.push_back({dblsBase, std::move(dbls)});
+        return std::bit_cast<uint64_t>(d);
+    })});
 
     // ---- indirect-jump case blocks (fixed-address aux segment) ----
     {
@@ -403,10 +404,10 @@ coremarkProxy(uint64_t iterations, const Layout &layout)
     const Addr listBase = layout.dataBase;
     prog.segments.push_back({listBase, buildRing(listBase, 4096, rng)});
     const Addr matBase = listBase + 4096 * 8;
-    std::vector<uint8_t> mat;
-    for (unsigned i = 0; i < 32 * 32; ++i)
-        push64(mat, (i * 2654435761u) & 0xffff);
-    prog.segments.push_back({matBase, std::move(mat)});
+    prog.segments.push_back({matBase, words64(32 * 32, [](size_t i) {
+        return static_cast<uint64_t>(
+            (static_cast<unsigned>(i) * 2654435761u) & 0xffff);
+    })});
 
     Asm a(layout.codeBase);
     a.li(sp, layout.stackTop);

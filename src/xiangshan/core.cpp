@@ -1,6 +1,7 @@
 #include "xiangshan/core.h"
 
 #include <algorithm>
+#include <cstring>
 #include <type_traits>
 
 #include "common/log.h"
@@ -248,6 +249,25 @@ Core::fillCsrProbe(difftest::CsrProbe &p) const
     p.timeVal = csr.timeSrc ? *csr.timeSrc : 0;
 }
 
+const uint8_t *
+Core::fetchHost(Addr pc)
+{
+    constexpr Addr mask = mem::PhysMem::PAGE_MASK;
+    if ((pc & 1) || (pc & mask) > mask - 3 ||
+        mmu_.translationOn(iss::Access::Fetch))
+        return nullptr;
+    mem::PhysMem &dram = sys_.dram;
+    Addr page = pc & ~mask;
+    if (page != fetchPage_ || fetchEpoch_ != dram.epoch()) {
+        // A private page (hostPageRO): writes land in it, so patched
+        // code is seen without a flush.
+        fetchHostPage_ = dram.hostPageRO(page);
+        fetchPage_ = page;
+        fetchEpoch_ = dram.epoch();
+    }
+    return fetchHostPage_ ? fetchHostPage_ + (pc & mask) : nullptr;
+}
+
 bool
 Core::oracleStep(Rec &rec)
 {
@@ -281,8 +301,18 @@ Core::oracleStep(Rec &rec)
     }
 
     uint32_t raw;
-    Trap ft = mmu_.fetch(rec.pc, raw);
-    rec.instPaddr = mmu_.lastPaddr();
+    Trap ft = Trap::none();
+    if (const uint8_t *host = fetchHost(rec.pc)) {
+        // Mmu::fetch's in-page path, without its translation and
+        // page lookup.
+        std::memcpy(&raw, host, 4);
+        if ((raw & 0x3) != 0x3)
+            raw &= 0xffff;
+        rec.instPaddr = rec.pc;
+    } else {
+        ft = mmu_.fetch(rec.pc, raw);
+        rec.instPaddr = mmu_.lastPaddr();
+    }
 
     if (ft.pending()) {
         takeTrap(oracle_, ft, rec.pc);

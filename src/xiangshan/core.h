@@ -363,6 +363,11 @@ class Core
      *  @return false when the oracle cannot make progress. */
     bool oracleStep(Rec &rec);
 
+    /** Host address of the instruction bytes at @p pc when the oracle
+     *  may read them in place (bare fetch translation, all four bytes
+     *  in one DRAM page), else nullptr: the caller uses Mmu::fetch. */
+    const uint8_t *fetchHost(Addr pc);
+
     /** Consult the frontend predictors for @p rec at fetch. */
     void predictControl(Rec &rec, unsigned &bubble);
 
@@ -382,6 +387,11 @@ class Core
     // Oracle.
     iss::ArchState oracle_;
     iss::Mmu mmu_;
+    /// fetchHost()'s cache: the DRAM host page of fetchPage_, valid
+    /// while dram.epoch() == fetchEpoch_ (a clear() frees it).
+    Addr fetchPage_ = ~0ULL;
+    const uint8_t *fetchHostPage_ = nullptr;
+    uint64_t fetchEpoch_ = 0;
     std::function<bool()> haltFn_;
     bool oracleHalted_ = false;
 

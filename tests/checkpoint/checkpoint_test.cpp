@@ -381,7 +381,11 @@ TEST(Checkpoint, WeightedCpiTracksFullRunAndWarmupHelps)
     ASSERT_TRUE(r.completed);
     double fullCpi = 1.0 / full.core(0).perf().ipc();
 
-    auto gen = generateCheckpoints(prog, 30'000, 4, 10'000'000);
+    // Profile the first 200k of the program's ~228k instructions, so
+    // every checkpoint leaves room for the warm run's 25k-instruction
+    // warmup and window: a window cut short by the exit fails its
+    // slice.
+    auto gen = generateCheckpoints(prog, 30'000, 4, 200'000);
     auto pack = openPack(gen);
     // Each slice warms the detailed core, then measures 10k
     // instructions; the sample engine reduces with the exact weights.

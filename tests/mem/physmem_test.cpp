@@ -133,25 +133,38 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
     // Untouched, the page is already allocated and visited through its
     // source, in address order.
     EXPECT_EQ(pm.allocatedPages(), 2u);
+    auto visitedAt = [&pm](Addr at) {
+        const uint8_t *seen = nullptr;
+        pm.forEachPage([&](Addr base, const uint8_t *d) {
+            if (base == at)
+                seen = d;
+        });
+        return seen;
+    };
     std::vector<Addr> bases;
-    pm.forEachPage([&](Addr base, const uint8_t *d) {
+    pm.forEachPage([&](Addr base, const uint8_t *) {
         bases.push_back(base);
-        if (base == 0x80002000) {
-            EXPECT_EQ(d, src.data());
-        }
     });
     EXPECT_EQ(bases, (std::vector<Addr>{0x80000000, 0x80002000}));
+    EXPECT_EQ(visitedAt(0x80002000), src.data());
 
-    // A read copies it into a private page; writes never reach the
-    // source.
+    // A read serves the source in place: nothing is copied.
     uint64_t v = 0;
     ASSERT_TRUE(pm.read(0x80002008, 8, v));
     uint64_t want;
     std::memcpy(&want, orig.data() + 8, 8);
     EXPECT_EQ(v, want);
+    EXPECT_EQ(visitedAt(0x80002000), src.data()) << "a read copied";
+
+    // hostPageRO() hands out a private copy, never the source; writes
+    // land in that copy and never reach the source.
+    const uint8_t *ro = pm.hostPageRO(0x80002000);
+    ASSERT_NE(ro, nullptr);
+    EXPECT_NE(ro, src.data());
+    EXPECT_EQ(std::memcmp(ro, orig.data(), 4096), 0);
+    EXPECT_EQ(visitedAt(0x80002000), ro);
     uint8_t *host = pm.hostPage(0x80002000);
-    ASSERT_NE(host, nullptr);
-    EXPECT_NE(host, src.data());
+    EXPECT_EQ(host, ro) << "pointer moved";
     ASSERT_TRUE(pm.write(0x80002008, 8, 0x1122334455667788ULL));
     EXPECT_EQ(src, orig);
     ASSERT_TRUE(pm.read(0x80002008, 8, v));
@@ -159,14 +172,40 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
     EXPECT_EQ(pm.hostPage(0x80002000), host) << "pointer moved";
     EXPECT_EQ(pm.allocatedPages(), 2u);
 
-    // Mapping over a private page copies at once; clear() drops both.
+    // The first write copies a mapped page; hostPage() also returns a
+    // private page.
+    pm.mapPage(0x80003000, src.data());
+    ASSERT_TRUE(pm.write(0x80003010, 1, 0xff));
+    EXPECT_EQ(src, orig);
+    EXPECT_NE(visitedAt(0x80003000), src.data());
+    ASSERT_TRUE(pm.read(0x80003008, 8, v));
+    EXPECT_EQ(v, want);
+    pm.mapPage(0x80004000, src.data());
+    uint8_t *own = pm.hostPage(0x80004000);
+    ASSERT_NE(own, nullptr);
+    EXPECT_NE(own, src.data());
+    EXPECT_EQ(std::memcmp(own, orig.data(), 4096), 0);
+
+    // Mapping over a private page copies at once.
     pm.mapPage(0x80002000, src.data());
+    EXPECT_EQ(pm.hostPage(0x80002000), host) << "pointer moved";
     ASSERT_TRUE(pm.read(0x80002008, 8, v));
     EXPECT_EQ(v, want);
+
+    // Mapping over a page read in place serves the new bytes, even
+    // though the read left its source in the page cache.
+    std::vector<uint8_t> other(4096, 0x33);
     pm.mapPage(0x80005000, src.data());
+    ASSERT_TRUE(pm.read(0x80005008, 8, v));
+    EXPECT_EQ(v, want);
+    pm.mapPage(0x80005000, other.data());
+    ASSERT_TRUE(pm.read(0x80005008, 8, v));
+    EXPECT_EQ(v, 0x3333333333333333ULL);
+
+    // clear() drops pages and aliases alike, cached ones included.
     pm.clear();
     EXPECT_EQ(pm.allocatedPages(), 0u);
-    ASSERT_TRUE(pm.read(0x80005000, 8, v));
+    ASSERT_TRUE(pm.read(0x80005008, 8, v));
     EXPECT_EQ(v, 0u);
 }
 
@@ -189,12 +228,14 @@ TEST(PhysMem, DirtyTracking)
     std::vector<uint8_t> src(4096, 7);
     uint64_t v = 0;
 
-    // First touch through any accessor allocates and marks the page.
+    // Only a write marks a page: a first read or hostPageRO() allocates
+    // a zero page, which reads as before, so neither marks.
     ASSERT_TRUE(pm.read(P0, 8, v));
     ASSERT_NE(pm.hostPageRO(P1), nullptr);
     ASSERT_TRUE(pm.write(P2, 8, 1));
-    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P0, P1, P2}));
-    EXPECT_EQ(pm.dirtyPages(), 3u);
+    EXPECT_EQ(pm.allocatedPages(), 3u);
+    EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P2}));
+    EXPECT_EQ(pm.dirtyPages(), 1u);
 
     // Clearing empties the set and bumps the epoch.
     uint64_t e0 = pm.epoch();
@@ -225,13 +266,18 @@ TEST(PhysMem, DirtyTracking)
     ASSERT_TRUE(pm.write(P3 + 8, 8, 2));
     EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P3}));
 
-    // A read copies the mapped page in (new bytes: marked); the visit
-    // sees the page's current contents.
+    // A read of a mapped page serves its source and hostPageRO()
+    // copies it, both leaving the dirty set alone (the bytes do not
+    // change); the first write copies it and marks it.
     pm.clearDirty();
     PhysMem fresh(0x80000000, 1 << 20);
     fresh.mapPage(P4, src.data());
+    fresh.mapPage(P3, src.data());
     fresh.clearDirty();
     ASSERT_TRUE(fresh.read(P4, 8, v));
+    ASSERT_NE(fresh.hostPageRO(P3), nullptr);
+    EXPECT_EQ(fresh.dirtyPages(), 0u);
+    ASSERT_TRUE(fresh.write(P4 + 8, 8, 5));
     EXPECT_EQ(dirtyBases(fresh), (std::vector<Addr>{P4}));
     EXPECT_NE(fresh.epoch(), pm.epoch()) << "epochs are per memory";
 

@@ -405,6 +405,51 @@ TEST(SampleEngine, WarmupAdvancesMeasurementPoint)
     EXPECT_NE(a.counters, b.counters);
 }
 
+TEST(SampleEngine, ShortWindowFails)
+{
+    // The last checkpoint sits closer than measureInsts to the
+    // program's end: its window ends at the exit, short of the count,
+    // so the slice fails and the reduction leaves it out instead of
+    // weighting a short window as a full one.
+    auto gen = makeGen();
+    auto pack = makePack(gen);
+    ASSERT_GE(pack.count(), 2u);
+    size_t last = 0;
+    for (size_t i = 1; i < pack.count(); ++i)
+        if (pack.instCount(i) > pack.instCount(last))
+            last = i;
+    const InstCount tail = gen.totalInsts - pack.instCount(last);
+
+    sample::SampleConfig cfg;
+    cfg.workers = 2;
+    cfg.measureInsts = tail + 500; // others end >= 19k before the exit
+    auto rep = sample::runSampled(pack, cfg);
+    EXPECT_EQ(rep.failures, 1u);
+    uint64_t wInstrs = 0;
+    for (size_t i = 0; i < pack.count(); ++i) {
+        const auto &s = rep.slices[i];
+        EXPECT_EQ(s.ok, i != last) << "slice " << i;
+        EXPECT_EQ(s.instrs >= cfg.measureInsts, i != last) << "slice " << i;
+        if (s.ok)
+            wInstrs += pack.weightNum(i) * s.instrs;
+    }
+    EXPECT_GT(rep.slices[last].instrs, 0u) << "what ran is reported";
+    EXPECT_EQ(rep.weightedInstrs, wInstrs);
+
+    // A warmup that reaches the exit fails the slice too; so does a
+    // window cut by maxCycles.
+    sample::SampleConfig warm;
+    warm.warmupInsts = tail + 500;
+    warm.measureInsts = 1'000;
+    EXPECT_FALSE(sample::runSlice(pack, last, warm).ok);
+    sample::SampleConfig capped;
+    capped.measureInsts = 3'000;
+    capped.maxCycles = 200;
+    auto cut = sample::runSlice(pack, 0, capped);
+    EXPECT_FALSE(cut.ok);
+    EXPECT_LT(cut.instrs, capped.measureInsts);
+}
+
 /** The paper's slice protocol written out by hand: restore into a
  *  fresh SoC, run @p warm instructions, then measure @p measure more;
  *  the result covers the measured window only. */

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "difftest/difftest.h"
 #include "nemu/nemu.h"
 #include "workload/programs.h"
 #include "xiangshan/soc.h"
@@ -320,6 +323,44 @@ TEST(Core, FaultInjectionCorruptsOneProbe)
     auto r = runProgram(soc, p2);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(corrupted, 1u);
+}
+
+TEST(SelfModifyingCode, XiangshanCore)
+{
+    // The oracle reads instruction bits through a cached host pointer
+    // to its fetch page. The patch store and fence.i must still be
+    // seen (exit code 1 + 7 = 8): with the code copied in, with it
+    // mapped from a source as a pack restore maps it, and under
+    // DiffTest, commit by commit against NEMU.
+    auto prog = wl::smcProgram();
+    {
+        Soc soc(CoreConfig::nh());
+        ASSERT_TRUE(runProgram(soc, prog).completed);
+        EXPECT_EQ(soc.system().simctrl.exitCode(), 8u);
+    }
+    {
+        const auto &code = prog.segments.at(0);
+        ASSERT_EQ(code.base & mem::PhysMem::PAGE_MASK, 0u);
+        ASSERT_LE(code.bytes.size(), mem::PhysMem::PAGE_SIZE);
+        std::vector<uint8_t> page(mem::PhysMem::PAGE_SIZE, 0);
+        std::copy(code.bytes.begin(), code.bytes.end(), page.begin());
+        const std::vector<uint8_t> orig = page;
+        Soc soc(CoreConfig::nh());
+        soc.system().dram.mapPage(code.base, page.data());
+        soc.setEntry(prog.entry);
+        ASSERT_TRUE(soc.run(5'000'000).completed);
+        EXPECT_EQ(soc.system().simctrl.exitCode(), 8u);
+        EXPECT_EQ(page, orig) << "the patch reached the mapped source";
+    }
+    {
+        Soc soc(CoreConfig::nh());
+        difftest::DiffTest dt(soc);
+        dt.loadProgram(prog);
+        dt.run(5'000'000);
+        EXPECT_TRUE(dt.ok()) << dt.failures().front();
+        EXPECT_GT(dt.stats().commitsChecked, 10u);
+        EXPECT_EQ(soc.system().simctrl.exitCode(), 8u);
+    }
 }
 
 } // namespace

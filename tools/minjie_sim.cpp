@@ -399,6 +399,10 @@ runSampledFlow(const Options &opt, const wl::Program &prog,
                         s.cycles ? static_cast<double>(s.instrs) /
                                        static_cast<double>(s.cycles)
                                  : 0.0);
+        else
+            std::printf(" (measured %llu of %llu requested instrs)",
+                        static_cast<unsigned long long>(s.instrs),
+                        static_cast<unsigned long long>(scfg.measureInsts));
         std::printf("\n");
     }
     std::printf("[sample] weighted ipc %.4f (cpi %.4f), %u workers, "
