@@ -18,7 +18,11 @@
 
 #include "bench_util.h"
 
+#include <climits>
+#include <cstring>
+
 #include "checkpoint/generator.h"
+#include "common/parse.h"
 #include "sample/engine.h"
 
 using namespace bench;
@@ -99,11 +103,14 @@ main(int argc, char **argv)
     // fork-fanout sampled engine over N workers instead of one full
     // detailed run — the paper's Fig. 12 methodology (profile once,
     // run SimPoint slices per configuration).
-    unsigned sampleWorkers = 0;
+    uint64_t sampleWorkers = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--sample" && i + 1 < argc)
-            sampleWorkers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
+        if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc &&
+            parseU64(argv[++i], sampleWorkers) && sampleWorkers > 0 &&
+            sampleWorkers <= UINT_MAX)
+            continue;
+        std::fprintf(stderr, "usage: %s [--sample WORKERS]\n", argv[0]);
+        return 2;
     }
     // Memory-bound benchmarks need enough instructions for their
     // ~2.6MB chase footprint to be re-walked (LLC capacity effects);
@@ -128,6 +135,7 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> intIpc(configs.size());
     std::vector<std::vector<double>> fpIpc(configs.size());
 
+    // Returns false, having named the cell, when a sampled cell fails.
     auto runSuite = [&](const char *title,
                         const std::vector<wl::ProxySpec> &suite,
                         std::vector<std::vector<double>> &out) {
@@ -152,14 +160,29 @@ main(int argc, char **argv)
             }
             for (size_t i = 0; i < configs.size(); ++i) {
                 double ipc;
-                if (sampleWorkers > 0 && pack.valid()) {
+                if (sampleWorkers > 0) {
+                    if (!pack.valid()) {
+                        std::fprintf(stderr,
+                                     "\nfig12: %s on %s: checkpoint "
+                                     "pack did not open\n",
+                                     spec.name, configs[i].name);
+                        return false;
+                    }
                     minjie::sample::SampleConfig scfg;
-                    scfg.workers = sampleWorkers;
+                    scfg.workers = static_cast<unsigned>(sampleWorkers);
                     scfg.warmupInsts = budget / 20;
                     scfg.measureInsts = budget / 10;
                     scfg.coreCfg = configs[i].cfg;
-                    ipc = minjie::sample::runSampled(pack, scfg)
-                              .weightedIpc();
+                    auto rep = minjie::sample::runSampled(pack, scfg);
+                    if (rep.failures) {
+                        std::fprintf(stderr,
+                                     "\nfig12: %s on %s: %u of %zu "
+                                     "slices failed\n",
+                                     spec.name, configs[i].name,
+                                     rep.failures, rep.slices.size());
+                        return false;
+                    }
+                    ipc = rep.weightedIpc();
                 } else {
                     ipc = measureIpc(configs[i].cfg, prog, budget);
                 }
@@ -173,10 +196,12 @@ main(int argc, char **argv)
         for (size_t i = 0; i < configs.size(); ++i)
             std::printf(" %20.3f", geomean(out[i]));
         std::printf("\n\n");
+        return true;
     };
 
-    runSuite("SPECint 2006 proxies:", intSuite, intIpc);
-    runSuite("SPECfp 2006 proxies:", fpSuite, fpIpc);
+    if (!runSuite("SPECint 2006 proxies:", intSuite, intIpc) ||
+        !runSuite("SPECfp 2006 proxies:", fpSuite, fpIpc))
+        return 1;
 
     // ---- the paper's headline comparisons ----
     auto find = [&](const char *name) -> int {

@@ -308,24 +308,11 @@ Nemu::stepOnce(ExecInfo *info)
         return t;
     const DecodedInst &di = cold_[static_cast<size_t>(idx)].di;
 
-    if (blockHook_) {
-        if (blockStart_ == ~0ULL)
-            blockStart_ = st_.pc;
-        ++blockLen_;
-    }
-
     // Always observe CSR writes even when the caller passed no probe:
     // satp-write detection below must not depend on it.
     ExecInfo local;
     ExecInfo *ei = info ? info : &local;
     Trap et = execInst(st_, mmu_, di, fpb_, ei);
-
-    if (blockHook_ &&
-        (isControl(di.op) || isSystem(di.op) || et.pending())) {
-        blockHook_(blockStart_, blockLen_);
-        blockStart_ = ~0ULL;
-        blockLen_ = 0;
-    }
 
     // Flush conditions: code or translation environment changed.
     if (di.op == Op::FenceI || di.op == Op::SfenceVma) {
@@ -350,6 +337,14 @@ Nemu::profileBbvs(InstCount intervalInsts)
     prof_->blockPc = st_.pc;
     prof_->blockMark = prof_->intervalMark = st_.instret;
     flushUopCache();
+}
+
+void
+Nemu::setBlockHook(std::function<void(Addr, uint32_t)> hook)
+{
+    blockHook_ = std::move(hook);
+    if (!prof_)
+        profileBbvs(~0ULL); // no interval ever closes
 }
 
 std::vector<Bbv>
@@ -387,6 +382,8 @@ Nemu::bbvEnd(InstCount retired, Addr nextPc)
     if (p.count[static_cast<size_t>(s)] == 0)
         p.touched.push_back(s);
     p.count[static_cast<size_t>(s)] += retired - p.blockMark;
+    if (blockHook_)
+        blockHook_(p.blockPc, static_cast<uint32_t>(retired - p.blockMark));
     p.blockMark = retired;
     if (retired - p.intervalMark >= p.intervalInsts) {
         bbvCloseInterval();
@@ -416,10 +413,11 @@ Nemu::bbvCloseInterval()
 }
 
 /**
- * The threaded-code engine. Prof = true is the BBV-profiling
+ * The threaded-code engine. Prof = true is the block-tracking
  * specialization: block ends (control transfers, system instructions,
- * traps) charge the open block's length to its start pc's slot. The
- * profiling code compiles away entirely in the plain engine.
+ * traps) charge the open block's length to its start pc's slot and
+ * pass it to the block hook. The profiling code compiles away entirely
+ * in the plain engine.
  */
 struct NemuExec
 {

@@ -25,9 +25,10 @@
  *  - pseudo-instruction specialization (e.g. a jal with rd=x0 uses a
  *    link-free handler; li-like addi with rs1=x0 loads the immediate).
  *
- * BBV profiling for SimPoint (profileBbvs) runs inside the same
- * threaded engine, as a compile-time specialization with its own
- * handler table, so the plain engine carries no profiling code.
+ * BBV profiling for SimPoint (profileBbvs) and the tracing block hook
+ * (setBlockHook) share one block tracker inside the same threaded
+ * engine, a compile-time specialization with its own handler table,
+ * so the plain engine carries no profiling code.
  *
  * Block chaining and the memory fast path can be ablated independently
  * (setChainingEnabled / setFastPathEnabled) for the Figure 8 speedup
@@ -150,15 +151,13 @@ class Nemu : public iss::Interp
 
     /**
      * Block hook for tracing: invoked with (block start pc, block
-     * length in instructions) every time a control, system or
-     * trapping instruction ends a block. Fires only on the step path
-     * (Interp::step / Interp::run), never in run()'s threaded engine.
+     * length in instructions) at every block end the BBV profiler
+     * counts, so the lengths per start pc sum to its counts. Fires in
+     * run()'s profiling engine, never on the step path. Starts block
+     * tracking from the current state unless profileBbvs already did;
+     * takeBbvs stops it.
      */
-    void
-    setBlockHook(std::function<void(Addr, uint32_t)> hook)
-    {
-        blockHook_ = std::move(hook);
-    }
+    void setBlockHook(std::function<void(Addr, uint32_t)> hook);
 
   protected:
     isa::Trap stepOnce(iss::ExecInfo *info) override;
@@ -321,13 +320,12 @@ class Nemu : public iss::Interp
     isa::Priv regimePriv_ = isa::Priv::M;
     uint64_t regimeEpoch_ = 0;
     std::function<void(Addr, uint32_t)> blockHook_;
-    int32_t stepIdx_ = -1;    ///< uop index of the last step, or -1
-    Addr blockStart_ = ~0ULL; ///< step-path block tracking
-    uint32_t blockLen_ = 0;
+    int32_t stepIdx_ = -1; ///< uop index of the last step, or -1
 
-    /** BBV profiler state (profileBbvs to takeBbvs). Counts live in
-     *  per-slot arrays; each block-start pc owns one slot, which the
-     *  hot uop caches, so a block end costs no map lookup. */
+    /** Block tracker state (profileBbvs or setBlockHook to takeBbvs).
+     *  Counts live in per-slot arrays; each block-start pc owns one
+     *  slot, which the hot uop caches, so a block end costs no map
+     *  lookup. */
     struct BbvProfile
     {
         InstCount intervalInsts = 0;

@@ -4,6 +4,7 @@
 #
 #   bad_runspec.sh path/to/minjie-sim
 #   bad_runspec.sh path/to/minjie-campaign
+#   FAST=1 bad_runspec.sh path/to/fig12_spec_scores
 tool="$1"
 case "$(basename "$tool")" in
 minjie-sim)
@@ -40,6 +41,14 @@ minjie-campaign)
 --pairs spike-qemu
 --inject-bug nosuchop
 --inject-bug xor:zz
+--no-such-flag" ;;
+fig12_spec_scores)
+    base=""
+    good="--sample 2"
+    bad="--sample abc
+--sample
+--sample 0
+--sample 2x
 --no-such-flag" ;;
 *)
     echo "bad_runspec.sh: unknown tool $tool"

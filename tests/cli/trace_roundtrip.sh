@@ -1,7 +1,8 @@
 #!/bin/sh
 # `minjie-sim --trace` writes a .mjt artifact that `minjie-trace report`
 # reads back: the xiangshan run (under DiffTest) must render an exact
-# top-down CPI stack, the NEMU run its counters and block trace.
+# top-down CPI stack and the Figure 15 summary, the NEMU run its
+# counters and block trace.
 #
 #   trace_roundtrip.sh path/to/minjie-sim path/to/minjie-trace WORKDIR
 sim="$1"
@@ -18,6 +19,7 @@ need() {
 "$trace" report "$dir/xs.mjt" > "$dir/xs.txt"
 need "^run: coremark@nh" "$dir/xs.txt"
 need "\(exact\)" "$dir/xs.txt"
+need "^  >2 ready: [0-9.]+% of RS-cycles" "$dir/xs.txt"
 need '"traceEvents"' "$dir/xs.json"
 
 "$sim" --engine nemu --workload sum --iters 100 --trace "$dir/nemu.mjt"

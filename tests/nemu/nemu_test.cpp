@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 
 #include "common/clock.h"
 #include "isa/csr.h"
@@ -283,14 +284,20 @@ TEST(Nemu, BlockHookSeesBasicBlocks)
     Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
 
+    // The hook and the BBV profiler are one block tracker: a profile
+    // taken alongside the hook (small intervals, so several close)
+    // holds the hook's lengths summed per block-start pc.
+    nemu.profileBbvs(50);
     uint64_t blocks = 0, insts = 0;
+    std::map<Addr, uint64_t> perPc;
     nemu.setBlockHook([&](Addr pc, uint32_t len) {
         ++blocks;
         insts += len;
+        perPc[pc] += len;
         EXPECT_GT(len, 0u);
         EXPECT_GE(pc, DRAM_BASE);
     });
-    auto r = nemu.Interp::run(100'000);
+    auto r = nemu.run(100'000);
     ASSERT_TRUE(r.halted);
     // Every loop iteration ends in a branch: ~100 blocks.
     EXPECT_GT(blocks, 100u);
@@ -298,6 +305,14 @@ TEST(Nemu, BlockHookSeesBasicBlocks)
     // block may be in flight when the run stops).
     EXPECT_LE(insts, r.executed);
     EXPECT_GT(insts, r.executed - 10);
+
+    auto bbvs = nemu.takeBbvs();
+    EXPECT_GT(bbvs.size(), 2u);
+    std::map<Addr, uint64_t> profiled;
+    for (const auto &bbv : bbvs)
+        for (const auto &[pc, n] : bbv)
+            profiled[pc] += n;
+    EXPECT_EQ(profiled, perPc);
 }
 
 TEST(Nemu, HostTlbOnDemandPagedPage)

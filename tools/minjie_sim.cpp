@@ -62,7 +62,6 @@ struct Options
     bool difftest = false;
     Cycle lightsssInterval = 0;
     bool injectFault = false; // corrupt one load (difftest demo)
-    xs::ModelOpts model;     // --xs-no-* fast-path ablations
 
     std::string traceOut;  // --trace: write a .mjt artifact here
     std::string chromeOut; // ... and its Chrome trace_event JSON here
@@ -93,8 +92,6 @@ usage()
         "  --difftest     co-simulate against a NEMU REF (xiangshan)\n"
         "  --lightsss N   fork a snapshot every N cycles (xiangshan)\n"
         "  --inject-fault corrupt one load (exercises the checkers)\n"
-        "  --xs-no-bitset reference scan-based scheduling (xiangshan)\n"
-        "  --xs-no-skip   disable event-driven idle-cycle skipping\n"
         "  --trace F      write a .mjt counter + trace artifact to F\n"
         "                 (xiangshan or nemu; read with minjie-trace)\n"
         "  --chrome F     with --trace: also write Chrome trace JSON\n"
@@ -173,20 +170,15 @@ runInterpreter(const Options &opt, const wl::Program &prog)
     engine->setHaltFn([&] { return sys.simctrl.exited(); });
     auto *nemu = dynamic_cast<nemu::Nemu *>(engine.get());
 
-    // NEMU's block-boundary hook fires only on the step path, so a
-    // traced run steps instruction by instruction (the base-class
-    // run); untraced runs keep the threaded-code fast path.
     obs::TraceBuffer trace(TRACE_CAP);
-    const bool traced = !opt.traceOut.empty();
     uint64_t blocks = 0;
-    if (traced)
+    if (!opt.traceOut.empty())
         nemu->setBlockHook([&](Addr pc, uint32_t len) {
             trace.record(obs::Ev::Block, blocks++, pc, len);
         });
 
     Stopwatch sw;
-    iss::RunResult r = traced ? engine->iss::Interp::run(opt.maxInstrs)
-                              : engine->run(opt.maxInstrs);
+    iss::RunResult r = engine->run(opt.maxInstrs);
     double sec = sw.elapsedSec();
 
     std::printf("[%s] %llu instructions in %.3fs (%.1f MIPS)%s\n",
@@ -436,21 +428,15 @@ parseArgs(int argc, char **argv, Options &opt, bool &list, bool &help)
         {"--measure", &opt.measure},  {"--interval", &opt.interval},
         {"--max-k", &opt.maxK},
     };
-    // Switches: the flag stores the paired value.
-    const std::map<std::string, std::pair<bool *, bool>> switches = {
-        {"--difftest", {&opt.difftest, true}},
-        {"--inject-fault", {&opt.injectFault, true}},
-        {"--archdb", {&opt.archdb, true}},
-        {"--sample", {&opt.sample, true}},
-        {"--xs-no-bitset", {&opt.model.bitsetSched, false}},
-        {"--xs-no-skip", {&opt.model.skipAhead, false}},
-        {"--list", {&list, true}},
-        {"--help", {&help, true}},
+    const std::map<std::string, bool *> switches = {
+        {"--difftest", &opt.difftest}, {"--inject-fault", &opt.injectFault},
+        {"--archdb", &opt.archdb},     {"--sample", &opt.sample},
+        {"--list", &list},             {"--help", &help},
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (auto sw = switches.find(arg); sw != switches.end()) {
-            *sw->second.first = sw->second.second;
+            *sw->second = true;
             continue;
         }
         auto str = strFlags.find(arg);
@@ -518,8 +504,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "minjie-sim: %s\n", err.c_str());
         return 2;
     }
-    cfg->model = opt.model;
-
     if (opt.sample)
         return runSampledFlow(opt, *prog, *cfg);
     if (opt.engine == "xiangshan")

@@ -114,6 +114,10 @@ printReadyHist(const obs::CounterSnapshot &snap,
         return;
     std::printf("ready-instruction distribution (%s, Figure 15):\n",
                 prefix.c_str());
+    // Only cycles with more than the two issue slots' worth of ready
+    // instructions give a selection policy (PUBS) anything to reorder;
+    // the last bucket counts as its floor.
+    double moreThanTwo = 0, blocked = 0;
     for (unsigned b = 0;; ++b) {
         std::string key =
             prefix + ".ready_hist.bucket" + std::to_string(b);
@@ -128,7 +132,13 @@ printReadyHist(const obs::CounterSnapshot &snap,
         for (unsigned i = 0; i < static_cast<unsigned>(pct * 0.4); ++i)
             std::printf("#");
         std::printf("\n");
+        if (b > 2) {
+            moreThanTwo += pct;
+            blocked += (b - 2) * pct / 100.0;
+        }
     }
+    std::printf("  >2 ready: %.1f%% of RS-cycles\n", moreThanTwo);
+    std::printf("  avg blocked %.3f insts/RS-cycle\n", blocked);
 }
 
 int
