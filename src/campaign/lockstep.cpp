@@ -107,8 +107,8 @@ compareMemory(mem::PhysMem &a, mem::PhysMem &b,
             Addr off = addr & PhysMem::PAGE_MASK;
             size_t n = std::min<size_t>(seg.bytes.size() - i,
                                         PhysMem::PAGE_SIZE - off);
-            const uint8_t *pa = a.hostPageRO(addr);
-            const uint8_t *pb = b.hostPageRO(addr);
+            const uint8_t *pa = a.readPage(addr);
+            const uint8_t *pb = b.readPage(addr);
             if (pa && pb && std::memcmp(pa + off, pb + off, n) == 0) {
                 i += n;
                 continue;

@@ -55,14 +55,15 @@ hashPage(const uint8_t *page)
 } // namespace
 
 uint64_t
-PackWriter::poolIndexFor(const uint8_t *page)
+PackWriter::poolIndexFor(const mem::PhysMem &mem, Addr base,
+                         const uint8_t *page)
 {
     ++hashed_;
     if (pageIsZero(page))
         return ZERO;
     // Open addressing, linear probing; the hash only picks where to
     // look, and a pool page is reused only when its bytes match.
-    if (2 * (poolPages_ + 1) > index_.size())
+    if (2 * (pool_.size() + 1) > index_.size())
         growIndex();
     const uint64_t hash = hashPage(page);
     const size_t mask = index_.size() - 1;
@@ -72,12 +73,20 @@ PackWriter::poolIndexFor(const uint8_t *page)
             std::memcmp(poolPage(index_[b].idx), page, PAGE) == 0)
             return index_[b].idx;
     }
-    uint64_t idx = poolPages_++;
-    if (idx % CHUNK_PAGES == 0)
-        chunks_.push_back(
-            std::make_unique_for_overwrite<uint8_t[]>(CHUNK_PAGES * PAGE));
-    std::memcpy(chunks_.back().get() + idx % CHUNK_PAGES * PAGE, page,
-                PAGE);
+    const uint64_t idx = pool_.size();
+    if (const mem::PhysMem::Owner *owner = mem.sourceOwner(base, page)) {
+        if (std::find(owners_.begin(), owners_.end(), *owner) ==
+            owners_.end())
+            owners_.push_back(*owner);
+        pool_.push_back(page);
+    } else {
+        if (copied_ % CHUNK_PAGES == 0)
+            chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+                CHUNK_PAGES * PAGE));
+        uint8_t *dst = chunks_.back().get() + copied_++ % CHUNK_PAGES * PAGE;
+        std::memcpy(dst, page, PAGE);
+        pool_.push_back(dst);
+    }
     index_[b] = {hash, idx};
     return idx;
 }
@@ -122,7 +131,7 @@ PackWriter::snapshot(size_t slot, const iss::ArchState &state,
                 next.push_back(live_[i++]);
             if (i < live_.size() && live_[i].first == base)
                 ++i;
-            next.emplace_back(base, poolIndexFor(data));
+            next.emplace_back(base, poolIndexFor(mem, base, data));
         });
         next.insert(next.end(), live_.begin() + static_cast<ptrdiff_t>(i),
                     live_.end());
@@ -130,7 +139,7 @@ PackWriter::snapshot(size_t slot, const iss::ArchState &state,
     } else {
         live_.clear();
         mem.forEachPage([&](Addr base, const uint8_t *data) {
-            live_.emplace_back(base, poolIndexFor(data));
+            live_.emplace_back(base, poolIndexFor(mem, base, data));
         });
     }
     mem.clearDirty();

@@ -55,6 +55,11 @@ constexpr size_t TABLE_U64 = 5;
  * mark); every other page keeps its previous pool index. When the
  * memory differs from the previous snapshot's or was cleared since
  * (PhysMem::epoch), the snapshot scans every page instead.
+ *
+ * A new pool page that the memory still reads in place from a mapped
+ * source (an image page not yet written) is kept by reference, with a
+ * reference to its owner (PhysMem::sourceOwner); only other pages are
+ * copied into the pool.
  */
 class PackWriter
 {
@@ -84,7 +89,7 @@ class PackWriter
     std::vector<uint8_t> bytes() const;
 
     /** Distinct pages stored (after dedup + zero elision). */
-    size_t poolPages() const { return poolPages_; }
+    size_t poolPages() const { return pool_.size(); }
     /** Page references across all checkpoints (before dedup). */
     size_t totalPageRefs() const { return totalRefs_; }
     /** Pages zero-checked and hashed (dirty or new at a snapshot). */
@@ -103,24 +108,26 @@ class PackWriter
         std::vector<std::pair<uint64_t, uint64_t>> pages; // base, idx
     };
 
-    /** Pool index of @p page's content (adding it), or ZERO. */
-    uint64_t poolIndexFor(const uint8_t *page);
+    /** Pool index of the content @p page of @p mem's page at @p base
+     *  (adding it), or ZERO. */
+    uint64_t poolIndexFor(const mem::PhysMem &mem, Addr base,
+                          const uint8_t *page);
     /** Double index_ (at least 64 entries) and re-insert its pages. */
     void growIndex();
 
-    /** The pool grows by fixed chunks, never by reallocation: a
-     *  doubling vector re-copies (and re-faults) the whole pool. */
+    /** Copied pool pages live in fixed chunks, never reallocated: a
+     *  doubling vector re-copies (and re-faults) every copied page. */
     static constexpr size_t CHUNK_PAGES = 256;
-    const uint8_t *
-    poolPage(uint64_t idx) const
-    {
-        return chunks_[idx / CHUNK_PAGES].get() + idx % CHUNK_PAGES * PAGE;
-    }
+    const uint8_t *poolPage(uint64_t idx) const { return pool_[idx]; }
 
     uint64_t weightDen_ = 1;
     std::vector<Entry> table_;
+    /** Every pool page: a mapped source or a page of chunks_. */
+    std::vector<const uint8_t *> pool_;
     std::vector<std::unique_ptr<uint8_t[]>> chunks_;
-    size_t poolPages_ = 0;
+    size_t copied_ = 0; ///< pages held in chunks_
+    /** Owners of the mapped sources in pool_, each once. */
+    std::vector<mem::PhysMem::Owner> owners_;
     /** Dedup index entry: a pool page and its content hash; idx ==
      *  ZERO marks an empty entry. */
     struct IndexEnt
@@ -129,7 +136,7 @@ class PackWriter
         uint64_t idx;
     };
     /** Open-addressed table of every pool page, size a power of two
-     *  at least twice poolPages_. */
+     *  at least twice poolPages(). */
     std::vector<IndexEnt> index_;
     /** Every allocated page of the last snapshot, ascending base. */
     std::vector<std::pair<uint64_t, uint64_t>> live_;

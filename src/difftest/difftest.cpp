@@ -46,7 +46,7 @@ void
 DiffTest::loadRefMemory(Addr addr, const void *data, size_t len)
 {
     for (auto &sys : refSys_)
-        sys->dram.load(addr, data, len);
+        sys->dram.loadSharing(dut_.system().dram, addr, data, len);
 }
 
 void

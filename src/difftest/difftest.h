@@ -103,7 +103,12 @@ class DiffTest
     explicit DiffTest(xs::Soc &dut, const RuleConfig &rules = {});
     ~DiffTest();
 
-    /** Copy @p len bytes at @p addr into every REF's memory. */
+    /**
+     * Load @p len bytes at @p addr into every REF's memory. A whole
+     * page the DUT's DRAM maps from these same bytes is mapped too,
+     * sharing the DUT's owner (PhysMem::loadSharing); any other page
+     * is copied, so @p data need not outlive the call.
+     */
     void loadRefMemory(Addr addr, const void *data, size_t len);
 
     /** Reset every REF to @p entry (mirror of Soc::setEntry). */
@@ -139,6 +144,8 @@ class DiffTest
 
     /** Access a REF (e.g. for final-state assertions in tests). */
     nemu::Nemu &ref(HartId hart) { return *refs_[hart]; }
+    /** A REF's memory (tests, page statistics). */
+    mem::PhysMem &refDram(HartId hart) { return refSys_[hart]->dram; }
 
     /**
      * The last N committed instructions before the mismatch (our

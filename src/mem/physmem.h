@@ -22,21 +22,30 @@ namespace minjie::mem {
  * a 16 GB guest-physical space costs only what the workload dirties —
  * this is also what makes LightSSS fork()/COW snapshots cheap.
  *
- * Mapped pages (mapPage) are read in place: read() serves their bytes
- * from the mapped source, and the page is copied into a private page
- * only by its first write or when hostPage()/hostPageRO() must hand out
- * a stable pointer. A run that only reads an image thus copies none of
- * it.
+ * Mapped pages (map) are read in place: read() serves their bytes from
+ * the mapped source, and the page is copied into a private page only by
+ * its first write or when hostPage() must hand out a writable pointer. A
+ * run that only reads an image thus copies none of it. Each map() call
+ * holds one reference to the source's owner, released by clear() or the
+ * destructor, so a mapped source outlives whatever built it (a
+ * temporary Program, a closed pack reader).
  *
- * Dirty tracking: the write-capable accessors (write, load, mapPage,
- * hostPage) mark their page dirty; read() and hostPageRO() never do,
- * not even when they allocate a zero page or copy a mapped one, since
- * neither changes what the page reads as. clearDirty() empties the set
- * and bumps epoch(), so a host pointer handed out by hostPage() before
- * the clear — which could write without marking — is dropped by its
- * holder before the next write (NEMU checks epoch() at every run()).
- * The checkpoint pack writer uses the set to re-hash only the pages
- * written since the previous snapshot.
+ * Aliases: readPage() hands out a read-only pointer that may be the
+ * mapped source itself. Such a pointer goes stale when its page is
+ * copied (or mapped again); copies() counts those events and
+ * lastCopied() names the latest, so a holder of cached page pointers
+ * re-reads them when the count moves. A private page never moves, so
+ * a pointer to one stays valid until clear().
+ *
+ * Dirty tracking: the write-capable accessors (write, load, map,
+ * hostPage) mark their page dirty; read() and readPage() never do, not
+ * even when they allocate a zero page, since that does not change what
+ * the page reads as. clearDirty() empties the set and bumps epoch(), so
+ * a host pointer handed out by hostPage() before the clear — which
+ * could write without marking — is dropped by its holder before the
+ * next write (NEMU checks epoch() at every run()). The checkpoint pack
+ * writer uses the set to re-hash only the pages written since the
+ * previous snapshot.
  */
 class PhysMem
 {
@@ -44,6 +53,9 @@ class PhysMem
     static constexpr unsigned PAGE_SHIFT = 12;
     static constexpr Addr PAGE_SIZE = 1ULL << PAGE_SHIFT;
     static constexpr Addr PAGE_MASK = PAGE_SIZE - 1;
+
+    /** Keeps a mapped source alive: whatever frees its bytes. */
+    using Owner = std::shared_ptr<const void>;
 
     /** @param base  lowest valid address  @param size  bytes of DRAM */
     PhysMem(Addr base, uint64_t size)
@@ -98,8 +110,8 @@ class PhysMem
         return true;
     }
 
-    /** Bulk copy-in (program loader, checkpoint restore): one memcpy
-     *  per page-sized chunk. */
+    /** Bulk copy-in (checkpoint restore, partial pages of map()): one
+     *  memcpy per page-sized chunk. */
     void
     load(Addr addr, const void *src, size_t len)
     {
@@ -114,35 +126,75 @@ class PhysMem
     }
 
     /**
-     * Back the page at page-aligned @p base with the read-only bytes at
-     * @p src without copying them: reads are served from @p src until
-     * the page's first write or a hostPage()/hostPageRO() call copies
-     * it into a private page, so no pointer handed out ever aliases
-     * @p src. A page that already has a private copy is overwritten at
-     * once. @p src must stay valid until the next clear().
+     * load() that backs each whole page of [@p addr, @p addr + @p len)
+     * with the bytes at @p src in place instead of copying them; the
+     * partial pages at either end are copied. Reads are served from
+     * @p src until a page's first write or a hostPage() call copies it
+     * into a private page. A page that already has a private copy is
+     * overwritten at once. @p owner must keep @p src alive and
+     * unchanged; this memory holds one reference to it until clear().
      */
     void
-    mapPage(Addr base, const uint8_t *src)
+    map(Addr addr, const uint8_t *src, size_t len, Owner owner)
     {
-        Addr pfn = base >> PAGE_SHIFT;
-        Slot &slot = pages_[pfn];
-        markDirty(slot, pfn);
-        if (slot.page) {
-            std::memcpy(slot.page.get(), src, PAGE_SIZE);
-        } else {
-            slot.src = src;
-            Hint &h = hints_[pfn & (kHints - 1)];
-            if (h.pfn == pfn)
-                h = {};
+        const Addr end = addr + len;
+        const Addr lo = std::min((addr + PAGE_MASK) & ~PAGE_MASK, end);
+        const Addr hi = std::max(end & ~PAGE_MASK, lo);
+        load(addr, src, lo - addr);
+        if (lo < hi) {
+            // Consecutive ranges of one owner (a pack restore maps its
+            // pool page by page) share one reference.
+            if (owners_.empty() || owners_.back() != owner)
+                owners_.push_back(std::move(owner));
+            const auto idx = static_cast<uint32_t>(owners_.size() - 1);
+            for (Addr a = lo; a < hi; a += PAGE_SIZE)
+                mapPage(a, src + (a - addr), idx);
         }
+        load(hi, src + (hi - addr), end - hi);
+    }
+
+    /**
+     * load() that maps, sharing @p peer's owner, each whole page that
+     * @p peer reads in place from these same source bytes, so two
+     * memories loaded from one image hold one copy of it. Other pages
+     * are copied: @p src need not outlive the call.
+     */
+    void
+    loadSharing(const PhysMem &peer, Addr addr, const void *src,
+                size_t len)
+    {
+        const auto *s = static_cast<const uint8_t *>(src);
+        while (len) {
+            size_t n = std::min<size_t>(len, PAGE_SIZE - (addr & PAGE_MASK));
+            const Owner *owner =
+                n == PAGE_SIZE ? peer.sourceOwner(addr, s) : nullptr;
+            if (owner)
+                map(addr, s, n, *owner);
+            else
+                load(addr, s, n);
+            addr += n;
+            s += n;
+            len -= n;
+        }
+    }
+
+    /** The owner of the page at @p base when that page still reads in
+     *  place from @p src, else nullptr. */
+    const Owner *
+    sourceOwner(Addr base, const uint8_t *src) const
+    {
+        auto it = pages_.find(base >> PAGE_SHIFT);
+        if (it == pages_.end() || it->second.page || it->second.src != src)
+            return nullptr;
+        return &owners_[it->second.owner];
     }
 
     /**
      * Stable writable host base pointer of the whole 4K page containing
      * @p addr, or nullptr when that page is not fully inside DRAM. Marks
-     * the page dirty. The pointer stays valid until clear(), but may be
-     * written through only until epoch() next changes: a write after
-     * clearDirty() would not be marked.
+     * the page dirty (copying a mapped page). The pointer stays valid
+     * until clear(), but may be written through only until epoch() next
+     * changes: a write after clearDirty() would not be marked.
      */
     uint8_t *
     hostPage(Addr addr)
@@ -153,16 +205,29 @@ class PhysMem
         return writePtr(pageBase);
     }
 
-    /** Read-only hostPage(): a private page like hostPage()'s, but the
-     *  page is not marked dirty. Valid until clear(). */
+    /**
+     * Read-only base pointer of the whole 4K page containing @p addr,
+     * or nullptr when that page is not fully inside DRAM. Copies and
+     * marks nothing: for a mapped page it is the source itself, valid
+     * only until copies() next changes; for a private page, until
+     * clear().
+     */
     const uint8_t *
-    hostPageRO(Addr addr)
+    readPage(Addr addr)
     {
         Addr pageBase = addr & ~PAGE_MASK;
         if (!contains(pageBase, PAGE_SIZE))
             return nullptr;
-        return ownedHint(pageBase >> PAGE_SHIFT).write;
+        return hint(pageBase >> PAGE_SHIFT).read;
     }
+
+    /** Times a mapped page stopped reading from its source, by a copy
+     *  into a private page or by a map() of other bytes. Only grows. */
+    uint64_t copies() const { return copies_; }
+    /** Base of the page of the latest copies() event. */
+    Addr lastCopied() const { return lastCopied_; }
+    /** Pages map() has backed in place. Only grows. */
+    uint64_t mappedPages() const { return mapped_; }
 
     /**
      * Changed by clear() and clearDirty(). Values are unique across all
@@ -218,12 +283,14 @@ class PhysMem
         epoch_ = nextEpoch();
     }
 
-    /** Drop all contents, mapped sources and the dirty set (used when
-     *  restoring a checkpoint); bumps epoch(). */
+    /** Drop all contents, mapped sources (releasing their owners) and
+     *  the dirty set (used when restoring a checkpoint); bumps epoch().
+     */
     void
     clear()
     {
         pages_.clear();
+        owners_.clear();
         dirty_.clear();
         for (Hint &h : hints_)
             h = {};
@@ -237,6 +304,7 @@ class PhysMem
     {
         std::unique_ptr<uint8_t[]> page;
         const uint8_t *src = nullptr;
+        uint32_t owner = 0; ///< owners_ index of src's owner
         bool dirty = false;
     };
 
@@ -321,10 +389,39 @@ class PhysMem
         return h;
     }
 
+    /** Back the page at @p base with @p src, owned by owners_[@p owner]. */
+    void
+    mapPage(Addr base, const uint8_t *src, uint32_t owner)
+    {
+        Addr pfn = base >> PAGE_SHIFT;
+        Slot &slot = pages_[pfn];
+        markDirty(slot, pfn);
+        if (slot.page) {
+            std::memcpy(slot.page.get(), src, PAGE_SIZE);
+            return;
+        }
+        if (slot.src && slot.src != src)
+            noteCopy(pfn);
+        slot.src = src;
+        slot.owner = owner;
+        ++mapped_;
+        Hint &h = hints_[pfn & (kHints - 1)];
+        if (h.pfn == pfn)
+            h = {};
+    }
+
+    void
+    noteCopy(Addr pfn)
+    {
+        ++copies_;
+        lastCopied_ = pfn << PAGE_SHIFT;
+    }
+
     [[gnu::noinline]] Hint &
     own(Hint &h)
     {
         Slot &slot = *h.slot;
+        noteCopy(h.pfn);
         slot.page = std::make_unique_for_overwrite<uint8_t[]>(PAGE_SIZE);
         std::memcpy(slot.page.get(), slot.src, PAGE_SIZE);
         slot.src = nullptr;
@@ -363,9 +460,13 @@ class PhysMem
     Addr base_;
     uint64_t size_;
     std::unordered_map<Addr, Slot> pages_;
-    std::vector<Addr> dirty_; ///< pfns with Slot::dirty set
+    std::vector<Owner> owners_; ///< one per map() range, until clear()
+    std::vector<Addr> dirty_;   ///< pfns with Slot::dirty set
     Hint hints_[kHints];      ///< [pfn % kHints], see hint()
     uint64_t epoch_;
+    uint64_t copies_ = 0;
+    Addr lastCopied_ = 0;
+    uint64_t mapped_ = 0;
 };
 
 } // namespace minjie::mem

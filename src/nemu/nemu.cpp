@@ -463,6 +463,8 @@ struct NemuExec
         // restore, DRAM clear) invalidates cached host pointers.
         if (n.regimeChanged())
             n.hostTlbFlush();
+        else
+            n.syncLoadAliases();
         bool fastmem = fastOn && n.fastMemOk();
         bool fpDirty = false;
         // Start from a clean host-FPU flag state for deferred capture.
@@ -875,6 +877,8 @@ struct NemuExec
                 // (mstatus SUM/MXR/MPRV, satp): drop cached host
                 // pointers. flushUopCache above already did so.
                 n.hostTlbFlush();
+            else
+                n.syncLoadAliases(); // an AMO or SC may copy a page
             fastmem = fastOn && n.fastMemOk();
             if (result.executed >= maxInsts || budget == 0)
                 goto chunk_boundary;

@@ -206,7 +206,8 @@ class Nemu : public iss::Interp
      * Host-pointer TLB entry: virtual page -> host base of the backing
      * DRAM page. Load and store entries are kept in separate ways so a
      * store entry implies a walk that set the PTE dirty bit, and so a
-     * load never marks its DRAM page dirty (PhysMem::hostPageRO).
+     * load never copies or marks its DRAM page (PhysMem::readPage): a
+     * load entry may alias a mapped source, see syncLoadAliases().
      */
     template <typename Byte>
     struct HostTlbEnt
@@ -246,15 +247,19 @@ class Nemu : public iss::Interp
     hostTlbFillPhys(HostTlbEnt<Byte> *way, Addr vaddr, Addr paddr,
                     unsigned size)
     {
-        if (vaddr & (size - 1))
-            return; // only aligned (single-page) accesses are cached
-        Byte *hp;
-        if constexpr (std::is_const_v<Byte>)
-            hp = dram_.hostPageRO(paddr);
-        else
-            hp = dram_.hostPage(paddr);
+        Byte *hp = nullptr;
+        // Only aligned (single-page) accesses are cached.
+        if ((vaddr & (size - 1)) == 0) {
+            if constexpr (std::is_const_v<Byte>)
+                hp = dram_.readPage(paddr);
+            else
+                hp = dram_.hostPage(paddr);
+        }
+        // The access that led here, or the store fill itself, may have
+        // copied a page some load entry aliases.
+        syncLoadAliases();
         if (!hp)
-            return; // MMIO or past the end of DRAM
+            return; // misaligned, MMIO or past the end of DRAM
         HostTlbEnt<Byte> &e = way[(vaddr >> 12) & HTLB_MASK];
         e.vpn = vaddr >> 12;
         e.host = hp;
@@ -268,6 +273,32 @@ class Nemu : public iss::Interp
     hostTlbFill(HostTlbEnt<Byte> *way, Addr vaddr, unsigned size)
     {
         hostTlbFillPhys(way, vaddr, mmu_.lastPaddr(), size);
+    }
+
+    /**
+     * Keep the load way current with the DRAM's copies
+     * (PhysMem::copies): an entry aliasing a mapped source goes stale
+     * once that page is copied. One copy without translation can only
+     * sit in its page's identity entry, which is re-pointed at the
+     * copy; otherwise the load way is dropped.
+     */
+    void
+    syncLoadAliases()
+    {
+        const uint64_t copies = dram_.copies();
+        if (copies == copiesSeen_)
+            return;
+        if (copies == copiesSeen_ + 1 &&
+            !mmu_.translationOn(iss::Access::Load)) {
+            const Addr page = dram_.lastCopied();
+            HostTlbEnt<const uint8_t> &e = ldTlb_[(page >> 12) & HTLB_MASK];
+            if (e.vpn == page >> 12)
+                e.host = dram_.readPage(page);
+        } else {
+            for (auto &e : ldTlb_)
+                e.vpn = ~0ULL;
+        }
+        copiesSeen_ = copies;
     }
 
     /** Shoot down the host-pointer TLB and restamp the translation
@@ -291,6 +322,7 @@ class Nemu : public iss::Interp
         regimeMstatus_ = st_.csr.mstatus;
         regimePriv_ = st_.priv;
         regimeEpoch_ = dram_.epoch();
+        copiesSeen_ = dram_.copies();
     }
 
     /** True when state mutated outside run() invalidates the TLB —
@@ -319,6 +351,7 @@ class Nemu : public iss::Interp
     uint64_t regimeMstatus_ = 0;
     isa::Priv regimePriv_ = isa::Priv::M;
     uint64_t regimeEpoch_ = 0;
+    uint64_t copiesSeen_ = 0; ///< dram_.copies() the load way matches
     std::function<void(Addr, uint32_t)> blockHook_;
     int32_t stepIdx_ = -1; ///< uop index of the last step, or -1
 

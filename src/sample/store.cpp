@@ -29,15 +29,13 @@ PackReader::operator=(PackReader &&other) noexcept
         close();
         data_ = other.data_;
         len_ = other.len_;
-        fd_ = other.fd_;
-        own_ = std::move(other.own_);
+        owner_ = std::move(other.owner_);
         nCheckpoints_ = other.nCheckpoints_;
         weightDen_ = other.weightDen_;
         pagePoolOff_ = other.pagePoolOff_;
         nPoolPages_ = other.nPoolPages_;
         other.data_ = nullptr;
         other.len_ = 0;
-        other.fd_ = -1;
         other.nCheckpoints_ = 0;
     }
     return *this;
@@ -46,14 +44,9 @@ PackReader::operator=(PackReader &&other) noexcept
 void
 PackReader::close()
 {
-    if (fd_ >= 0) {
-        ::munmap(const_cast<uint8_t *>(data_), len_);
-        ::close(fd_);
-        fd_ = -1;
-    }
+    owner_.reset();
     data_ = nullptr;
     len_ = 0;
-    own_.clear();
     nCheckpoints_ = 0;
 }
 
@@ -71,11 +64,11 @@ PackReader::openFile(const std::string &path)
     }
     size_t len = static_cast<size_t>(st.st_size);
     void *p = ::mmap(nullptr, len, PROT_READ, MAP_SHARED, fd, 0);
-    if (p == MAP_FAILED) {
-        ::close(fd);
+    ::close(fd); // the mapping stays valid without it
+    if (p == MAP_FAILED)
         return false;
-    }
-    fd_ = fd;
+    owner_ = std::shared_ptr<const void>(
+        p, [len](const void *q) { ::munmap(const_cast<void *>(q), len); });
     data_ = static_cast<const uint8_t *>(p);
     len_ = len;
     if (!parse()) {
@@ -89,9 +82,10 @@ bool
 PackReader::openMemory(std::vector<uint8_t> bytes)
 {
     close();
-    own_ = std::move(bytes);
-    data_ = own_.data();
-    len_ = own_.size();
+    auto buf = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+    data_ = buf->data();
+    len_ = buf->size();
+    owner_ = std::move(buf);
     if (!parse()) {
         close();
         return false;
@@ -176,7 +170,8 @@ PackReader::restoreInto(size_t i, iss::ArchState &state,
     entries.seek(first);
     for (uint64_t e = 0; e < nEntries; ++e) {
         uint64_t base = entries.u64();
-        mem.mapPage(base, data_ + pagePoolOff_ + entries.u64() * PAGE);
+        mem.map(base, data_ + pagePoolOff_ + entries.u64() * PAGE, PAGE,
+                owner_);
     }
     return true;
 }

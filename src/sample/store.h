@@ -25,7 +25,9 @@ struct GenResult;
 namespace minjie::sample {
 
 /** Read-only view of a pack: either an mmap of the file (shared
- *  copy-free across forked workers) or an owned byte buffer. */
+ *  copy-free across forked workers) or an adopted byte buffer. Either
+ *  is freed when neither the reader nor a memory it restored into
+ *  still maps it. */
 class PackReader
 {
   public:
@@ -54,8 +56,8 @@ class PackReader
     /**
      * Restore checkpoint @p i into @p state / @p mem. Clears @p mem
      * first; elided zero pages read back as zero-fill. Pages are mapped
-     * from the pool and copied on first touch (PhysMem::mapPage), so
-     * this pack must stay open until @p mem is next cleared.
+     * from the pool and copied on first write (PhysMem::map), and
+     * @p mem keeps the pack's bytes alive until it is next cleared.
      * @return false, with @p state and @p mem untouched, on a malformed
      * entry (a page base must be page-aligned and inside @p mem).
      */
@@ -73,8 +75,7 @@ class PackReader
 
     const uint8_t *data_ = nullptr;
     size_t len_ = 0;
-    int fd_ = -1;               ///< >= 0 when mmap-backed
-    std::vector<uint8_t> own_; ///< backing store for openMemory
+    mem::PhysMem::Owner owner_; ///< frees data_ (munmap or delete)
 
     size_t nCheckpoints_ = 0;
     uint64_t weightDen_ = 0;

@@ -10,7 +10,9 @@
 #ifndef MINJIE_WORKLOAD_ASM_H
 #define MINJIE_WORKLOAD_ASM_H
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +44,40 @@ struct Label
 };
 
 /**
+ * A segment's bytes, immutable once built. Copies of a Program share
+ * them, and so does every memory that maps them (Program::loadInto):
+ * the buffer lives until its last holder lets go.
+ */
+class SegmentBytes
+{
+  public:
+    SegmentBytes() = default;
+    /** Seal @p bytes: the buffer moves in, no byte is copied. */
+    SegmentBytes(std::vector<uint8_t> bytes)
+        : buf_(std::make_shared<const std::vector<uint8_t>>(
+              std::move(bytes)))
+    {
+    }
+
+    const uint8_t *data() const { return buf_ ? buf_->data() : nullptr; }
+    size_t size() const { return buf_ ? buf_->size() : 0; }
+    const uint8_t *begin() const { return data(); }
+    const uint8_t *end() const { return data() + size(); }
+    uint8_t operator[](size_t i) const { return (*buf_)[i]; }
+    /** What keeps data() alive, for PhysMem::map(). */
+    mem::PhysMem::Owner owner() const { return buf_; }
+
+    bool
+    operator==(const SegmentBytes &o) const
+    {
+        return std::equal(begin(), end(), o.begin(), o.end());
+    }
+
+  private:
+    std::shared_ptr<const std::vector<uint8_t>> buf_;
+};
+
+/**
  * A loadable program: code+data segments plus the entry point.
  */
 struct Program
@@ -51,15 +87,18 @@ struct Program
     struct Segment
     {
         Addr base;
-        std::vector<uint8_t> bytes;
+        SegmentBytes bytes;
     };
     std::vector<Segment> segments;
 
+    /** Map every segment into @p pm (PhysMem::map): whole pages are
+     *  read in place and copied only when written. */
     void
     loadInto(mem::PhysMem &pm) const
     {
         for (const auto &seg : segments)
-            pm.load(seg.base, seg.bytes.data(), seg.bytes.size());
+            pm.map(seg.base, seg.bytes.data(), seg.bytes.size(),
+                   seg.bytes.owner());
     }
 };
 
@@ -278,8 +317,11 @@ class Asm
 
     /** Finalize: resolve fixups and return the code segment. The code
      *  moves out, so the assembler is spent afterwards. */
-    Program::Segment
-    finish()
+    Program::Segment finish() { return {base_, finishBytes()}; }
+
+    /** finish() as bare bytes (a chunk to splice into another Asm). */
+    std::vector<uint8_t>
+    finishBytes()
     {
         for (const auto &f : fixups_) {
             Addr target = labels_[f.label];
@@ -293,7 +335,7 @@ class Asm
             write32(f.offset, patched);
         }
         fixups_.clear();
-        return {base_, std::move(code_)};
+        return std::move(code_);
     }
 
   private:

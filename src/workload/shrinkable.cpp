@@ -346,7 +346,7 @@ randomChunk(Rng &rng, const RandomSpec &spec)
     }
 
     Chunk c;
-    c.bytes = a.finish().bytes;
+    c.bytes = a.finishBytes();
     c.nInsts = n;
     return c;
 }

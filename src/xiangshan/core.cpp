@@ -258,12 +258,15 @@ Core::fetchHost(Addr pc)
         return nullptr;
     mem::PhysMem &dram = sys_.dram;
     Addr page = pc & ~mask;
-    if (page != fetchPage_ || fetchEpoch_ != dram.epoch()) {
-        // A private page (hostPageRO): writes land in it, so patched
+    if (page != fetchPage_ || fetchEpoch_ != dram.epoch() ||
+        fetchCopies_ != dram.copies()) {
+        // A write to a private page lands in it, and a write to a
+        // mapped one copies it (moving copies()): either way patched
         // code is seen without a flush.
-        fetchHostPage_ = dram.hostPageRO(page);
+        fetchHostPage_ = dram.readPage(page);
         fetchPage_ = page;
         fetchEpoch_ = dram.epoch();
+        fetchCopies_ = dram.copies();
     }
     return fetchHostPage_ ? fetchHostPage_ + (pc & mask) : nullptr;
 }

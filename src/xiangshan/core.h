@@ -387,11 +387,14 @@ class Core
     // Oracle.
     iss::ArchState oracle_;
     iss::Mmu mmu_;
-    /// fetchHost()'s cache: the DRAM host page of fetchPage_, valid
-    /// while dram.epoch() == fetchEpoch_ (a clear() frees it).
+    /// fetchHost()'s cache: the DRAM page of fetchPage_
+    /// (PhysMem::readPage), valid while dram.epoch() == fetchEpoch_ (a
+    /// clear() frees it) and dram.copies() == fetchCopies_ (a copy
+    /// leaves a mapped source stale).
     Addr fetchPage_ = ~0ULL;
     const uint8_t *fetchHostPage_ = nullptr;
     uint64_t fetchEpoch_ = 0;
+    uint64_t fetchCopies_ = 0;
     std::function<bool()> haltFn_;
     bool oracleHalted_ = false;
 

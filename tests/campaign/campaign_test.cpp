@@ -352,13 +352,15 @@ constexpr uint64_t MEM_SIZE = 64 * 1024;
 wl::Program
 segmentsProgram()
 {
+    auto bytes = [](size_t n) {
+        std::vector<uint8_t> v(n);
+        for (size_t i = 0; i < n; ++i)
+            v[i] = static_cast<uint8_t>(i * 7 + 3);
+        return v;
+    };
     wl::Program prog;
-    prog.segments.push_back({MEM_BASE + 0x1000, std::vector<uint8_t>(100)});
-    prog.segments.push_back({MEM_BASE + 0x3000 - 100,
-                             std::vector<uint8_t>(200)});
-    for (auto &seg : prog.segments)
-        for (size_t i = 0; i < seg.bytes.size(); ++i)
-            seg.bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+    prog.segments.push_back({MEM_BASE + 0x1000, bytes(100)});
+    prog.segments.push_back({MEM_BASE + 0x3000 - 100, bytes(200)});
     return prog;
 }
 

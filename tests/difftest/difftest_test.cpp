@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "difftest/difftest.h"
 #include "workload/programs.h"
 
@@ -29,6 +31,58 @@ TEST(DiffTest, ProxyBenchmarkPasses)
     dt.run(10'000'000);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_GT(dt.stats().commitsChecked, 2000u);
+}
+
+TEST(DiffTest, RunsAfterItsProgramIsGone)
+{
+    // The DUT maps the image in place, and loadRefMemory() maps each
+    // page the DUT maps from those same bytes. Both memories keep the
+    // image alive, so the Program may be destroyed before the run.
+    xs::Soc soc(xs::CoreConfig::nh());
+    DiffTest dt(soc);
+    {
+        const wl::Program prog = wl::buildProxy(wl::specIntSuite()[5], 20);
+        prog.loadInto(soc.system().dram);
+        soc.setEntry(prog.entry);
+        for (const auto &seg : prog.segments)
+            dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
+        dt.resetRefs(prog.entry);
+    }
+    const uint64_t mapped = soc.system().dram.mappedPages();
+    EXPECT_GT(mapped, 0u);
+    EXPECT_EQ(dt.refDram(0).mappedPages(), mapped) << "the REF copied";
+    dt.run(10'000'000);
+    EXPECT_TRUE(dt.ok()) << dt.failures().front();
+    EXPECT_GT(dt.stats().commitsChecked, 2000u);
+    EXPECT_TRUE(soc.system().simctrl.exited());
+}
+
+TEST(DiffTest, LoadRefMemoryCopiesBytesTheDutDoesNotMap)
+{
+    // The DUT maps an image; the caller passes equal bytes from its own
+    // buffer, which the DUT does not map, so the REF copies them and
+    // the buffer may be reused at once.
+    constexpr Addr BASE = 0x80100000;
+    std::vector<uint8_t> image(3 * mem::PhysMem::PAGE_SIZE);
+    for (size_t i = 0; i < image.size(); ++i)
+        image[i] = static_cast<uint8_t>(i * 13 + 5);
+    std::vector<uint8_t> buf = image;
+    wl::Program prog;
+    prog.segments.push_back({BASE, std::move(image)});
+
+    xs::Soc soc(xs::CoreConfig::nh());
+    DiffTest dt(soc);
+    prog.loadInto(soc.system().dram);
+    dt.loadRefMemory(BASE, buf.data(), buf.size());
+    const std::vector<uint8_t> want = buf;
+    std::fill(buf.begin(), buf.end(), 0xee);
+    EXPECT_EQ(dt.refDram(0).mappedPages(), 0u);
+    mem::PhysMem &ref = dt.refDram(0);
+    for (size_t i = 0; i < want.size(); ++i) {
+        uint64_t v = 0;
+        ASSERT_TRUE(ref.read(BASE + i, 1, v));
+        ASSERT_EQ(v, want[i]) << i;
+    }
 }
 
 TEST(DiffTest, FpProxyPasses)

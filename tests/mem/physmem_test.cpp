@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,21 @@ namespace {
 
 using namespace minjie;
 using mem::PhysMem;
+
+/** A page-sized source buffer kept alive by its own shared owner. */
+std::shared_ptr<std::vector<uint8_t>>
+sourcePage(uint8_t fill = 0)
+{
+    return std::make_shared<std::vector<uint8_t>>(PhysMem::PAGE_SIZE, fill);
+}
+
+/** Map the one page @p src at @p base. */
+void
+mapPage(PhysMem &pm, Addr base,
+        const std::shared_ptr<std::vector<uint8_t>> &src)
+{
+    pm.map(base, src->data(), src->size(), src);
+}
 
 TEST(PhysMem, ReadWriteAllSizes)
 {
@@ -123,11 +139,12 @@ TEST(PhysMem, LoadBulkAndIterate)
 TEST(PhysMem, MappedPageCopiesOnFirstTouch)
 {
     PhysMem pm(0x80000000, 1 << 20);
-    std::vector<uint8_t> src(4096);
+    auto srcOwner = sourcePage();
+    std::vector<uint8_t> &src = *srcOwner;
     for (size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<uint8_t>(i ^ 0x5a);
     const std::vector<uint8_t> orig = src;
-    pm.mapPage(0x80002000, src.data());
+    mapPage(pm, 0x80002000, srcOwner);
     pm.write(0x80000000, 8, 1);
 
     // Untouched, the page is already allocated and visited through its
@@ -156,15 +173,21 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
     EXPECT_EQ(v, want);
     EXPECT_EQ(visitedAt(0x80002000), src.data()) << "a read copied";
 
-    // hostPageRO() hands out a private copy, never the source; writes
-    // land in that copy and never reach the source.
-    const uint8_t *ro = pm.hostPageRO(0x80002000);
-    ASSERT_NE(ro, nullptr);
-    EXPECT_NE(ro, src.data());
-    EXPECT_EQ(std::memcmp(ro, orig.data(), 4096), 0);
-    EXPECT_EQ(visitedAt(0x80002000), ro);
+    // readPage() aliases the source and copies nothing; hostPage()
+    // copies the page, which copies() and lastCopied() report, and
+    // readPage() then hands out that private copy. Writes land in it
+    // and never reach the source.
+    EXPECT_EQ(pm.readPage(0x80002010), src.data());
+    EXPECT_EQ(pm.copies(), 0u);
+    EXPECT_EQ(pm.mappedPages(), 1u);
     uint8_t *host = pm.hostPage(0x80002000);
-    EXPECT_EQ(host, ro) << "pointer moved";
+    ASSERT_NE(host, nullptr);
+    EXPECT_NE(host, src.data());
+    EXPECT_EQ(std::memcmp(host, orig.data(), 4096), 0);
+    EXPECT_EQ(pm.copies(), 1u);
+    EXPECT_EQ(pm.lastCopied(), 0x80002000u);
+    EXPECT_EQ(pm.readPage(0x80002000), host);
+    EXPECT_EQ(visitedAt(0x80002000), host);
     ASSERT_TRUE(pm.write(0x80002008, 8, 0x1122334455667788ULL));
     EXPECT_EQ(src, orig);
     ASSERT_TRUE(pm.read(0x80002008, 8, v));
@@ -174,31 +197,35 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
 
     // The first write copies a mapped page; hostPage() also returns a
     // private page.
-    pm.mapPage(0x80003000, src.data());
+    mapPage(pm, 0x80003000, srcOwner);
     ASSERT_TRUE(pm.write(0x80003010, 1, 0xff));
     EXPECT_EQ(src, orig);
     EXPECT_NE(visitedAt(0x80003000), src.data());
     ASSERT_TRUE(pm.read(0x80003008, 8, v));
     EXPECT_EQ(v, want);
-    pm.mapPage(0x80004000, src.data());
+    mapPage(pm, 0x80004000, srcOwner);
     uint8_t *own = pm.hostPage(0x80004000);
     ASSERT_NE(own, nullptr);
     EXPECT_NE(own, src.data());
     EXPECT_EQ(std::memcmp(own, orig.data(), 4096), 0);
 
     // Mapping over a private page copies at once.
-    pm.mapPage(0x80002000, src.data());
+    mapPage(pm, 0x80002000, srcOwner);
     EXPECT_EQ(pm.hostPage(0x80002000), host) << "pointer moved";
     ASSERT_TRUE(pm.read(0x80002008, 8, v));
     EXPECT_EQ(v, want);
 
     // Mapping over a page read in place serves the new bytes, even
-    // though the read left its source in the page cache.
-    std::vector<uint8_t> other(4096, 0x33);
-    pm.mapPage(0x80005000, src.data());
+    // though the read left its source in the page cache; an alias of
+    // the old source is stale, so copies() moves.
+    auto other = sourcePage(0x33);
+    mapPage(pm, 0x80005000, srcOwner);
     ASSERT_TRUE(pm.read(0x80005008, 8, v));
     EXPECT_EQ(v, want);
-    pm.mapPage(0x80005000, other.data());
+    const uint64_t copies = pm.copies();
+    mapPage(pm, 0x80005000, other);
+    EXPECT_EQ(pm.copies(), copies + 1);
+    EXPECT_EQ(pm.lastCopied(), 0x80005000u);
     ASSERT_TRUE(pm.read(0x80005008, 8, v));
     EXPECT_EQ(v, 0x3333333333333333ULL);
 
@@ -207,6 +234,34 @@ TEST(PhysMem, MappedPageCopiesOnFirstTouch)
     EXPECT_EQ(pm.allocatedPages(), 0u);
     ASSERT_TRUE(pm.read(0x80005008, 8, v));
     EXPECT_EQ(v, 0u);
+}
+
+TEST(PhysMem, MappedSourceOutlivesItsBuilder)
+{
+    // map() keeps the owner of the bytes it maps alive until clear(),
+    // with one reference per range however many pages it spans; the
+    // partial pages at either end are copied, not mapped.
+    PhysMem pm(0x80000000, 1 << 20);
+    constexpr Addr BASE = 0x80001800; // half a page in, 3 pages long
+    std::weak_ptr<std::vector<uint8_t>> alive;
+    {
+        auto image = std::make_shared<std::vector<uint8_t>>(3 * 4096);
+        for (size_t i = 0; i < image->size(); ++i)
+            (*image)[i] = static_cast<uint8_t>(i * 7 + 1);
+        alive = image;
+        pm.map(BASE, image->data(), image->size(), image);
+        EXPECT_EQ(image.use_count(), 2) << "one reference per range";
+        EXPECT_EQ(pm.mappedPages(), 2u);
+        EXPECT_EQ(pm.readPage(0x80002000), image->data() + 0x800);
+    }
+    ASSERT_FALSE(alive.expired()) << "the mapping lost its owner";
+    for (Addr a = BASE; a < BASE + 3 * 4096; a += 509) {
+        uint64_t v = 0;
+        ASSERT_TRUE(pm.read(a, 1, v));
+        EXPECT_EQ(v, static_cast<uint8_t>((a - BASE) * 7 + 1)) << a;
+    }
+    pm.clear();
+    EXPECT_TRUE(alive.expired()) << "clear() kept the owner";
 }
 
 /** Page bases of @p pm's dirty set, ascending. */
@@ -225,13 +280,14 @@ TEST(PhysMem, DirtyTracking)
     constexpr Addr P0 = 0x80000000, P1 = 0x80001000, P2 = 0x80002000,
                    P3 = 0x80003000, P4 = 0x80004000;
     PhysMem pm(0x80000000, 1 << 20);
-    std::vector<uint8_t> src(4096, 7);
+    auto srcOwner = sourcePage(7);
+    const std::vector<uint8_t> &src = *srcOwner;
     uint64_t v = 0;
 
-    // Only a write marks a page: a first read or hostPageRO() allocates
+    // Only a write marks a page: a first read or readPage() allocates
     // a zero page, which reads as before, so neither marks.
     ASSERT_TRUE(pm.read(P0, 8, v));
-    ASSERT_NE(pm.hostPageRO(P1), nullptr);
+    ASSERT_NE(pm.readPage(P1), nullptr);
     ASSERT_TRUE(pm.write(P2, 8, 1));
     EXPECT_EQ(pm.allocatedPages(), 3u);
     EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P2}));
@@ -243,18 +299,18 @@ TEST(PhysMem, DirtyTracking)
     EXPECT_NE(pm.epoch(), e0);
     EXPECT_EQ(pm.dirtyPages(), 0u);
 
-    // read() and hostPageRO() of allocated pages do not mark...
+    // read() and readPage() of allocated pages do not mark...
     ASSERT_TRUE(pm.read(P2, 8, v));
-    ASSERT_NE(pm.hostPageRO(P0), nullptr);
+    ASSERT_NE(pm.readPage(P0), nullptr);
     EXPECT_TRUE(dirtyBases(pm).empty());
 
     // ...while every write-capable accessor does: write (also the
-    // page-crossing form), load, mapPage and hostPage.
+    // page-crossing form), load, map and hostPage.
     ASSERT_TRUE(pm.write(P0 + 0xffc, 8, ~0ULL)); // P0 and P1
     pm.load(P2 + 0xff0, src.data(), 32);         // P2 and P3
     EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P0, P1, P2, P3}));
     pm.clearDirty();
-    pm.mapPage(P4, src.data());
+    mapPage(pm, P4, srcOwner);
     ASSERT_NE(pm.hostPage(P1), nullptr);
     EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P1, P4}));
 
@@ -266,16 +322,15 @@ TEST(PhysMem, DirtyTracking)
     ASSERT_TRUE(pm.write(P3 + 8, 8, 2));
     EXPECT_EQ(dirtyBases(pm), (std::vector<Addr>{P3}));
 
-    // A read of a mapped page serves its source and hostPageRO()
-    // copies it, both leaving the dirty set alone (the bytes do not
-    // change); the first write copies it and marks it.
+    // A read or readPage() of a mapped page serves its source, leaving
+    // the dirty set alone; the first write copies it and marks it.
     pm.clearDirty();
     PhysMem fresh(0x80000000, 1 << 20);
-    fresh.mapPage(P4, src.data());
-    fresh.mapPage(P3, src.data());
+    mapPage(fresh, P4, srcOwner);
+    mapPage(fresh, P3, srcOwner);
     fresh.clearDirty();
     ASSERT_TRUE(fresh.read(P4, 8, v));
-    ASSERT_NE(fresh.hostPageRO(P3), nullptr);
+    ASSERT_EQ(fresh.readPage(P3), src.data());
     EXPECT_EQ(fresh.dirtyPages(), 0u);
     ASSERT_TRUE(fresh.write(P4 + 8, 8, 5));
     EXPECT_EQ(dirtyBases(fresh), (std::vector<Addr>{P4}));

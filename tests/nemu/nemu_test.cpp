@@ -315,20 +315,37 @@ TEST(Nemu, BlockHookSeesBasicBlocks)
     EXPECT_EQ(profiled, perPc);
 }
 
+/** @p code plus one whole data page at @p base, which loadInto() maps
+ *  in place rather than copying. */
+wl::Program
+withMappedPage(wl::Asm &code, Addr base)
+{
+    std::vector<uint8_t> page(mem::PhysMem::PAGE_SIZE);
+    for (size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<uint8_t>(i * 3 + 1);
+    wl::Program prog;
+    prog.entry = code.base();
+    prog.segments.push_back(code.finish());
+    prog.segments.push_back({base, std::move(page)});
+    return prog;
+}
+
+/** Doubleword @p off of @p prog's mapped data page, as loaded. */
+uint64_t
+sourceWord(const wl::Program &prog, size_t off)
+{
+    uint64_t v = 0;
+    std::memcpy(&v, prog.segments.at(1).bytes.data() + off, 8);
+    return v;
+}
+
 TEST(Nemu, HostTlbOnDemandPagedPage)
 {
-    // A page mapped from a read-only source (as a pack restore maps it)
-    // is copied on first touch, so both host-TLB ways must point at the
-    // private copy: load, store, load again, then a store and a load
-    // that hit the TLB.
+    // A mapped page is read in place and copied on its first write, so
+    // the load way, which may alias the source, must follow the copy:
+    // load, store, load again, then a store and a load that hit the
+    // TLB. The M-mode fast path re-points the load entry in place.
     wl::Layout layout;
-    std::vector<uint8_t> src(4096);
-    for (size_t i = 0; i < src.size(); ++i)
-        src[i] = static_cast<uint8_t>(i * 3 + 1);
-    const std::vector<uint8_t> orig = src;
-    uint64_t before;
-    std::memcpy(&before, src.data() + 64, 8);
-
     wl::Asm a(layout.codeBase);
     a.li(wl::s0, layout.dataBase);
     a.li(wl::t2, 0x0123456789abcdefULL);
@@ -339,13 +356,12 @@ TEST(Nemu, HostTlbOnDemandPagedPage)
     a.store(isa::Op::Sd, wl::t2, 64, wl::s0);
     a.load(isa::Op::Ld, wl::t4, 64, wl::s0);
     a.exit(0);
-    wl::Program prog;
-    prog.entry = layout.codeBase;
-    prog.segments.push_back(a.finish());
+    const wl::Program prog = withMappedPage(a, layout.dataBase);
+    const uint64_t before = sourceWord(prog, 64);
 
     System sys(32);
     prog.loadInto(sys.dram);
-    sys.dram.mapPage(layout.dataBase, src.data());
+    ASSERT_EQ(sys.dram.mappedPages(), 1u);
     Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
     ASSERT_TRUE(nemu.run(1000).halted);
@@ -355,10 +371,97 @@ TEST(Nemu, HostTlbOnDemandPagedPage)
     EXPECT_EQ(st.x[wl::t3], 0x0123456789abcdefULL);
     EXPECT_EQ(st.x[wl::t4], 0x0123456789abcdf0ULL);
     EXPECT_EQ(nemu.stats().hostTlbFills, 2u) << "one fill per way";
-    EXPECT_EQ(src, orig) << "a store reached the mapped source";
+    EXPECT_EQ(sourceWord(prog, 64), before)
+        << "a store reached the mapped source";
     uint64_t v = 0;
     ASSERT_TRUE(sys.dram.read(layout.dataBase + 64, 8, v));
     EXPECT_EQ(v, 0x0123456789abcdf0ULL);
+}
+
+TEST(Nemu, StoreCopiesPageAliasedByTwoVirtualPages)
+{
+    // Sv39 with two gigapages onto DRAM: VA 0x80000000 and 0xC0000000
+    // both reach PA 0x80000000, so the mapped data page has two load
+    // entries aliasing its source. A store through one copies the
+    // page; a load through the other must see the store.
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    const Addr root = 0x80200000;
+    constexpr uint64_t V = 1, R = 2, W = 4, X = 8, A = 1 << 6, D = 1 << 7;
+    const uint64_t dram = ((0x80000000ULL >> 12) << 10) | V | R | W | X |
+                          A | D;
+    a.li(wl::t0, root);
+    a.li(wl::t1, dram);
+    a.store(isa::Op::Sd, wl::t1, 16, wl::t0); // VA 0x80000000
+    a.store(isa::Op::Sd, wl::t1, 24, wl::t0); // VA 0xC0000000
+    a.li(wl::t1, ((0x40000000ULL >> 12) << 10) | V | R | W | A | D);
+    a.store(isa::Op::Sd, wl::t1, 8, wl::t0);  // SimCtrl window
+    a.li(wl::t1, (8ULL << 60) | (root >> 12));
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_SATP, wl::t1);
+    a.itype(isa::Op::SfenceVma, 0, 0, 0);
+    a.li(wl::t1, 1ULL << 11); // MPP = S
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_MSTATUS, wl::t1);
+    const Addr smode = layout.codeBase + 0x100;
+    a.li(wl::t1, smode);
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_MEPC, wl::t1);
+    a.itype(isa::Op::Mret, 0, 0, 0);
+    while (a.here() < smode)
+        a.nop();
+    a.li(wl::s0, layout.dataBase);
+    a.li(wl::s1, layout.dataBase + 0x40000000);
+    a.li(wl::t2, 0x0123456789abcdefULL);
+    a.load(isa::Op::Ld, wl::t1, 64, wl::s0);
+    a.load(isa::Op::Ld, wl::t3, 64, wl::s1);
+    a.store(isa::Op::Sd, wl::t2, 64, wl::s0);
+    a.load(isa::Op::Ld, wl::t4, 64, wl::s1);
+    a.load(isa::Op::Ld, wl::a3, 64, wl::s0);
+    a.exit(0);
+    const wl::Program prog = withMappedPage(a, layout.dataBase);
+    const uint64_t before = sourceWord(prog, 64);
+
+    System sys(32);
+    prog.loadInto(sys.dram);
+    Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+    nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+    ASSERT_TRUE(nemu.run(1000).halted);
+    ASSERT_EQ(sys.simctrl.exitCode(), 0u);
+
+    const auto &st = nemu.state();
+    EXPECT_EQ(st.x[wl::t1], before);
+    EXPECT_EQ(st.x[wl::t3], before);
+    EXPECT_EQ(st.x[wl::t4], 0x0123456789abcdefULL) << "stale alias";
+    EXPECT_EQ(st.x[wl::a3], 0x0123456789abcdefULL);
+    EXPECT_EQ(sourceWord(prog, 64), before)
+        << "a store reached the mapped source";
+}
+
+TEST(Nemu, AmoCopiesPageTheLoadWayAliases)
+{
+    // An AMO runs on the generic slow path, not through a store fill,
+    // yet its copy of a mapped page must reach the load way too.
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    a.li(wl::s0, layout.dataBase + 64);
+    a.li(wl::t2, 5);
+    a.load(isa::Op::Ld, wl::t1, 0, wl::s0);
+    a.rtype(isa::Op::AmoAddD, wl::t3, wl::s0, wl::t2);
+    a.load(isa::Op::Ld, wl::t4, 0, wl::s0);
+    a.exit(0);
+    const wl::Program prog = withMappedPage(a, layout.dataBase);
+    const uint64_t before = sourceWord(prog, 64);
+
+    System sys(32);
+    prog.loadInto(sys.dram);
+    Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+    nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+    ASSERT_TRUE(nemu.run(1000).halted);
+
+    const auto &st = nemu.state();
+    EXPECT_EQ(st.x[wl::t1], before);
+    EXPECT_EQ(st.x[wl::t3], before);
+    EXPECT_EQ(st.x[wl::t4], before + 5) << "stale alias";
+    EXPECT_EQ(sourceWord(prog, 64), before)
+        << "the AMO reached the mapped source";
 }
 
 TEST(Nemu, StoresAfterDirtyClearAreMarked)

@@ -29,6 +29,8 @@
 #include <string_view>
 #include <utility>
 
+#include <sys/resource.h>
+
 #include "archdb/archdb.h"
 #include "checkpoint/generator.h"
 #include "common/clock.h"
@@ -286,10 +288,16 @@ runXiangshan(const Options &opt, const wl::Program &prog,
                             dt->stats().commitsChecked));
         if (dt && opt.lightsssInterval) {
             const auto &ss = sss.stats();
+            const mem::PhysMem &dut = soc.system().dram;
+            const mem::PhysMem &ref = dt->refDram(0);
+            struct rusage ru;
+            getrusage(RUSAGE_SELF, &ru);
             std::printf(
                 "[cosim] %.0f commits/s checked, lightsss %llu forks "
                 "%llu kills, fork us total %llu last %llu, "
-                "faults/interval %llu\n",
+                "faults/interval %llu, dut pages mapped %llu copied "
+                "%llu, ref pages mapped %llu copied %llu, peak rss "
+                "%.1f MiB\n",
                 sec > 0 ? static_cast<double>(
                               dt->stats().commitsChecked) / sec
                         : 0.0,
@@ -297,7 +305,12 @@ runXiangshan(const Options &opt, const wl::Program &prog,
                 static_cast<unsigned long long>(ss.kills),
                 static_cast<unsigned long long>(ss.totalForkUs),
                 static_cast<unsigned long long>(ss.lastForkUs),
-                static_cast<unsigned long long>(ss.faultsPerInterval()));
+                static_cast<unsigned long long>(ss.faultsPerInterval()),
+                static_cast<unsigned long long>(dut.mappedPages()),
+                static_cast<unsigned long long>(dut.copies()),
+                static_cast<unsigned long long>(ref.mappedPages()),
+                static_cast<unsigned long long>(ref.copies()),
+                static_cast<double>(ru.ru_maxrss) / 1024.0);
         }
         if (soc.system().simctrl.exited())
             std::printf("workload exit code: %llu\n",
