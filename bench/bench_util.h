@@ -12,10 +12,13 @@
 #ifndef MINJIE_BENCH_BENCH_UTIL_H
 #define MINJIE_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -65,6 +68,49 @@ measureIpc(const xs::CoreConfig &cfg, const wl::Program &prog,
     InstCount di = soc.core(0).perf().instrs - warmInstrs;
     Cycle dc = soc.core(0).perf().cycles - warmCycles;
     return dc ? static_cast<double>(di) / static_cast<double>(dc) : 0.0;
+}
+
+/**
+ * Cores' worth of compute this host delivers: one copy of a fixed
+ * integer kernel alone against one copy per hardware thread at once,
+ * times the thread count (4.0 on four idle cores, less when they are
+ * shared). Best of three rounds.
+ */
+inline double
+calibratedCores()
+{
+    auto kernel = [](uint64_t seed) {
+        uint64_t x = seed | 1;
+        for (int i = 0; i < 10'000'000; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        return x;
+    };
+    const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<uint64_t> sink(n);
+    double best = 0;
+    for (int round = 0; round < 3; ++round) {
+        Stopwatch alone;
+        sink[0] += kernel(round + 1);
+        const double aloneSec = alone.elapsedSec();
+        Stopwatch all;
+        std::vector<std::thread> pool;
+        for (unsigned i = 0; i < n; ++i)
+            pool.emplace_back([&sink, &kernel, i] { sink[i] += kernel(i + 2); });
+        for (auto &t : pool)
+            t.join();
+        best = std::max(best, n * aloneSec / all.elapsedSec());
+    }
+    // Printed so the kernel's result is observable and not elided.
+    uint64_t keep = 0;
+    for (uint64_t s : sink)
+        keep ^= s;
+    std::fflush(stdout);
+    std::fprintf(stderr, "calibration checksum %llx\n",
+                 static_cast<unsigned long long>(keep));
+    return best;
 }
 
 inline void

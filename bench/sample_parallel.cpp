@@ -10,6 +10,10 @@
  *      On smaller hosts the 3x target is physically unreachable, so
  *      the gate reports the measured speedup and enforces only the
  *      invariance property (the ctest stays meaningful everywhere).
+ *      Beside it the smoke prints the parallel efficiency: speedup
+ *      over the cores the host delivers (calibratedCores()) or the
+ *      workers, whichever is fewer. Its slices are long (>= 50 ms on
+ *      a 4-vCPU host) so fork and scheduling noise do not decide it.
  *   2. Determinism — weighted counters, IPC, and the top-down stack
  *      must be byte-identical between serial and parallel runs; this
  *      is checked unconditionally and fails the gate on any host.
@@ -20,6 +24,7 @@
 
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -49,7 +54,8 @@ struct Row
 };
 
 Row
-measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps)
+measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps,
+                InstCount measure)
 {
     Row row;
     row.workload = spec.name;
@@ -63,7 +69,7 @@ measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps)
     row.slices = pack.count();
 
     sample::SampleConfig cfg;
-    cfg.measureInsts = 30'000;
+    cfg.measureInsts = measure;
 
     sample::SampleReport serial, parallel;
     for (int r = 0; r < reps; ++r) {
@@ -91,16 +97,20 @@ measureWorkload(const wl::ProxySpec &spec, InstCount budget, int reps)
 
 std::vector<Row>
 measureSuite(const std::vector<wl::ProxySpec> &suite, InstCount budget,
-             int reps)
+             int reps, InstCount measure = 30'000)
 {
     std::vector<Row> rows;
     for (const auto &spec : suite) {
         std::printf("  %-14s ...", spec.name);
         std::fflush(stdout);
-        Row r = measureWorkload(spec, budget, reps);
-        std::printf(" %zu slices  serial %6.3fs  8-workers %6.3fs  "
-                    "%5.2fx  %s\n",
-                    r.slices, r.serialSec, r.parallelSec, r.speedup(),
+        Row r = measureWorkload(spec, budget, reps, measure);
+        std::printf(" %zu slices (%.0f ms each)  serial %6.3fs  "
+                    "8-workers %6.3fs  %5.2fx  %s\n",
+                    r.slices,
+                    r.slices ? 1e3 * r.serialSec /
+                                   static_cast<double>(r.slices)
+                             : 0.0,
+                    r.serialSec, r.parallelSec, r.speedup(),
                     r.invariant ? "invariant" : "MISMATCH");
         rows.push_back(std::move(r));
     }
@@ -124,10 +134,11 @@ runSmoke()
                                        "still enforced)");
 
     // Gate set: fig12 workloads with distinct phase structure, sized
-    // so each pack yields ~8 roughly equal slices.
+    // so each pack yields ~8 roughly equal slices, each measuring
+    // 350k instructions (about 60 ms each on a 4-vCPU host).
     auto intSuite = wl::specIntSuite();
     std::vector<wl::ProxySpec> gateSet = {intSuite[0], intSuite[5]};
-    auto rows = measureSuite(gateSet, 400'000, /*reps=*/3);
+    auto rows = measureSuite(gateSet, 400'000, /*reps=*/3, 350'000);
 
     std::vector<double> sp;
     bool allInvariant = true;
@@ -137,7 +148,11 @@ runSmoke()
         allInvariant = allInvariant && r.invariant;
     }
     double geo = geomean(sp);
-    std::printf("\ngeomean speedup: %.2fx\n", geo);
+    const double capacity = calibratedCores();
+    std::printf("\ngeomean speedup: %.2fx; calibrated capacity %.2f "
+                "cores of %u -> parallel efficiency %.2f\n",
+                geo, capacity, hostCores,
+                geo / std::min<double>(PAR_WORKERS, capacity));
 
     if (!allInvariant) {
         std::printf("FAIL: serial and parallel reductions diverged\n");

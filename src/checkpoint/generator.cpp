@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/clock.h"
 #include "iss/system.h"
 #include "nemu/nemu.h"
 
@@ -28,6 +27,7 @@ generateCheckpoints(const workload::Program &prog,
     // ---- pass 1: profile BBVs in NEMU's threaded engine ----
     std::vector<Bbv> bbvs;
     {
+        PhaseMeter phase;
         iss::System sys(256);
         prog.loadInto(sys.dram);
         nemu::Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
@@ -40,6 +40,7 @@ generateCheckpoints(const workload::Program &prog,
         out.totalInsts = r.executed;
         out.profileSec = sw.elapsedSec();
         out.profileMips = mips(r.executed, out.profileSec);
+        out.profilePhase = phase.end();
     }
 
     // ---- SimPoint clustering ----
@@ -58,6 +59,7 @@ generateCheckpoints(const workload::Program &prog,
     }
 
     // ---- pass 2: re-run fast, snapshot boundaries into the pack ----
+    PhaseMeter phase;
     const SimPoints &sp = out.simpoints;
     std::vector<std::pair<InstCount, size_t>> boundaries;
     for (size_t i = 0; i < sp.intervals.size(); ++i)
@@ -85,6 +87,7 @@ generateCheckpoints(const workload::Program &prog,
     }
     out.generateSec = sw.elapsedSec();
     out.generateMips = mips(executed, out.generateSec);
+    out.generatePhase = phase.end();
     return out;
 }
 

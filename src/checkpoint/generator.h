@@ -11,6 +11,7 @@
 
 #include "checkpoint/pack.h"
 #include "checkpoint/simpoint.h"
+#include "common/clock.h"
 #include "workload/programs.h"
 
 namespace minjie::checkpoint {
@@ -28,6 +29,8 @@ struct GenResult
     double profileMips = 0;  ///< pass-1 speed
     double generateSec = 0;  ///< pass 2 (re-run + snapshots) wall time
     double generateMips = 0; ///< pass-2 speed
+    /** Each whole pass (memory, image load, engine, run, snapshots). */
+    PhaseCost profilePhase, generatePhase;
 };
 
 /**

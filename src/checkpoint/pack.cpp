@@ -6,6 +6,7 @@
 
 #include "checkpoint/checkpoint.h"
 #include "common/bytes.h"
+#include "common/zeroed_array.h"
 
 namespace minjie::checkpoint {
 
@@ -180,8 +181,12 @@ PackWriter::bytes() const
     }
     uint64_t poolOff = (cursor + PAGE - 1) / PAGE * PAGE;
 
+    // The output is written whole, so huge extents cost no extra
+    // resident memory and save a fault per 4 KiB page.
+    const size_t total = poolOff + order.size() * PAGE;
     std::vector<uint8_t> out;
-    out.reserve(poolOff + order.size() * PAGE);
+    out.reserve(total);
+    zeroed::adviseHuge(out.data(), total);
     ByteWriter w(out);
     w.u64(pack::MAGIC);
     w.u64(pack::VERSION);

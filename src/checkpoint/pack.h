@@ -85,7 +85,8 @@ class PackWriter
 
     /** Serialize the pack: table in slot order, pool renumbered by
      *  first reference, so the bytes do not depend on the order the
-     *  snapshots were taken in. */
+     *  snapshots were taken in. The output's whole 2 MiB extents are
+     *  advised huge before they are written. */
     std::vector<uint8_t> bytes() const;
 
     /** Distinct pages stored (after dedup + zero elision). */

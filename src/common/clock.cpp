@@ -2,6 +2,8 @@
 
 #include <ctime>
 
+#include <sys/resource.h>
+
 namespace minjie {
 
 uint64_t
@@ -29,6 +31,19 @@ double
 Stopwatch::elapsedSec() const
 {
     return static_cast<double>(monotonicNs() - startNs_) * 1e-9;
+}
+
+uint64_t
+minorFaults(bool children)
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    uint64_t n = static_cast<uint64_t>(ru.ru_minflt);
+    if (children) {
+        getrusage(RUSAGE_CHILDREN, &ru);
+        n += static_cast<uint64_t>(ru.ru_minflt);
+    }
+    return n;
 }
 
 } // namespace minjie

@@ -114,12 +114,45 @@ scrub(void *p, size_t bytes)
     return true;
 }
 
+/** A fresh mapping of @p bytes (whole pages, at least kHugeBytes),
+ *  aligned to kHugeBytes: map one extent more, then trim both ends. */
+void *
+mapHuge(size_t bytes)
+{
+    const size_t span = bytes + kHugeBytes;
+    void *raw = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED)
+        throw std::bad_alloc();
+    const auto start = reinterpret_cast<uintptr_t>(raw);
+    const uintptr_t p = (start + kHugeBytes - 1) & ~(kHugeBytes - 1);
+    if (p > start)
+        munmap(raw, p - start);
+    if (start + span > p + bytes)
+        munmap(reinterpret_cast<void *>(p + bytes), start + span - p - bytes);
+    adviseHuge(reinterpret_cast<void *>(p), bytes);
+    return reinterpret_cast<void *>(p);
+}
+
 } // namespace
+
+void
+adviseHuge(void *p, size_t bytes)
+{
+    const auto at = reinterpret_cast<uintptr_t>(p);
+    const uintptr_t first = (at + kHugeBytes - 1) & ~(kHugeBytes - 1);
+    const uintptr_t last = (at + bytes) & ~(kHugeBytes - 1);
+    if (last > first)
+        madvise(reinterpret_cast<void *>(first), last - first,
+                MADV_HUGEPAGE);
+}
 
 void *
 acquire(size_t bytes)
 {
     bytes = roundToPages(bytes);
+    if (bytes >= kHugeBytes)
+        return mapHuge(bytes);
     // Newest first: its pages are the likeliest to be cache-warm.
     for (size_t i = poolCount; i-- > 0;) {
         if (pool[i].bytes != bytes)
@@ -140,8 +173,8 @@ void
 release(void *p, size_t bytes)
 {
     bytes = roundToPages(bytes);
-    if (poolCount < kPoolMappings && poolBytes + bytes <= kPoolBytes &&
-        scrub(p, bytes)) {
+    if (bytes < kHugeBytes && poolCount < kPoolMappings &&
+        poolBytes + bytes <= kPoolBytes && scrub(p, bytes)) {
         pool[poolCount++] = {p, bytes};
         poolBytes += bytes;
         return;

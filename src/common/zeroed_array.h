@@ -6,12 +6,19 @@
  * array) costs neither a memset at construction nor resident memory
  * for the part never touched.
  *
- * Mappings are recycled. A destroyed array's mapping goes to a bounded
- * per-process pool after its data pages are zeroed again, and the next
- * array of the same page-rounded size takes it before mmap is called.
- * A process that builds the same tables job after job (a campaign
- * worker, one SoC per program) thus starts each job from pages that are
- * already zero and already faulted in.
+ * Table-sized mappings are recycled. A destroyed array's mapping goes
+ * to a bounded per-process pool after its data pages are zeroed again,
+ * and the next array of the same page-rounded size takes it before mmap
+ * is called. A process that builds the same tables job after job (a
+ * campaign worker, one SoC per program) thus starts each job from pages
+ * that are already zero and already faulted in.
+ *
+ * A mapping of kHugeBytes or more is a buffer written whole once (a
+ * guest image segment), not a table: it is aligned to kHugeBytes, its
+ * whole extents are advised huge so a fresh one faults in 2 MiB at a
+ * time instead of 4 KiB, and it is unmapped when released, never
+ * pooled. A huge extent of a sparsely written array would be resident
+ * whole, so tables stay below that size.
  */
 
 #ifndef MINJIE_COMMON_ZEROED_ARRAY_H
@@ -30,18 +37,29 @@ namespace zeroed {
 constexpr size_t kPoolMappings = 64;
 constexpr size_t kPoolBytes = size_t{64} << 20;
 
+/** Mappings of at least this many bytes take huge extents and are
+ *  never pooled: the transparent huge page size. */
+constexpr size_t kHugeBytes = size_t{2} << 20;
+
+/** Advise every whole kHugeBytes extent inside [@p p, @p p + @p bytes)
+ *  huge (MADV_HUGEPAGE, this process's own memory only). For a buffer
+ *  about to be written whole; a no-op where the kernel declines. */
+void adviseHuge(void *p, size_t bytes);
+
 /** A mapping of @p bytes (rounded up to pages) that reads as zeros:
- *  a pooled one of the same rounded size, else a fresh one.
- *  Throws std::bad_alloc when mmap fails. */
+ *  a pooled one of the same rounded size, else a fresh one (aligned
+ *  and advised huge from kHugeBytes up). Throws std::bad_alloc when
+ *  mmap fails. */
 void *acquire(size_t bytes);
 
 /**
- * Give back a mapping from acquire(). Its pages that can hold data are
- * zeroed: resident ones by memset, swapped-out ones by MADV_DONTNEED,
- * as one read of /proc/self/pagemap tells. A mapping of a few pages,
- * where that read costs more than the memset, is zeroed whole. The
- * mapping is then pooled, or unmapped when the pool is full or its
- * residency cannot be read.
+ * Give back a mapping from acquire(). One of kHugeBytes or more is
+ * unmapped. A smaller one has its pages that can hold data zeroed:
+ * resident ones by memset, swapped-out ones by MADV_DONTNEED, as one
+ * read of /proc/self/pagemap tells. A mapping of a few pages, where
+ * that read costs more than the memset, is zeroed whole. The mapping
+ * is then pooled, or unmapped when the pool is full or its residency
+ * cannot be read.
  */
 void release(void *p, size_t bytes);
 

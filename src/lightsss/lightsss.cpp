@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -24,15 +23,6 @@ struct WakeMsg
     uint64_t action; ///< 0 = die, 1 = replay
     uint64_t targetCycle;
 };
-
-/** Minor page faults this process has taken so far. */
-uint64_t
-minorFaults()
-{
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<uint64_t>(ru.ru_minflt);
-}
 
 } // namespace
 

@@ -19,6 +19,7 @@
 
 #include "common/log.h"
 #include "common/types.h"
+#include "common/zeroed_array.h"
 #include "isa/decode.h"
 #include "isa/encode.h"
 #include "mem/physmem.h"
@@ -44,9 +45,10 @@ struct Label
 };
 
 /**
- * A segment's bytes, immutable once built. Copies of a Program share
- * them, and so does every memory that maps them (Program::loadInto):
- * the buffer lives until its last holder lets go.
+ * A segment's bytes, immutable once built: a span and whatever keeps it
+ * alive. Copies of a Program share them, and so does every memory that
+ * maps them (Program::loadInto): the bytes live until their last holder
+ * lets go.
  */
 class SegmentBytes
 {
@@ -54,18 +56,40 @@ class SegmentBytes
     SegmentBytes() = default;
     /** Seal @p bytes: the buffer moves in, no byte is copied. */
     SegmentBytes(std::vector<uint8_t> bytes)
-        : buf_(std::make_shared<const std::vector<uint8_t>>(
-              std::move(bytes)))
+        : SegmentBytes(
+              std::make_shared<const std::vector<uint8_t>>(std::move(bytes)))
     {
     }
 
-    const uint8_t *data() const { return buf_ ? buf_->data() : nullptr; }
-    size_t size() const { return buf_ ? buf_->size() : 0; }
-    const uint8_t *begin() const { return data(); }
-    const uint8_t *end() const { return data() + size(); }
-    uint8_t operator[](size_t i) const { return (*buf_)[i]; }
+    /**
+     * @p n zero bytes, written once by @p fill(data) and sealed, with no
+     * copy. From zeroed::kHugeBytes up they are a fresh mapping of their
+     * own (ZeroedArray: huge extents, no zero-fill pass, unmapped when
+     * the last holder lets go). Below that they are a heap vector: a
+     * pooled mapping would keep its pages resident between builds,
+     * where the heap reuses them for anything.
+     */
+    template <typename Fill>
+    static SegmentBytes
+    written(size_t n, Fill &&fill)
+    {
+        if (n < zeroed::kHugeBytes) {
+            std::vector<uint8_t> v(n);
+            fill(v.data());
+            return SegmentBytes(std::move(v));
+        }
+        auto buf = std::make_shared<ZeroedArray<uint8_t>>(n);
+        fill(buf->data());
+        return SegmentBytes(std::move(buf));
+    }
+
+    const uint8_t *data() const { return data_; }
+    size_t size() const { return size_; }
+    const uint8_t *begin() const { return data_; }
+    const uint8_t *end() const { return data_ + size_; }
+    uint8_t operator[](size_t i) const { return data_[i]; }
     /** What keeps data() alive, for PhysMem::map(). */
-    mem::PhysMem::Owner owner() const { return buf_; }
+    const mem::PhysMem::Owner &owner() const { return owner_; }
 
     bool
     operator==(const SegmentBytes &o) const
@@ -74,7 +98,16 @@ class SegmentBytes
     }
 
   private:
-    std::shared_ptr<const std::vector<uint8_t>> buf_;
+    /** The bytes of @p buf (a byte vector or ZeroedArray), held by it. */
+    template <typename Buf>
+    explicit SegmentBytes(std::shared_ptr<Buf> buf)
+        : owner_(buf), data_(buf->data()), size_(buf->size())
+    {
+    }
+
+    mem::PhysMem::Owner owner_;
+    const uint8_t *data_ = nullptr;
+    size_t size_ = 0;
 };
 
 /**

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstring>
 
 #include "common/bitutil.h"
@@ -15,47 +16,69 @@ using isa::Op;
 
 namespace {
 
-/** @p n little-endian 64-bit words, word i = @p word(i), written in
- *  place into a vector sized once. */
-template <typename F>
-std::vector<uint8_t>
-words64(size_t n, F &&word)
+/** Store @p x at @p p, least significant byte first: one 8-byte move
+ *  (a byte loop costs 4x on the 8 MiB int arrays). */
+void
+putLe64(uint8_t *p, uint64_t x)
 {
-    std::vector<uint8_t> v(n * 8);
-    uint8_t *p = v.data();
-    for (size_t i = 0; i < n; ++i, p += 8) {
-        uint64_t x = word(i);
-        for (int b = 0; b < 8; ++b)
-            p[b] = static_cast<uint8_t>(x >> (8 * b));
-    }
-    return v;
+    if constexpr (std::endian::native != std::endian::little)
+        x = __builtin_bswap64(x);
+    std::memcpy(p, &x, 8);
 }
 
-/** Build a single-cycle pointer ring of @p n nodes at @p base with
- *  @p spacing bytes between nodes (Sattolo's algorithm), stored as
- *  absolute 64-bit next pointers. */
-std::vector<uint8_t>
+/** @p n little-endian 64-bit words, written once into the segment's
+ *  buffer (SegmentBytes::written): words [0, @p period) are @p word(i),
+ *  and every later one repeats the word one period back, copied forward
+ *  a period at a time. */
+template <typename F>
+SegmentBytes
+words64(size_t n, F &&word, size_t period = SIZE_MAX)
+{
+    return SegmentBytes::written(n * 8, [&](uint8_t *p) {
+        const size_t head = std::min(n, period);
+        for (size_t i = 0; i < head; ++i)
+            putLe64(p + 8 * i, word(i));
+        for (size_t i = head; i < n; i += head)
+            std::memcpy(p + 8 * i, p, 8 * std::min(head, n - i));
+    });
+}
+
+/** A single-cycle pointer ring of @p n nodes at @p base with @p spacing
+ *  bytes between nodes, stored as absolute 64-bit next pointers (the
+ *  padding between them stays zero). The visiting order is a list of
+ *  the nodes shuffled by Sattolo's algorithm, node order[i] pointing at
+ *  order[i + 1]. It is built in the nodes' own words in the segment's
+ *  buffer, no scratch: the low half of node i's word holds order[i],
+ *  the high half its successor, until a last pass turns the successor
+ *  into a pointer. */
+SegmentBytes
 buildRing(Addr base, size_t n, Rng &rng, size_t spacing = 8)
 {
-    std::vector<uint32_t> perm(n);
-    for (size_t i = 0; i < n; ++i)
-        perm[i] = static_cast<uint32_t>(i);
-    for (size_t i = n - 1; i > 0; --i) {
-        size_t j = rng.below(i);
-        std::swap(perm[i], perm[j]);
-    }
-    // perm as a cycle: node i points at node perm-successor.
-    std::vector<uint32_t> next(n);
-    for (size_t i = 0; i + 1 < n; ++i)
-        next[perm[i]] = perm[i + 1];
-    next[perm[n - 1]] = perm[0];
-
-    std::vector<uint8_t> bytes(n * spacing, 0);
-    for (size_t i = 0; i < n; ++i) {
-        uint64_t ptr = base + static_cast<Addr>(next[i]) * spacing;
-        std::memcpy(&bytes[i * spacing], &ptr, 8);
-    }
-    return bytes;
+    return SegmentBytes::written(n * spacing, [&](uint8_t *p) {
+        auto get = [&](size_t i) {
+            uint64_t w;
+            std::memcpy(&w, p + i * spacing, 8);
+            return w;
+        };
+        auto set = [&](size_t i, uint64_t w) {
+            std::memcpy(p + i * spacing, &w, 8);
+        };
+        for (size_t i = 0; i < n; ++i)
+            set(i, i);
+        for (size_t i = n - 1; i > 0; --i) {
+            size_t j = rng.below(i);
+            uint64_t wi = get(i);
+            set(i, get(j));
+            set(j, wi);
+        }
+        for (size_t i = 0; i < n; ++i) {
+            const size_t node = get(i) & 0xffffffff;
+            const uint64_t succ = get(i + 1 < n ? i + 1 : 0) & 0xffffffff;
+            set(node, get(node) | succ << 32);
+        }
+        for (size_t i = 0; i < n; ++i)
+            putLe64(p + i * spacing, base + (get(i) >> 32) * spacing);
+    });
 }
 
 /** Emit one xorshift64 step on s4 using t0 as scratch. */
@@ -161,10 +184,11 @@ buildProxy(const ProxySpec &spec, uint64_t iterations, uint64_t seed,
 
     prog.segments.push_back(
         {intsBase, words64(wsBytes / 8, [&](size_t) { return rng.next(); })});
-    prog.segments.push_back({dblsBase, words64(dblsBytes / 8, [](size_t i) {
-        double d = 1.0 + static_cast<double>(i % 997) * 0.001;
-        return std::bit_cast<uint64_t>(d);
-    })});
+    // The double grid repeats one 997-word period.
+    auto grid = [](size_t i) {
+        return std::bit_cast<uint64_t>(1.0 + static_cast<double>(i) * 0.001);
+    };
+    prog.segments.push_back({dblsBase, words64(dblsBytes / 8, grid, 997)});
 
     // ---- indirect-jump case blocks (fixed-address aux segment) ----
     {

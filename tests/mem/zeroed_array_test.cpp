@@ -2,8 +2,9 @@
  * ZeroedArray and its mapping pool: an array always starts as zeros,
  * also when it gets a mapping an earlier array wrote all over; only a
  * mapping of the same page-rounded size is reused; the pool holds at
- * most its bound and unmaps the rest; and a forked child scrubs by its
- * own residency, not its parent's.
+ * most its bound and unmaps the rest; a mapping of 2 MiB or more is
+ * aligned to 2 MiB and unmapped when released; and a forked child
+ * scrubs by its own residency, not its parent's.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -79,9 +81,11 @@ inChild(Body body)
 TEST(ZeroedArray, ReacquiredMappingReadsZero)
 {
     // Sizes below, at and above page multiples, both sides of the
-    // whole-mapping memset threshold, and a table of L3-tag size.
+    // whole-mapping memset threshold, a table of L3-tag size (NH's,
+    // 768 KiB) and the largest size the pool keeps.
     for (size_t n : {size_t{1}, kPage - 1, kPage, kPage + 1,
-                     3 * kPage + 17, 40 * kPage + 5, 600 * kPage}) {
+                     3 * kPage + 17, 40 * kPage + 5, 192 * kPage,
+                     zeroed::kHugeBytes - kPage}) {
         for (size_t stride : {size_t{1}, size_t{3}}) {
             uint8_t *first;
             {
@@ -130,17 +134,45 @@ TEST(ZeroedArray, MappingsBeyondTheBoundAreUnmapped)
         EXPECT_FALSE(mapped(oldest, kPage));
     });
     inChild([] {
-        // By bytes: two halves of the byte bound fill it.
-        const size_t half = zeroed::kPoolBytes / 2;
+        // By bytes: the largest pooled mappings, one more than the
+        // byte bound holds (and fewer than the count bound).
+        const size_t big = zeroed::kHugeBytes - kPage;
+        const size_t count = zeroed::kPoolBytes / big + 1;
+        ASSERT_LT(count, zeroed::kPoolMappings);
         std::vector<ZeroedArray<uint8_t>> arrays;
-        for (int i = 0; i < 3; ++i)
-            arrays.emplace_back(half);
+        for (size_t i = 0; i < count; ++i)
+            arrays.emplace_back(big);
         uint8_t *oldest = arrays.front().data();
         uint8_t *newest = arrays.back().data();
         while (!arrays.empty())
             arrays.pop_back();
-        EXPECT_TRUE(mapped(newest, half));
-        EXPECT_FALSE(mapped(oldest, half));
+        EXPECT_TRUE(mapped(newest, big));
+        EXPECT_FALSE(mapped(oldest, big));
+    });
+}
+
+TEST(ZeroedArray, HugeMappingsAreAlignedAndNeverPooled)
+{
+    const size_t pooled = zeroed::pooled();
+    inChild([pooled] {
+        for (size_t n : {zeroed::kHugeBytes, 3 * zeroed::kHugeBytes + 17}) {
+            uint8_t *p;
+            {
+                ZeroedArray<uint8_t> a(n);
+                p = a.data();
+                EXPECT_EQ(reinterpret_cast<uintptr_t>(p) %
+                              zeroed::kHugeBytes,
+                          0u)
+                    << n;
+                EXPECT_TRUE(allZero(a)) << n;
+                scribble(a);
+            }
+            EXPECT_EQ(zeroed::pooled(), pooled) << n;
+            EXPECT_FALSE(mapped(p, n)) << n;
+            // A fresh mapping again, zero throughout.
+            ZeroedArray<uint8_t> b(n);
+            EXPECT_TRUE(allZero(b)) << n;
+        }
     });
 }
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
+
 #include "iss/interp.h"
 #include "iss/system.h"
+#include "common/zeroed_array.h"
 #include "workload/programs.h"
 
 namespace {
@@ -155,6 +161,153 @@ TEST(Programs, ByNameBuildsEveryListedNameAndRejectsOthers)
     for (const auto &name : names())
         EXPECT_TRUE(byName(name, 2)) << name;
     EXPECT_FALSE(byName("nosuch", 2));
+}
+
+/** FNV-1a over 64-bit little-endian words, then the tail bytes. */
+uint64_t
+fnv(uint64_t h, const uint8_t *p, size_t n)
+{
+    constexpr uint64_t prime = 0x100000001b3ULL;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t w = 0;
+        for (unsigned b = 0; b < 8; ++b)
+            w |= static_cast<uint64_t>(p[i + b]) << (8 * b);
+        h = (h ^ w) * prime;
+    }
+    for (; i < n; ++i)
+        h = (h ^ p[i]) * prime;
+    return h;
+}
+
+/** Hash of every segment's base, size and bytes, in order. */
+uint64_t
+imageHash(const Program &prog)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &seg : prog.segments) {
+        const uint64_t head[2] = {seg.base, seg.bytes.size()};
+        h = fnv(h, reinterpret_cast<const uint8_t *>(head), sizeof head);
+        h = fnv(h, seg.bytes.data(), seg.bytes.size());
+    }
+    return h;
+}
+
+/** @p name's image at layout seed @p seed; a workload that is not a
+ *  SPEC proxy has one image whatever the seed. */
+Program
+imageOf(const std::string &name, uint64_t seed)
+{
+    for (const auto *suite : {&specIntSuite(), &specFpSuite()})
+        for (const auto &s : *suite)
+            if (name == s.name)
+                return buildProxy(s, 100, seed);
+    return *byName(name, 100);
+}
+
+TEST(Programs, ImagesArePinned)
+{
+    // Every workload's segments, byte for byte, at two layout seeds.
+    // A generator change that moves any of them changes what every
+    // engine runs; update the table only for a deliberate change.
+    struct Pin
+    {
+        const char *name;
+        uint64_t seed1, seed7;
+    };
+    static const Pin pins[] = {
+        {"coremark", 0x193201bfd1427d14ULL, 0x193201bfd1427d14ULL},
+        {"memstress", 0x49c447709dfcaa9fULL, 0x49c447709dfcaa9fULL},
+        {"sum", 0x5ad9a93c0bd05b2dULL, 0x5ad9a93c0bd05b2dULL},
+        {"sv39", 0x0321ab5bb48909beULL, 0x0321ab5bb48909beULL},
+        {"401.bzip2", 0xd5fa450d6548a4faULL, 0xcf06bc9eb505824eULL},
+        {"403.gcc", 0xc9032111a465ba0eULL, 0x7e981b32250475b1ULL},
+        {"429.mcf", 0xd86821d4547cbcb8ULL, 0xed365896f6cd8db7ULL},
+        {"445.gobmk", 0x574857e9b5611983ULL, 0x7f23b3d5a73151caULL},
+        {"456.hmmer", 0x7fdac57598c11dc3ULL, 0xded504d8be3e9862ULL},
+        {"458.sjeng", 0x104e74f01012421cULL, 0x907a67a25201433bULL},
+        {"462.libquantum", 0x4c350f1baa7d9e1eULL, 0xe5dd88d46d62ce0cULL},
+        {"464.h264ref", 0x4aff77a7b3196278ULL, 0xdf45ea8e7f92990cULL},
+        {"471.omnetpp", 0xcf69e68abf2a5abaULL, 0xab2d46c2b3ac8997ULL},
+        {"473.astar", 0x77a9d1680e5f90d5ULL, 0x2b8bd1953bc25d08ULL},
+        {"483.xalancbmk", 0xfe978259f3346429ULL, 0xff33e6c6b308f5abULL},
+        {"410.bwaves", 0xfda659ac32463074ULL, 0x27a106df30f9adb5ULL},
+        {"433.milc", 0xf8534e09670ab968ULL, 0xf0a55c25423a12ccULL},
+        {"434.zeusmp", 0x01fcfbe0a4484b86ULL, 0x1c69e74409531449ULL},
+        {"436.cactusADM", 0x73cebac104ea5597ULL, 0x7bda491b2a5d7b6fULL},
+        {"437.leslie3d", 0xeb584053407b162fULL, 0x33f76d05514dffe1ULL},
+        {"444.namd", 0x7de3f8a7c4fa94e6ULL, 0xf8d646f134528b8aULL},
+        {"447.dealII", 0xbc360d6cc8fec318ULL, 0x4d64e0f84092c946ULL},
+        {"450.soplex", 0x910ef97b73d0ec01ULL, 0xdfe23e6fb52641e6ULL},
+        {"453.povray", 0x433c9c1a31a91ec0ULL, 0xd76ceb00de4ad2a5ULL},
+        {"454.calculix", 0x8d5f879b9fb5dd42ULL, 0x4c915d5f90d253b9ULL},
+        {"459.GemsFDTD", 0x560c830e367648d3ULL, 0xd83ae0e0507d458fULL},
+        {"465.tonto", 0x4b7c7099049dfd17ULL, 0xda05b796dc00ada6ULL},
+        {"470.lbm", 0x5318288ffb1c308fULL, 0x537071adbfd01052ULL},
+        {"481.wrf", 0x3382f8273ac5493aULL, 0xae2c74e3877a62cbULL},
+        {"482.sphinx3", 0x27be3021d0551196ULL, 0x882741f2e92d0f42ULL},
+    };
+    const std::vector<std::string> all = names();
+    ASSERT_EQ(all.size(), std::size(pins));
+    for (size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i], pins[i].name);
+        const uint64_t h1 = imageHash(imageOf(all[i], 1));
+        const uint64_t h7 = imageHash(imageOf(all[i], 7));
+        EXPECT_EQ(h1, pins[i].seed1) << all[i] << " seed 1: 0x" << std::hex
+                                     << h1;
+        EXPECT_EQ(h7, pins[i].seed7) << all[i] << " seed 7: 0x" << std::hex
+                                     << h7;
+    }
+}
+
+/** Whether any byte of [@p p, @p p + @p n) is in a mapping that
+ *  /proc/self/maps lists. */
+bool
+inMaps(const void *p, size_t n)
+{
+    const auto lo = reinterpret_cast<uintptr_t>(p);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        uintptr_t start = 0, end = 0;
+        if (std::sscanf(line.c_str(), "%lx-%lx", &start, &end) == 2 &&
+            start < lo + n && lo < end)
+            return true;
+    }
+    return false;
+}
+
+TEST(Programs, ImageMappingIsReturnedWithItsLastHolder)
+{
+    // 429.mcf's 4 MiB pointer ring is written into a mapping of its own.
+    // A memory that maps it keeps it after the Program is gone; when
+    // that memory, its last holder, lets go too, the mapping is
+    // unmapped, not pooled.
+    const uint8_t *ring = nullptr;
+    size_t ringBytes = 0;
+    size_t pooled = 0;
+    {
+        iss::System sys(128);
+        {
+            const Program prog = buildProxy(specIntSuite()[2], 20);
+            ASSERT_EQ(prog.name, "429.mcf");
+            const auto &seg = prog.segments[0];
+            ring = seg.bytes.data();
+            ringBytes = seg.bytes.size();
+            ASSERT_GE(ringBytes, zeroed::kHugeBytes);
+            EXPECT_EQ(reinterpret_cast<uintptr_t>(ring) % zeroed::kHugeBytes,
+                      0u);
+            sys.dram.map(seg.base, ring, ringBytes, seg.bytes.owner());
+        }
+        ASSERT_TRUE(inMaps(ring, ringBytes));
+        uint64_t next = 0;
+        ASSERT_TRUE(sys.dram.read(0x80100000, 8, next));
+        EXPECT_GE(next, 0x80100000u);
+        EXPECT_LT(next, 0x80100000u + ringBytes);
+        pooled = zeroed::pooled();
+    }
+    EXPECT_FALSE(inMaps(ring, ringBytes));
+    EXPECT_EQ(zeroed::pooled(), pooled);
 }
 
 } // namespace

@@ -201,9 +201,10 @@ runInterpreter(const Options &opt, const wl::Program &prog)
     return writeTrace(opt, root, trace.events());
 }
 
+/** @p setup has run since before the workload was built. */
 int
 runXiangshan(const Options &opt, const wl::Program &prog,
-             const xs::CoreConfig &cfg)
+             const xs::CoreConfig &cfg, const PhaseMeter &setup)
 {
     xs::Soc soc(cfg);
     std::unique_ptr<difftest::DiffTest> dt;
@@ -232,6 +233,7 @@ runXiangshan(const Options &opt, const wl::Program &prog,
     // LightSSS snapshots fork at loop-visible cycles only; with
     // skip-ahead the fork grid coarsens across idle stretches but
     // every forked state is still exact.
+    const double setupSec = setup.end().sec;
     Stopwatch sw;
     bool replayChild = false;
     auto run = soc.runWhile(2'000'000'000, [&](Cycle cycle) {
@@ -297,7 +299,7 @@ runXiangshan(const Options &opt, const wl::Program &prog,
                 "%llu kills, fork us total %llu last %llu, "
                 "faults/interval %llu, dut pages mapped %llu copied "
                 "%llu, ref pages mapped %llu copied %llu, peak rss "
-                "%.1f MiB\n",
+                "%.1f MiB, setup %.3fs\n",
                 sec > 0 ? static_cast<double>(
                               dt->stats().commitsChecked) / sec
                         : 0.0,
@@ -310,7 +312,7 @@ runXiangshan(const Options &opt, const wl::Program &prog,
                 static_cast<unsigned long long>(dut.copies()),
                 static_cast<unsigned long long>(ref.mappedPages()),
                 static_cast<unsigned long long>(ref.copies()),
-                static_cast<double>(ru.ru_maxrss) / 1024.0);
+                static_cast<double>(ru.ru_maxrss) / 1024.0, setupSec);
         }
         if (soc.system().simctrl.exited())
             std::printf("workload exit code: %llu\n",
@@ -330,10 +332,13 @@ runXiangshan(const Options &opt, const wl::Program &prog,
                : rc;
 }
 
+/** @p build is what building the workload cost. */
 int
 runSampledFlow(const Options &opt, const wl::Program &prog,
-               const xs::CoreConfig &cfg)
+               const xs::CoreConfig &cfg, const PhaseCost &build)
 {
+    std::vector<std::pair<const char *, PhaseCost>> phases;
+    phases.emplace_back("build", build);
     sample::PackReader pack;
     if (!opt.packIn.empty()) {
         if (!pack.openFile(opt.packIn)) {
@@ -360,7 +365,11 @@ runSampledFlow(const Options &opt, const wl::Program &prog,
                     "references, %zu pages hashed\n",
                     gen.pack.poolPages(), gen.pack.totalPageRefs(),
                     gen.pack.pagesHashed());
+        PhaseMeter packing;
         auto bytes = sample::packFromGen(gen);
+        phases.emplace_back("pass 1", gen.profilePhase);
+        phases.emplace_back("pass 2", gen.generatePhase);
+        phases.emplace_back("pack", packing.end());
         if (bytes.empty()) {
             std::fprintf(stderr, "checkpoint generation failed\n");
             return 1;
@@ -384,7 +393,9 @@ runSampledFlow(const Options &opt, const wl::Program &prog,
     scfg.warmupInsts = opt.warmup;
     scfg.measureInsts = opt.measure;
     scfg.coreCfg = cfg;
+    PhaseMeter slicing;
     auto rep = sample::runSampled(pack, scfg);
+    phases.emplace_back("slices", slicing.end());
 
     std::printf("[sample] pack: %zu checkpoints, %zu pooled pages, "
                 "%.1f KiB\n",
@@ -415,6 +426,12 @@ runSampledFlow(const Options &opt, const wl::Program &prog,
                 rep.weightedIpc(), rep.weightedCpi(), scfg.workers,
                 rep.wallSec);
     std::printf("%s", rep.stack.table("weighted top-down").c_str());
+    std::printf("[sample] phases (wall s, minor faults):");
+    for (size_t i = 0; i < phases.size(); ++i)
+        std::printf("%s %s %.4fs %llu", i ? "," : "", phases[i].first,
+                    phases[i].second.sec,
+                    static_cast<unsigned long long>(phases[i].second.faults));
+    std::printf("\n");
     std::printf("[sample] top-down exact-sum: %s\n",
                 rep.stack.sumsExactly() ? "PASS" : "FAIL");
     if (rep.failures) {
@@ -508,9 +525,12 @@ main(int argc, char **argv)
     }
     std::optional<xs::CoreConfig> cfg;
     std::optional<wl::Program> prog;
+    PhaseMeter setup;
+    PhaseCost build;
     if (err.empty()) {
         cfg = xs::CoreConfig::byName(opt.config);
         prog = wl::byName(opt.workload, opt.iters);
+        build = setup.end();
         err = checkSpec(opt, cfg.has_value(), prog.has_value());
     }
     if (!err.empty()) {
@@ -518,8 +538,8 @@ main(int argc, char **argv)
         return 2;
     }
     if (opt.sample)
-        return runSampledFlow(opt, *prog, *cfg);
+        return runSampledFlow(opt, *prog, *cfg, build);
     if (opt.engine == "xiangshan")
-        return runXiangshan(opt, *prog, *cfg);
+        return runXiangshan(opt, *prog, *cfg, setup);
     return runInterpreter(opt, *prog);
 }
