@@ -25,7 +25,7 @@ namespace {
  *  program generator draws (both start from the campaign seed). */
 constexpr uint64_t PLAN_SALT = 0x9e3779b97f4a7c15ULL;
 
-constexpr uint64_t JOB_MAGIC = 0x4d4a4a4230303031ULL; // "MJJB0001"
+constexpr uint64_t JOB_MAGIC = 0x4d4a4a4230303032ULL; // "MJJB0002"
 
 /** The per-job DUT counters: `perf_jobs` JSON name, counter key, and
  *  the core counter copied. */
@@ -127,9 +127,11 @@ runJob(const CampaignConfig &cfg, uint64_t seed)
     Stopwatch sw;
     JobPlan plan = planJob(cfg, seed);
     Rng rng(seed);
-    JobResult jr =
-        check(cfg, plan, wl::randomShrinkable(rng, plan.spec).assemble());
+    const wl::Program prog = wl::randomShrinkable(rng, plan.spec).assemble();
+    const double genSec = sw.elapsedSec();
+    JobResult jr = check(cfg, plan, prog);
     jr.seed = seed;
+    jr.genSec = genSec;
     jr.sec = sw.elapsedSec();
     return jr;
 }
@@ -147,6 +149,7 @@ encodeJob(const JobResult &jr)
     w.str(jr.detail);
     w.u64(jr.steps);
     w.u64(std::bit_cast<uint64_t>(jr.sec));
+    w.u64(std::bit_cast<uint64_t>(jr.genSec));
     obs::writeCounters(w, jr.perf);
     return v;
 }
@@ -165,6 +168,7 @@ decodeJob(const std::vector<uint8_t> &blob, JobResult &jr)
     out.detail = in.str();
     out.steps = in.u64();
     out.sec = std::bit_cast<double>(in.u64());
+    out.genSec = std::bit_cast<double>(in.u64());
     if (!obs::readCounters(in, out.perf) || !in.done())
         return false;
     jr = std::move(out);
@@ -310,6 +314,7 @@ CampaignReport::toJson() const
         jw.key("host_sec").value(k.sec);
         jw.key("p50_us").value(k.p50Us);
         jw.key("p90_us").value(k.p90Us);
+        jw.key("gen_p50_us").value(k.genP50Us);
         jw.endObject();
     }
     jw.endArray();
@@ -360,23 +365,31 @@ CampaignReport::toJson() const
 std::vector<KindTime>
 CampaignReport::kindTimes() const
 {
-    std::map<std::string, std::vector<double>> us;
-    for (const auto &jr : results)
-        us[jr.kind].push_back(jr.sec * 1e6);
-    auto rank = [](const std::vector<double> &v, double p) {
+    struct Samples
+    {
+        std::vector<double> job, gen; ///< host and build time, in us
+    };
+    std::map<std::string, Samples> us;
+    for (const auto &jr : results) {
+        Samples &s = us[jr.kind];
+        s.job.push_back(jr.sec * 1e6);
+        s.gen.push_back(jr.genSec * 1e6);
+    }
+    auto rank = [](std::vector<double> &v, double p) {
+        std::sort(v.begin(), v.end());
         auto r = static_cast<size_t>(
             std::ceil(p / 100.0 * static_cast<double>(v.size())));
         return v[std::clamp<size_t>(r, 1, v.size()) - 1];
     };
     std::vector<KindTime> out;
-    for (auto &[kind, v] : us) {
-        std::sort(v.begin(), v.end());
+    for (auto &[kind, s] : us) {
         KindTime k;
         k.kind = kind;
-        k.jobs = v.size();
-        k.sec = std::accumulate(v.begin(), v.end(), 0.0) / 1e6;
-        k.p50Us = rank(v, 50);
-        k.p90Us = rank(v, 90);
+        k.jobs = s.job.size();
+        k.sec = std::accumulate(s.job.begin(), s.job.end(), 0.0) / 1e6;
+        k.p50Us = rank(s.job, 50);
+        k.p90Us = rank(s.job, 90);
+        k.genP50Us = rank(s.gen, 50);
         out.push_back(std::move(k));
     }
     return out;

@@ -76,7 +76,8 @@ struct JobResult
     std::string signature; ///< bucket key (empty when clean)
     std::string detail;    ///< human-readable first divergence
     uint64_t steps = 0;    ///< instructions checked (per engine)
-    double sec = 0;
+    double sec = 0;        ///< host time of the whole job
+    double genSec = 0;     ///< of which building its program
     /** DiffTest job under CampaignConfig::perf: its DUT counters
      *  ("dut.jobs" = 1, "dut.cycles", "dut.topdown.*"); else empty. */
     obs::CounterSnapshot perf;
@@ -108,6 +109,7 @@ struct KindTime
     double sec = 0;   ///< summed host seconds of its jobs
     double p50Us = 0; ///< per-job host time percentiles (nearest rank)
     double p90Us = 0;
+    double genP50Us = 0; ///< per-job program-build time, median
 };
 
 /** Full campaign outcome; toJson() is the machine-readable report. */

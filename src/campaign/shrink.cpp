@@ -4,23 +4,7 @@
 
 namespace minjie::campaign {
 
-using workload::Chunk;
 using workload::ShrinkableProgram;
-
-namespace {
-
-/** @p sp with only the chunks whose indices are in @p keep. */
-ShrinkableProgram
-withChunks(const ShrinkableProgram &sp, const std::vector<size_t> &keep)
-{
-    ShrinkableProgram out = sp;
-    out.chunks.clear();
-    for (size_t i : keep)
-        out.chunks.push_back(sp.chunks[i]);
-    return out;
-}
-
-} // namespace
 
 ShrinkResult
 shrinkProgram(const ShrinkableProgram &orig, const std::string &wantSig,
@@ -34,7 +18,7 @@ shrinkProgram(const ShrinkableProgram &orig, const std::string &wantSig,
 
     auto tryKeep = [&](const std::vector<size_t> &cand) {
         ++res.evals;
-        return sig(withChunks(orig, cand).assemble()) == wantSig;
+        return sig(orig.withChunks(cand).assemble()) == wantSig;
     };
 
     // Classic ddmin: partition the kept set into n subsets and try
@@ -75,7 +59,7 @@ shrinkProgram(const ShrinkableProgram &orig, const std::string &wantSig,
         }
     }
 
-    res.program = withChunks(orig, kept);
+    res.program = orig.withChunks(kept);
     return res;
 }
 

@@ -216,9 +216,8 @@ Nemu::translateBlock(Addr pc, Trap &trap)
         if (chainFrom >= 0) {
             // Superblock formation ran into already-translated code:
             // chain the jump to the existing entry and stop.
-            auto hit = pcMap_.find(cur);
-            if (hit != pcMap_.end()) {
-                uops_[static_cast<size_t>(chainFrom)].target = hit->second;
+            if (const int32_t *hit = pcMap_.find(cur)) {
+                uops_[static_cast<size_t>(chainFrom)].target = *hit;
                 chainFrom = -1;
                 break;
             }
@@ -281,10 +280,9 @@ Nemu::translateBlock(Addr pc, Trap &trap)
 int32_t
 Nemu::lookupOrTranslate(Addr pc, Trap &trap)
 {
-    auto it = pcMap_.find(pc);
-    if (it != pcMap_.end()) {
+    if (const int32_t *hit = pcMap_.find(pc)) {
         ++stats_.uopHits;
-        return it->second;
+        return *hit;
     }
     return translateBlock(pc, trap);
 }
@@ -296,7 +294,7 @@ Nemu::stepOnce(ExecInfo *info)
     // Straight-line stepping: the uop after the last one stepped is
     // usually the one at pc. Every cached uop was translated under the
     // current regime (flushes clear the whole cache), so a pc match is
-    // a valid translation and the hash lookup can be skipped.
+    // a valid translation and the table lookup can be skipped.
     int32_t idx = stepIdx_ + 1;
     if (static_cast<size_t>(idx) < uops_.size() &&
         uops_[static_cast<size_t>(idx)].pc == st_.pc)
@@ -365,13 +363,13 @@ int32_t
 Nemu::bbvSlot(Addr pc)
 {
     BbvProfile &p = *prof_;
-    auto [it, fresh] =
+    auto [slot, fresh] =
         p.slotOf.emplace(pc, static_cast<int32_t>(p.slotPc.size()));
     if (fresh) {
         p.slotPc.push_back(pc);
         p.count.push_back(0);
     }
-    return it->second;
+    return slot;
 }
 
 inline void
@@ -532,7 +530,7 @@ struct NemuExec
 // the resolved uop index unless the cache was flushed during translate.
 // With chaining ablated, every control transfer leaves the threaded
 // code and returns to the outer dispatch loop (pc sync, retirement
-// accounting, halt poll, hash-map lookup) — the classic unchained
+// accounting, halt poll, pc-table lookup) — the classic unchained
 // interpreter block boundary the optimization removes.
 #define CHAIN(field, targetPc) \
     do { \
@@ -561,7 +559,7 @@ struct NemuExec
 
 // Resolve an indirect control transfer: a one-entry inline cache per
 // uop (last target pc in the repurposed rs2 slot, its uop index in
-// target) backed by the pc hash map. Living in the hot uop, the cache
+// target) backed by the pc table. Living in the hot uop, the cache
 // hit costs one compare on an already-fetched line.
 #define CHAIN_INDIRECT(targetPc) \
     do { \

@@ -13,7 +13,7 @@
  *    resolved successor (patched on first execution, dropped on cache
  *    flush), superblocks are formed across unconditional direct jumps
  *    so hot traces are laid out contiguously, and indirect jumps keep a
- *    one-entry inline target cache backed by the pc hash map;
+ *    one-entry inline target cache backed by the pc table;
  *  - a software load/store fast path: a small direct-mapped
  *    host-pointer TLB (virtual page -> host page base) filled from
  *    successful MMU walks, so the common Sv39/bare hit skips
@@ -37,7 +37,7 @@
  * NEMU also doubles as the DiffTest REF (paper Section III-B): DiffTest
  * drives the Interp::step() path, which executes through the same uop
  * cache one instruction at a time with probe extraction; straight-line
- * steps take the next cached uop without a pc hash lookup. run(1)
+ * steps take the next cached uop without a pc table lookup. run(1)
  * drives the chained engine with per-instruction granularity.
  */
 
@@ -48,11 +48,11 @@
 #include <map>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "iss/interp.h"
 #include "mem/physmem.h"
+#include "nemu/pc_table.h"
 
 namespace minjie::nemu {
 
@@ -106,7 +106,7 @@ class Nemu : public iss::Interp
     /**
      * Ablation: disable block chaining (successor caching, superblock
      * formation, the indirect inline cache). Every control transfer
-     * then returns to the hash-map dispatch loop.
+     * then returns to the pc-table dispatch loop.
      */
     void
     setChainingEnabled(bool on)
@@ -340,7 +340,7 @@ class Nemu : public iss::Interp
     unsigned cap_;
     std::vector<Uop> uops_;
     std::vector<UopCold> cold_;
-    std::unordered_map<Addr, int32_t> pcMap_;
+    PcTable pcMap_; ///< pc -> uop index, cleared by each flush
     NemuStats stats_;
     uint64_t sink_ = 0; ///< zero-register write target
     bool chainOn_ = true;
@@ -362,7 +362,7 @@ class Nemu : public iss::Interp
     struct BbvProfile
     {
         InstCount intervalInsts = 0;
-        std::unordered_map<Addr, int32_t> slotOf;
+        PcTable slotOf;
         std::vector<Addr> slotPc;
         std::vector<uint64_t> count;  ///< per slot, current interval
         std::vector<int32_t> touched; ///< slots counted this interval

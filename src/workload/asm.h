@@ -142,12 +142,17 @@ struct Program
 class Asm
 {
   public:
-    /** Reserves room for a typical random-program chunk up front, so
-     *  emitting one does not regrow the buffer as it goes. */
-    explicit Asm(Addr base) : base_(base) { code_.reserve(128); }
+    /** Reserves @p reserveBytes up front, so emitting that much does
+     *  not regrow the buffer as it goes. */
+    explicit Asm(Addr base, size_t reserveBytes = 128) : base_(base)
+    {
+        code_.reserve(reserveBytes);
+    }
 
     Addr here() const { return base_ + code_.size(); }
     Addr base() const { return base_; }
+    /** Bytes emitted so far. */
+    size_t size() const { return code_.size(); }
 
     // ---- labels ----
     Label
@@ -191,9 +196,15 @@ class Asm
      * program chunk). The bytes must not contain unresolved fixups.
      */
     void
+    bytes(const uint8_t *blob, size_t n)
+    {
+        code_.insert(code_.end(), blob, blob + n);
+    }
+
+    void
     bytes(const std::vector<uint8_t> &blob)
     {
-        code_.insert(code_.end(), blob.begin(), blob.end());
+        bytes(blob.data(), blob.size());
     }
 
     void
@@ -298,23 +309,16 @@ class Asm
             itype(isa::Op::Addi, rd, zero, v);
             return;
         }
-        if (v == static_cast<int32_t>(v)) {
-            // lui + addi covers most of the 32-bit signed range; lui's
-            // 20-bit immediate sign-extends on RV64, so values near
-            // INT32_MAX (hi == 0x80000) need the general path.
-            int64_t hi = (v + 0x800) >> 12;
-            int64_t lo = v - (hi << 12);
-            int64_t luiVal = static_cast<int32_t>(hi << 12);
-            if (luiVal + lo == v) {
-                isa::DecodedInst di;
-                di.op = isa::Op::Lui;
-                di.rd = rd;
-                di.imm = luiVal;
-                emit(di);
-                if (lo)
-                    itype(isa::Op::Addi, rd, rd, lo);
-                return;
-            }
+        int64_t luiVal = 0, lo = 0;
+        if (luiAddi(v, luiVal, lo)) {
+            isa::DecodedInst di;
+            di.op = isa::Op::Lui;
+            di.rd = rd;
+            di.imm = luiVal;
+            emit(di);
+            if (lo)
+                itype(isa::Op::Addi, rd, rd, lo);
+            return;
         }
         // General case: materialize the upper 32 bits, then append the
         // low 32 bits as 11+11+10-bit positive chunks (addi-safe).
@@ -326,6 +330,19 @@ class Asm
         itype(isa::Op::Addi, rd, rd, (low >> 10) & 0x7ff);
         itype(isa::Op::Slli, rd, rd, 10);
         itype(isa::Op::Addi, rd, rd, low & 0x3ff);
+    }
+
+    /** Bytes li(rd, @p value) emits. */
+    static size_t
+    liBytes(uint64_t value)
+    {
+        int64_t v = static_cast<int64_t>(value);
+        int64_t luiVal = 0, lo = 0;
+        if (v >= -2048 && v < 2048)
+            return 4;
+        if (luiAddi(v, luiVal, lo))
+            return lo ? 8 : 4;
+        return liBytes(static_cast<uint64_t>(v >> 32)) + 24;
     }
 
     /** Exit the simulation with status @p code via the SimCtrl device. */
@@ -340,6 +357,13 @@ class Asm
         j(spin);
     }
 
+    /** Bytes exit(@p code, @p simctrlBase) emits. */
+    static size_t
+    exitBytes(uint64_t code, Addr simctrlBase = 0x40000000)
+    {
+        return liBytes(simctrlBase) + liBytes((code << 1) | 1) + 8;
+    }
+
     /** Print the low byte of @p rs through SimCtrl. */
     void
     putchar(uint8_t rs, Addr simctrlBase = 0x40000000)
@@ -352,9 +376,22 @@ class Asm
      *  moves out, so the assembler is spent afterwards. */
     Program::Segment finish() { return {base_, finishBytes()}; }
 
-    /** finish() as bare bytes (a chunk to splice into another Asm). */
+    /** finish() as bare bytes. */
     std::vector<uint8_t>
     finishBytes()
+    {
+        resolveLabels();
+        return std::move(code_);
+    }
+
+    /**
+     * Patch every branch and jump emitted so far to its label, then
+     * forget all labels: the code since the last call is
+     * self-contained, and label ids start again from 0. One assembler
+     * can so emit many position-independent pieces into one buffer.
+     */
+    void
+    resolveLabels()
     {
         for (const auto &f : fixups_) {
             Addr target = labels_[f.label];
@@ -368,10 +405,26 @@ class Asm
             write32(f.offset, patched);
         }
         fixups_.clear();
-        return std::move(code_);
+        labels_.clear();
     }
 
   private:
+    /**
+     * Split a 32-bit signed @p v into lui @p luiVal + addi @p lo. lui's
+     * 20-bit immediate sign-extends on RV64, so values near INT32_MAX
+     * (hi == 0x80000) do not split. @return whether @p v split.
+     */
+    static bool
+    luiAddi(int64_t v, int64_t &luiVal, int64_t &lo)
+    {
+        if (v != static_cast<int32_t>(v))
+            return false;
+        int64_t hi = (v + 0x800) >> 12;
+        lo = v - (hi << 12);
+        luiVal = static_cast<int32_t>(hi << 12);
+        return luiVal + lo == v;
+    }
+
     /** Catch silently-truncating immediates at assembly time. */
     static void
     checkImm(isa::Op op, int64_t imm)

@@ -1,5 +1,6 @@
 #include "workload/shrinkable.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -166,12 +167,17 @@ sandboxAddr(Asm &a, Rng &rng, unsigned size)
     a.rtype(Op::Add, t0, t0, s0);
 }
 
-} // namespace
+/** Most instructions one chunk holds (the LR/SC sequence). */
+constexpr unsigned MAX_CHUNK_INSTS = 8;
 
-Chunk
-randomChunk(Rng &rng, const RandomSpec &spec)
+/**
+ * Emit one random chunk according to @p spec at the end of @p a.
+ * Its branches target its own labels, which @p a must resolve before
+ * the next chunk. @return the chunk's instruction count.
+ */
+unsigned
+randomChunk(Asm &a, Rng &rng, const RandomSpec &spec)
 {
-    Asm a(0);
     unsigned n = 0;
     unsigned cat = static_cast<unsigned>(rng.below(100));
 
@@ -344,12 +350,26 @@ randomChunk(Rng &rng, const RandomSpec &spec)
     } else {
         aluRChunk();
     }
-
-    Chunk c;
-    c.bytes = a.finishBytes();
-    c.nInsts = n;
-    return c;
+    return n;
 }
+
+/** Bytes of the register-seeding prologue assemble() emits for @p sp. */
+size_t
+prologueBytes(const ShrinkableProgram &sp)
+{
+    size_t n = Asm::liBytes(sp.layout.dataBase);
+    for (unsigned r = 1; r < 32; ++r)
+        if (r != s0)
+            n += Asm::liBytes(sp.xInit[r]);
+    if (sp.withFp) {
+        for (unsigned r = 0; r < 32; ++r)
+            n += Asm::liBytes(sp.fInit[r]) + 4;
+        n += Asm::liBytes(sp.xInit[t0]);
+    }
+    return n;
+}
+
+} // namespace
 
 ShrinkableProgram
 randomShrinkable(Rng &rng, const RandomSpec &spec, const Layout &layout)
@@ -364,12 +384,33 @@ randomShrinkable(Rng &rng, const RandomSpec &spec, const Layout &layout)
         for (unsigned r = 0; r < 32; ++r)
             sp.fInit[r] = rng.next();
 
+    // Every chunk is one to MAX_CHUNK_INSTS instructions of at most 4
+    // bytes each, and the last one starts below spec.nInsts: neither
+    // buffer regrows.
+    Asm a(0, 4 * (spec.nInsts + MAX_CHUNK_INSTS));
+    sp.chunks.reserve(spec.nInsts);
     unsigned total = 0;
     while (total < spec.nInsts) {
-        sp.chunks.push_back(randomChunk(rng, spec));
-        total += sp.chunks.back().nInsts;
+        Chunk c;
+        c.offset = static_cast<uint32_t>(a.size());
+        c.nInsts = randomChunk(a, rng, spec);
+        a.resolveLabels();
+        c.size = static_cast<uint32_t>(a.size() - c.offset);
+        sp.chunks.push_back(c);
+        total += c.nInsts;
     }
+    sp.code = a.finishBytes();
     return sp;
+}
+
+ShrinkableProgram
+ShrinkableProgram::withChunks(const std::vector<size_t> &keep) const
+{
+    ShrinkableProgram out = *this;
+    out.chunks.clear();
+    for (size_t i : keep)
+        out.chunks.push_back(chunks[i]);
+    return out;
 }
 
 Program
@@ -378,6 +419,7 @@ ShrinkableProgram::assemble() const
     Program prog;
     prog.name = name;
     prog.entry = layout.codeBase;
+    prog.segments.reserve(2);
 
     // 4 KB sandbox for memory operations, filled from the data seed so
     // a corpus file reproduces the exact memory image.
@@ -387,7 +429,10 @@ ShrinkableProgram::assemble() const
         b = static_cast<uint8_t>(drng.next());
     prog.segments.push_back({layout.dataBase, std::move(sandbox)});
 
-    Asm a(layout.codeBase);
+    size_t size = prologueBytes(*this) + Asm::exitBytes(0);
+    for (const auto &c : chunks)
+        size += c.size;
+    Asm a(layout.codeBase, size);
     for (unsigned r = 1; r < 32; ++r) {
         if (r == s0)
             continue;
@@ -407,9 +452,11 @@ ShrinkableProgram::assemble() const
     a.li(s0, layout.dataBase);
 
     for (const auto &c : chunks)
-        a.bytes(c.bytes);
+        a.bytes(bytesOf(c), c.size);
 
     a.exit(0);
+    if (a.size() != size)
+        panic("shrinkable: assembled %zu bytes, sized %zu", a.size(), size);
     prog.segments.push_back(a.finish());
     return prog;
 }
@@ -452,12 +499,13 @@ ShrinkableProgram::serialize() const
             out += buf;
         }
     }
+    static const char HEX[] = "0123456789abcdef";
     for (const auto &c : chunks) {
         std::snprintf(buf, sizeof(buf), "chunk %u ", c.nInsts);
         out += buf;
-        for (uint8_t b : c.bytes) {
-            std::snprintf(buf, sizeof(buf), "%02x", b);
-            out += buf;
+        for (const uint8_t *b = bytesOf(c); b != bytesOf(c) + c.size; ++b) {
+            out += HEX[*b >> 4];
+            out += HEX[*b & 15];
         }
         out += "\n";
     }
@@ -470,10 +518,15 @@ ShrinkableProgram::deserialize(const std::string &text,
                                ShrinkableProgram &out)
 {
     out = ShrinkableProgram{};
+    std::vector<uint8_t> code; // the arena, sealed once parsed
+    auto fail = [&] {
+        out = ShrinkableProgram{};
+        return false;
+    };
     std::istringstream in(text);
     std::string line;
     if (!std::getline(in, line) || line != "minjie-program v1")
-        return false;
+        return fail();
     bool sawEnd = false;
     while (std::getline(in, line)) {
         if (line.empty())
@@ -500,7 +553,7 @@ ShrinkableProgram::deserialize(const std::string &text,
             unsigned r = static_cast<unsigned>(
                 std::strtoul(tag.c_str() + 1, nullptr, 10));
             if (r >= 32)
-                return false;
+                return fail();
             uint64_t v = 0;
             ls >> std::hex >> v;
             (tag[0] == 'x' ? out.xInit : out.fInit)[r] = v;
@@ -508,22 +561,28 @@ ShrinkableProgram::deserialize(const std::string &text,
             Chunk c;
             std::string hexBytes;
             ls >> std::dec >> c.nInsts >> hexBytes;
-            if (hexBytes.size() % 2 != 0)
-                return false;
+            if (hexBytes.size() % 2 != 0 ||
+                code.size() + hexBytes.size() / 2 > UINT32_MAX)
+                return fail();
+            c.offset = static_cast<uint32_t>(code.size());
+            c.size = static_cast<uint32_t>(hexBytes.size() / 2);
             for (size_t i = 0; i < hexBytes.size(); i += 2) {
                 char pair[3] = {hexBytes[i], hexBytes[i + 1], 0};
                 char *endp = nullptr;
-                c.bytes.push_back(static_cast<uint8_t>(
+                code.push_back(static_cast<uint8_t>(
                     std::strtoul(pair, &endp, 16)));
                 if (endp != pair + 2)
-                    return false;
+                    return fail();
             }
-            out.chunks.push_back(std::move(c));
+            out.chunks.push_back(c);
         } else {
-            return false; // unknown tag: refuse rather than misparse
+            return fail(); // unknown tag: refuse rather than misparse
         }
     }
-    return sawEnd;
+    if (!sawEnd)
+        return fail();
+    out.code = std::move(code);
+    return true;
 }
 
 } // namespace minjie::workload

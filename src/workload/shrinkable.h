@@ -32,10 +32,12 @@ struct RandomSpec
     bool withAmo = true;   ///< include AMO and LR/SC sequences
 };
 
-/** A self-contained, position-independent body fragment. */
+/** A self-contained, position-independent body fragment: @c size
+ *  bytes at @c offset in its program's code arena. */
 struct Chunk
 {
-    std::vector<uint8_t> bytes;
+    uint32_t offset = 0;
+    uint32_t size = 0;
     unsigned nInsts = 0;
 };
 
@@ -52,10 +54,24 @@ struct ShrinkableProgram
     uint64_t fInit[32] = {}; ///< fp register seeds (when withFp)
     bool withFp = false;
     uint64_t dataSeed = 0;   ///< sandbox contents = Rng(dataSeed) stream
+    /** The code arena: every generated chunk's bytes, back to back.
+     *  Immutable, so copies and chunk subsets share it. */
+    SegmentBytes code;
     std::vector<Chunk> chunks;
     Layout layout;
 
     Program assemble() const;
+
+    /** This program with only the chunks at indices @p keep, in that
+     *  order. Copies chunk descriptors only: the arena is shared. */
+    ShrinkableProgram withChunks(const std::vector<size_t> &keep) const;
+
+    /** The bytes of @p c. */
+    const uint8_t *
+    bytesOf(const Chunk &c) const
+    {
+        return code.data() + c.offset;
+    }
 
     /** Total body instructions across all chunks. */
     unsigned bodyInsts() const;
@@ -63,14 +79,11 @@ struct ShrinkableProgram
     /**
      * Text serialization for corpus files (versioned, line-oriented).
      * deserialize() accepts exactly what serialize() emits and returns
-     * false on malformed input.
+     * false, with @p out empty, on malformed input.
      */
     std::string serialize() const;
     static bool deserialize(const std::string &text, ShrinkableProgram &out);
 };
-
-/** Generate one random chunk according to @p spec. */
-Chunk randomChunk(Rng &rng, const RandomSpec &spec);
 
 /** Generate a full shrinkable random program. */
 ShrinkableProgram randomShrinkable(Rng &rng, const RandomSpec &spec,

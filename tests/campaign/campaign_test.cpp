@@ -246,6 +246,9 @@ TEST(Campaign, JobBlobRoundtrip)
     ASSERT_FALSE(dt.perf.values.empty());
 
     for (const JobResult &jr : {lock, dt}) {
+        // Building the program is part of the job's host time.
+        EXPECT_GT(jr.genSec, 0.0);
+        EXPECT_LT(jr.genSec, jr.sec);
         const std::vector<uint8_t> blob = encodeJob(jr);
         JobResult back;
         ASSERT_TRUE(decodeJob(blob, back));
@@ -256,6 +259,7 @@ TEST(Campaign, JobBlobRoundtrip)
         EXPECT_EQ(back.detail, jr.detail);
         EXPECT_EQ(back.steps, jr.steps);
         EXPECT_EQ(back.sec, jr.sec);
+        EXPECT_EQ(back.genSec, jr.genSec);
         EXPECT_EQ(back.perf, jr.perf);
 
         // A short or padded blob is rejected and leaves its target be.
@@ -313,11 +317,15 @@ TEST(Campaign, KindTimesCoverEveryJob)
         }
         EXPECT_GT(kinds[i].sec, 0.0);
         EXPECT_LE(kinds[i].p50Us, kinds[i].p90Us);
+        // Each job's build time is part of its host time.
+        EXPECT_GT(kinds[i].genP50Us, 0.0);
+        EXPECT_LE(kinds[i].genP50Us, kinds[i].p50Us);
         jobs += kinds[i].jobs;
     }
     EXPECT_EQ(jobs, rep.jobs);
     std::string js = rep.toJson();
     EXPECT_NE(js.find("\"kinds\""), std::string::npos);
+    EXPECT_NE(js.find("\"gen_p50_us\""), std::string::npos);
     EXPECT_NE(js.find("\"kind\":\"" + kinds[0].kind + "\""),
               std::string::npos);
 }

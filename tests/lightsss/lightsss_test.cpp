@@ -318,49 +318,90 @@ TEST(Sss, FullImageSnapshotAndRestore)
         EXPECT_EQ(restored.x[i], mid.x[i]) << i;
 }
 
+/** Dirty the first @p bytes of @p sys's DRAM, one word per page. */
+void
+dirtyPages(iss::System &sys, Addr bytes)
+{
+    for (Addr a = 0; a < bytes; a += mem::PhysMem::PAGE_SIZE)
+        sys.dram.write(iss::DRAM_BASE + a, 8, a);
+}
+
+/** Pages an SSS image of @p bytes holds, besides the arch state. */
+size_t
+imagePages(size_t bytes)
+{
+    return (bytes - sizeof(iss::ArchState)) / mem::PhysMem::PAGE_SIZE;
+}
+
 TEST(Sss, SnapshotCostGrowsWithMemory)
 {
-    iss::System sys(256);
-    // Dirty a lot of pages.
-    for (Addr a = 0; a < 64 * 1024 * 1024; a += 4096)
-        sys.dram.write(iss::DRAM_BASE + a, 8, a);
+    // The paper's point: an SSS image copies every page the simulation
+    // has dirtied, so its cost scales with simulated memory. The test
+    // counts the copied pages; the wall times are printed, not
+    // asserted, since host load decides their ratio.
     iss::ArchState st;
-    SssSnapshotter sss(sys.dram);
-    sss.takeSnapshot(st, 0);
-    uint64_t big = sss.lastSnapshotUs();
-
     iss::System small(16);
-    for (Addr a = 0; a < 1024 * 1024; a += 4096)
-        small.dram.write(iss::DRAM_BASE + a, 8, a);
-    SssSnapshotter sss2(small.dram);
-    sss2.takeSnapshot(st, 0);
-    uint64_t smallUs = sss2.lastSnapshotUs();
+    dirtyPages(small, 1 << 20);
+    SssSnapshotter sssSmall(small.dram);
+    const size_t smallPages = imagePages(sssSmall.takeSnapshot(st, 0));
 
-    // The paper's point: SSS cost scales with simulated memory.
-    EXPECT_GT(big, smallUs * 4);
+    iss::System big(256);
+    dirtyPages(big, 64 << 20);
+    SssSnapshotter sssBig(big.dram);
+    const size_t bigPages = imagePages(sssBig.takeSnapshot(st, 0));
+
+    EXPECT_EQ(smallPages, 256u);
+    EXPECT_EQ(smallPages, small.dram.allocatedPages());
+    EXPECT_EQ(bigPages, 16384u);
+    EXPECT_EQ(bigPages, big.dram.allocatedPages());
+    EXPECT_EQ(bigPages, 64 * smallPages);
+    std::printf("SSS snapshot: 1 MiB %llu us, 64 MiB %llu us\n",
+                static_cast<unsigned long long>(sssSmall.lastSnapshotUs()),
+                static_cast<unsigned long long>(sssBig.lastSnapshotUs()));
 }
 
 TEST(LightSSS, ForkBeatsSssByOrdersOfMagnitude)
 {
-    // Section III-C4: fork() ~535us vs SSS ~3.7s. Verify the ratio
-    // holds with a heavily dirtied memory image.
+    // Section III-C4: fork() ~535us vs SSS ~3.7s. The work behind that
+    // gap, over a heavily dirtied 128 MiB image: an SSS snapshot copies
+    // every dirtied page, while LightSSS forks once per interval and
+    // copies no guest byte (every DRAM page stays where it was, with
+    // its bytes). The wall ratio is printed, not asserted, since host
+    // load decides it.
     iss::System sys(256);
-    for (Addr a = 0; a < 128 * 1024 * 1024; a += 4096)
-        sys.dram.write(iss::DRAM_BASE + a, 8, a);
+    dirtyPages(sys, 128 << 20);
+    const size_t pages = sys.dram.allocatedPages();
+    ASSERT_EQ(pages, 32768u);
 
     iss::ArchState st;
     SssSnapshotter sssFull(sys.dram);
-    sssFull.takeSnapshot(st, 0);
-    uint64_t sssUs = sssFull.lastSnapshotUs();
+    EXPECT_EQ(imagePages(sssFull.takeSnapshot(st, 0)), pages);
+
+    std::vector<const uint8_t *> where;
+    for (Addr a = 0; a < pages * mem::PhysMem::PAGE_SIZE;
+         a += mem::PhysMem::PAGE_SIZE)
+        where.push_back(sys.dram.readPage(iss::DRAM_BASE + a));
+    const uint64_t copies = sys.dram.copies();
 
     LightSSS light({1000, 2, true});
-    light.tick(0);
-    light.tick(1000);
-    uint64_t forkUs = light.stats().lastForkUs;
+    for (Cycle c = 0; c <= 3000; c += 250)
+        ASSERT_EQ(light.tick(c), LightSSS::Role::Parent);
+    const uint64_t forkUs = light.stats().lastForkUs;
+    EXPECT_EQ(light.stats().forks, 4u); // cycles 0, 1000, 2000, 3000
     light.discardAll();
 
-    EXPECT_LT(forkUs * 10, sssUs)
-        << "fork " << forkUs << "us vs SSS " << sssUs << "us";
+    EXPECT_EQ(sys.dram.copies(), copies);
+    EXPECT_EQ(sys.dram.allocatedPages(), pages);
+    for (size_t i = 0; i < where.size(); ++i) {
+        const Addr a = i * mem::PhysMem::PAGE_SIZE;
+        uint64_t word = 0;
+        ASSERT_TRUE(sys.dram.read(iss::DRAM_BASE + a, 8, word));
+        ASSERT_EQ(word, a) << i;
+        ASSERT_EQ(sys.dram.readPage(iss::DRAM_BASE + a), where[i]) << i;
+    }
+    std::printf("fork %llu us vs SSS %llu us\n",
+                static_cast<unsigned long long>(forkUs),
+                static_cast<unsigned long long>(sssFull.lastSnapshotUs()));
 }
 
 } // namespace

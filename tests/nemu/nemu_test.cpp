@@ -263,6 +263,57 @@ TEST(Nemu, StepMatchesRunOneAcrossFlushesAndTraps)
     }
 }
 
+TEST(Nemu, UopCacheStatsArePinned)
+{
+    // The uop cache's counters on fixed programs, through run() and
+    // through step(): a change to how the pc table finds, keeps or
+    // flushes entries moves them. Update only for a deliberate change.
+    struct Pin
+    {
+        uint64_t translations, uopHits, flushes, superblockJumps;
+    };
+    struct Case
+    {
+        wl::Program prog;
+        Pin run, step;
+    };
+    Rng rng(0x5eed);
+    wl::RandomSpec spec;
+    spec.nInsts = 300;
+    std::vector<Case> cases = {
+        {patchingProgram(), {681, 0, 150, 2}, {681, 288, 150, 2}},
+        {wl::sv39Program(), {52, 1, 3, 1}, {52, 341, 3, 1}},
+        {wl::buildProxy(wl::specIntSuite()[0], 50), {292, 7, 0, 3},
+         {292, 8138, 0, 3}},
+        {wl::randomShrinkable(rng, spec).assemble(), {547, 61, 0, 1},
+         {547, 532, 0, 1}},
+    };
+    cases.back().prog.name = "random";
+    auto expectPin = [](const Pin &want, const nemu::NemuStats &got,
+                        const std::string &what) {
+        EXPECT_EQ(got.translations, want.translations) << what;
+        EXPECT_EQ(got.uopHits, want.uopHits) << what;
+        EXPECT_EQ(got.flushes, want.flushes) << what;
+        EXPECT_EQ(got.superblockJumps, want.superblockJumps)
+            << what << ": {" << got.translations << ", " << got.uopHits
+            << ", " << got.flushes << ", " << got.superblockJumps << "}";
+    };
+    for (const Case &c : cases) {
+        System sysA(64), sysB(64);
+        c.prog.loadInto(sysA.dram);
+        c.prog.loadInto(sysB.dram);
+        Nemu runner(sysA.bus, sysA.dram, 0, c.prog.entry);
+        runner.setHaltFn([&] { return sysA.simctrl.exited(); });
+        ASSERT_TRUE(runner.run(2'000'000).halted) << c.prog.name;
+        expectPin(c.run, runner.stats(), c.prog.name + " run");
+        Nemu stepper(sysB.bus, sysB.dram, 0, c.prog.entry);
+        for (InstCount n = 0; n < 2'000'000 && !sysB.simctrl.exited(); ++n)
+            stepper.step();
+        ASSERT_TRUE(sysB.simctrl.exited()) << c.prog.name;
+        expectPin(c.step, stepper.stats(), c.prog.name + " step");
+    }
+}
+
 TEST(Nemu, UopCacheFlushOnFenceI)
 {
     System sys(32);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "nemu/nemu.h"
+#include "nemu/pc_table.h"
 #include "iss/system.h"
 #include "workload/programs.h"
 
@@ -15,6 +16,7 @@ namespace {
 using namespace minjie;
 using namespace minjie::iss;
 using minjie::nemu::Nemu;
+using minjie::nemu::PcTable;
 namespace wl = minjie::workload;
 
 TEST(UopCache, CapacityFlushAndRefill)
@@ -116,6 +118,93 @@ TEST(UopCache, TraceOrganizationGroupsSequentially)
     // Straight-line code: every instruction translated exactly once.
     EXPECT_LE(nemu.stats().translations, 70u);
     EXPECT_EQ(nemu.state().x[wl::a0], 50u);
+}
+
+TEST(PcTable, GrowsFlushesAndRefills)
+{
+    PcTable t;
+    ASSERT_EQ(t.capacity(), PcTable::INITIAL_SLOTS);
+    // Instruction-spaced pcs in two distant regions, past the first
+    // capacity many times over.
+    std::vector<Addr> pcs;
+    for (Addr i = 0; i < 600; ++i)
+        pcs.push_back(DRAM_BASE + 2 * i);
+    for (Addr i = 0; i < 600; ++i)
+        pcs.push_back(DRAM_BASE + 0x10'0000 + 4 * i);
+    for (size_t i = 0; i < pcs.size(); ++i)
+        EXPECT_TRUE(t.emplace(pcs[i], static_cast<int32_t>(i)).second);
+    EXPECT_EQ(t.size(), pcs.size());
+    const size_t grown = t.capacity();
+    EXPECT_GE(grown, 2 * pcs.size()); // never past half load
+    for (size_t i = 0; i < pcs.size(); ++i) {
+        const int32_t *v = t.find(pcs[i]);
+        ASSERT_NE(v, nullptr) << i;
+        EXPECT_EQ(*v, static_cast<int32_t>(i));
+        // A present pc keeps its value.
+        auto [kept, fresh] = t.emplace(pcs[i], -1);
+        EXPECT_FALSE(fresh);
+        EXPECT_EQ(kept, static_cast<int32_t>(i));
+    }
+    EXPECT_EQ(t.find(DRAM_BASE + 1), nullptr);
+
+    // A flush forgets every pc and keeps the capacity; each old pc
+    // then misses and refills with its new value.
+    t.clear();
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.capacity(), grown);
+    for (size_t i = 0; i < pcs.size(); ++i)
+        EXPECT_EQ(t.find(pcs[i]), nullptr) << i;
+    for (size_t i = 0; i < pcs.size(); i += 2)
+        EXPECT_TRUE(t.emplace(pcs[i], static_cast<int32_t>(7 * i)).second);
+    for (size_t i = 0; i < pcs.size(); ++i) {
+        const int32_t *v = t.find(pcs[i]);
+        if (i % 2) {
+            EXPECT_EQ(v, nullptr) << i;
+        } else {
+            ASSERT_NE(v, nullptr) << i;
+            EXPECT_EQ(*v, static_cast<int32_t>(7 * i));
+        }
+    }
+    EXPECT_EQ(t.capacity(), grown);
+}
+
+TEST(UopCache, FlushedCodeRetranslatesEveryPc)
+{
+    // Two passes over 900 straight-line instructions, each ending in
+    // fence.i: the pc table grows well past its first capacity, and
+    // after the flush the second pass finds none of the first pass's
+    // uops, so every instruction is translated twice (plus the li
+    // before the loop and the exit sequence after it, once each).
+    wl::Layout layout;
+    wl::Asm a(layout.codeBase);
+    a.li(wl::s2, 2);
+    wl::Label top = a.boundLabel();
+    for (int i = 0; i < 900; ++i)
+        a.itype(isa::Op::Addi, wl::a0, wl::a0, 1);
+    a.itype(isa::Op::FenceI, 0, 0, 0);
+    a.itype(isa::Op::Addi, wl::s2, wl::s2, -1);
+    a.branch(isa::Op::Bne, wl::s2, wl::zero, top);
+    a.exit(0);
+    wl::Program prog;
+    prog.entry = layout.codeBase;
+    prog.segments.push_back(a.finish());
+
+    for (bool step : {false, true}) {
+        System sys(32);
+        prog.loadInto(sys.dram);
+        Nemu nemu(sys.bus, sys.dram, 0, prog.entry);
+        nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+        if (step) {
+            while (!sys.simctrl.exited())
+                nemu.step();
+        } else {
+            ASSERT_TRUE(nemu.run(100'000).halted);
+        }
+        EXPECT_EQ(nemu.state().x[wl::a0], 2u * 900);
+        EXPECT_EQ(nemu.stats().flushes, 2u) << step;
+        EXPECT_EQ(nemu.stats().translations, 1 + 2 * (900 + 1 + 2) + 4)
+            << step;
+    }
 }
 
 } // namespace

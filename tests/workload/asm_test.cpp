@@ -88,6 +88,52 @@ TEST(Asm, LiRandomRoundtrip)
     }
 }
 
+TEST(Asm, SizeHelpersMatchEmittedBytes)
+{
+    std::vector<uint64_t> values = {
+        0, 1, 2047, static_cast<uint64_t>(-2048), 0x800, 0x7ffff7ff,
+        0x7ffff800, 0x7fffffff, 0x80000000, 0x40000000,
+        0x8000000000000000ULL, ~0ULL};
+    Rng rng(0x51ce);
+    for (int i = 0; i < 300; ++i)
+        values.push_back(rng.next() >> rng.below(64));
+    for (uint64_t v : values) {
+        Asm a(0);
+        a.li(a0, v);
+        EXPECT_EQ(a.size(), Asm::liBytes(v)) << std::hex << v;
+    }
+    for (uint64_t code : {0ULL, 1ULL, 255ULL, 1ULL << 40}) {
+        Asm a(0);
+        a.exit(code);
+        EXPECT_EQ(a.size(), Asm::exitBytes(code)) << code;
+    }
+}
+
+TEST(Asm, ResolvedPiecesMatchSeparateAssemblers)
+{
+    // Two pieces with their own labels, emitted into one assembler with
+    // resolveLabels() between them, are byte for byte what two
+    // assemblers emit for them apart.
+    auto piece = [](Asm &a, int skip) {
+        Label l = a.newLabel();
+        a.branch(isa::Op::Beq, a0, a1, l);
+        for (int i = 0; i < skip; ++i)
+            a.itype(isa::Op::Addi, a2, a2, i);
+        a.bind(l);
+    };
+    Asm one(0);
+    piece(one, 3);
+    one.resolveLabels();
+    piece(one, 1);
+    Asm first(0), second(0);
+    piece(first, 3);
+    piece(second, 1);
+    std::vector<uint8_t> apart = first.finishBytes();
+    const std::vector<uint8_t> tail = second.finishBytes();
+    apart.insert(apart.end(), tail.begin(), tail.end());
+    EXPECT_EQ(one.finishBytes(), apart);
+}
+
 TEST(Asm, BackwardAndForwardBranches)
 {
     Layout layout;

@@ -9,11 +9,13 @@
 #include "iss/system.h"
 #include "common/zeroed_array.h"
 #include "workload/programs.h"
+#include "image_hash.h"
 
 namespace {
 
 using namespace minjie;
 using namespace minjie::workload;
+using minjie::workload::test::imageHash;
 
 TEST(Programs, SuitesMatchPaperBenchmarkLists)
 {
@@ -161,36 +163,6 @@ TEST(Programs, ByNameBuildsEveryListedNameAndRejectsOthers)
     for (const auto &name : names())
         EXPECT_TRUE(byName(name, 2)) << name;
     EXPECT_FALSE(byName("nosuch", 2));
-}
-
-/** FNV-1a over 64-bit little-endian words, then the tail bytes. */
-uint64_t
-fnv(uint64_t h, const uint8_t *p, size_t n)
-{
-    constexpr uint64_t prime = 0x100000001b3ULL;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t w = 0;
-        for (unsigned b = 0; b < 8; ++b)
-            w |= static_cast<uint64_t>(p[i + b]) << (8 * b);
-        h = (h ^ w) * prime;
-    }
-    for (; i < n; ++i)
-        h = (h ^ p[i]) * prime;
-    return h;
-}
-
-/** Hash of every segment's base, size and bytes, in order. */
-uint64_t
-imageHash(const Program &prog)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto &seg : prog.segments) {
-        const uint64_t head[2] = {seg.base, seg.bytes.size()};
-        h = fnv(h, reinterpret_cast<const uint8_t *>(head), sizeof head);
-        h = fnv(h, seg.bytes.data(), seg.bytes.size());
-    }
-    return h;
 }
 
 /** @p name's image at layout seed @p seed; a workload that is not a
