@@ -83,7 +83,7 @@ main()
     auto prog = sharedCounterProgram();
     dt.loadProgram(prog);
 
-    Cycle cycles = dt.run(20'000'000);
+    Cycle cycles = dt.run(20'000'000).cycles;
 
     uint64_t counter = 0;
     soc.system().dram.read(0x80100000, 8, counter);

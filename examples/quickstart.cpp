@@ -62,7 +62,7 @@ main()
         difftest::DiffTest dt(soc);
         dt.loadProgram(prog);
 
-        Cycle cycles = dt.run(10'000'000);
+        Cycle cycles = dt.run(10'000'000).cycles;
         const auto &p = soc.core(0).perf();
         std::printf("[xiangshan] %llu instructions in %llu cycles "
                     "(ipc %.2f), a0 = %llu\n",

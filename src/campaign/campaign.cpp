@@ -46,6 +46,8 @@ constexpr struct
     {"td_backend_core", "dut.topdown.backend_core", &PC::tdBackendCore},
 };
 
+} // namespace
+
 std::string
 jobKind(const JobPlan &plan)
 {
@@ -54,10 +56,27 @@ jobKind(const JobPlan &plan)
                                engineName(plan.b);
 }
 
-/** Check @p prog the way @p plan says, for a job or a shrink step:
- *  everything of a JobResult but seed and host time. */
+bool
+parseJobKind(const std::string &kind, JobPlan &plan)
+{
+    if (kind == "difftest") {
+        plan.difftest = true;
+        return true;
+    }
+    size_t vs = kind.find("-vs-");
+    Engine a, b;
+    if (vs == std::string::npos || !parseEngine(kind.substr(0, vs), a) ||
+        !parseEngine(kind.substr(vs + 4), b))
+        return false;
+    plan.difftest = false;
+    plan.a = a;
+    plan.b = b;
+    return true;
+}
+
 JobResult
-check(const CampaignConfig &cfg, const JobPlan &plan, const wl::Program &prog)
+checkJob(const CampaignConfig &cfg, const JobPlan &plan,
+         const wl::Program &prog)
 {
     JobResult jr;
     jr.kind = jobKind(plan);
@@ -74,20 +93,27 @@ check(const CampaignConfig &cfg, const JobPlan &plan, const wl::Program &prog)
     xs::Soc soc(xs::CoreConfig::nh());
     difftest::DiffTest dt(soc);
     dt.loadProgram(prog);
-    dt.run(cfg.difftestMaxCycles);
+    if (cfg.bug.enabled)
+        soc.core(0).injectCommitFault(cfg.bug.xorMask, cfg.bug.op);
+    const xs::Soc::RunResult run = dt.run(cfg.difftestMaxCycles);
     jr.steps = dt.stats().commitsChecked;
     if (cfg.perf) {
         jr.perf.set("dut.jobs", 1);
         for (const auto &f : PERF_FIELDS)
             jr.perf.set(f.key, soc.core(0).perf().*f.field);
     }
-    jr.failed = !dt.ok();
-    jr.signature = jr.failed ? dt.divergence().signature() : "";
-    jr.detail = jr.failed ? dt.failures().front() : "";
+    if (!dt.ok()) {
+        jr.failed = true;
+        jr.signature = dt.divergence().signature();
+        jr.detail = dt.failures().front();
+    } else if (!run.completed) {
+        jr.failed = true;
+        jr.signature = "timeout";
+        jr.detail = "DUT did not drain in " + std::to_string(run.cycles) +
+                    " cycles";
+    }
     return jr;
 }
-
-} // namespace
 
 JobPlan
 planJob(const CampaignConfig &cfg, uint64_t seed)
@@ -129,7 +155,7 @@ runJob(const CampaignConfig &cfg, uint64_t seed)
     Rng rng(seed);
     const wl::Program prog = wl::randomShrinkable(rng, plan.spec).assemble();
     const double genSec = sw.elapsedSec();
-    JobResult jr = check(cfg, plan, prog);
+    JobResult jr = checkJob(cfg, plan, prog);
     jr.seed = seed;
     jr.genSec = genSec;
     jr.sec = sw.elapsedSec();
@@ -243,7 +269,7 @@ runCampaign(const CampaignConfig &cfg)
             wl::ShrinkableProgram sp =
                 wl::randomShrinkable(rng, plan.spec);
             SignatureFn sig = [&cfg, plan](const wl::Program &p) {
-                return check(cfg, plan, p).signature;
+                return checkJob(cfg, plan, p).signature;
             };
             ShrinkResult sr = shrinkProgram(sp, b.signature, sig);
             b.shrunkChunks =
@@ -253,8 +279,7 @@ runCampaign(const CampaignConfig &cfg)
             if (!cfg.corpusDir.empty()) {
                 CorpusEntry entry;
                 entry.seed = b.repSeed;
-                entry.engineA = plan.a;
-                entry.engineB = plan.b;
+                entry.plan = plan;
                 entry.signature = b.signature;
                 entry.note = "shrunk from campaign seed";
                 entry.program = sr.program;

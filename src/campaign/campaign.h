@@ -61,7 +61,7 @@ struct CampaignConfig
 struct JobPlan
 {
     bool difftest = false; ///< NEMU-vs-XiangShan DiffTest job
-    Engine a = Engine::Spike;
+    Engine a = Engine::Spike; ///< lockstep pair; unused by DiffTest jobs
     Engine b = Engine::Dromajo;
     workload::RandomSpec spec;
 };
@@ -141,7 +141,28 @@ struct CampaignReport
 /** Derive the job for @p seed (pure function of config + seed). */
 JobPlan planJob(const CampaignConfig &cfg, uint64_t seed);
 
-/** Run a single job (used by workers, shrinking and tests). */
+/** The kind of @p plan's job ("difftest", "spike-vs-tci", ...): its
+ *  JobResult::kind and its `.mjc` `job` line. */
+std::string jobKind(const JobPlan &plan);
+
+/** Inverse of jobKind(): set @p plan's kind (difftest, a, b) from
+ *  @p kind. An unknown name returns false and leaves @p plan as it was. */
+bool parseJobKind(const std::string &kind, JobPlan &plan);
+
+/**
+ * Check @p prog the way @p plan says: the one code path that runs a
+ * program as a job, for campaign jobs, shrink steps and corpus replay.
+ * Fills everything of a JobResult but seed and host time. A lockstep
+ * job that runs out cfg.maxSteps, or a DiffTest job whose DUT does not
+ * drain within cfg.difftestMaxCycles, fails as `timeout`. With cfg.bug
+ * enabled, a lockstep job corrupts one engine and a DiffTest job the
+ * DUT's first committed write of cfg.bug.op.
+ */
+JobResult checkJob(const CampaignConfig &cfg, const JobPlan &plan,
+                   const workload::Program &prog);
+
+/** Plan, build and check the job of @p seed (used by workers and
+ *  tests). */
 JobResult runJob(const CampaignConfig &cfg, uint64_t seed);
 
 /** Run the whole campaign on cfg.workers pool processes. */

@@ -14,12 +14,11 @@ std::string
 CorpusEntry::serialize() const
 {
     char buf[96];
-    std::string out = "minjie-corpus v1\n";
+    std::string out = "minjie-corpus v2\n";
     std::snprintf(buf, sizeof(buf), "seed 0x%llx\n",
                   static_cast<unsigned long long>(seed));
     out += buf;
-    out += std::string("pair ") + engineName(engineA) + " " +
-           engineName(engineB) + "\n";
+    out += "job " + jobKind(plan) + "\n";
     out += "signature " + signature + "\n";
     if (!note.empty())
         out += "note " + note + "\n";
@@ -34,28 +33,37 @@ CorpusEntry::deserialize(const std::string &text, CorpusEntry &out)
     out = CorpusEntry{};
     std::istringstream in(text);
     std::string line;
-    if (!std::getline(in, line) || line != "minjie-corpus v1")
+    if (!std::getline(in, line))
         return false;
+    const bool v1 = line == "minjie-corpus v1";
+    if (!v1 && line != "minjie-corpus v2")
+        return false;
+    bool sawJob = false;
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         if (line == "program") {
             std::string rest((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-            return workload::ShrinkableProgram::deserialize(rest,
-                                                            out.program);
+            return sawJob && workload::ShrinkableProgram::deserialize(
+                                 rest, out.program);
         }
         std::istringstream ls(line);
         std::string tag;
         ls >> tag;
         if (tag == "seed") {
             ls >> std::hex >> out.seed;
-        } else if (tag == "pair") {
-            std::string a, b;
-            ls >> a >> b;
-            if (!parseEngine(a, out.engineA) ||
-                !parseEngine(b, out.engineB))
+        } else if (tag == (v1 ? "pair" : "job") && !sawJob) {
+            std::string kind, b;
+            ls >> kind;
+            if (v1) { // "pair A B" is the lockstep job "A-vs-B"
+                if (!(ls >> b))
+                    return false;
+                kind += "-vs-" + b;
+            }
+            if (!parseJobKind(kind, out.plan))
                 return false;
+            sawJob = true;
         } else if (tag == "signature") {
             ls >> out.signature;
         } else if (tag == "note") {

@@ -1,9 +1,26 @@
 /**
  * @file
  * Regression corpus: minimized failures persisted as replayable text
- * files. A corpus entry records the engine pair, the divergence
- * signature it once reproduced, and the full shrinkable program; ctest
- * replays every entry on each build so a fixed bug stays fixed.
+ * files. A corpus entry records the job that found the failure, the
+ * divergence signature it once reproduced, and the full shrinkable
+ * program; ctest replays every entry on each build so a fixed bug stays
+ * fixed.
+ *
+ * A `.mjc` file (`minjie-corpus v2`) is a header of `tag value` lines
+ * followed by the embedded `minjie-program v1` text:
+ *
+ *     minjie-corpus v2
+ *     seed 0x1
+ *     job difftest            (a JobResult::kind, e.g. spike-vs-tci)
+ *     signature rd:alu:xor
+ *     note shrunk from campaign seed
+ *     program
+ *     minjie-program v1 ...
+ *
+ * A v1 file names its job `pair A B` instead of `job A-vs-B`, and is
+ * read as that lockstep job. Every entry replays as the job it names,
+ * through the one checker the campaign uses:
+ * `checkJob(CampaignConfig{}, e.plan, e.program.assemble())`.
  */
 
 #ifndef MINJIE_CAMPAIGN_CORPUS_H
@@ -12,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "campaign/lockstep.h"
+#include "campaign/campaign.h"
 #include "workload/shrinkable.h"
 
 namespace minjie::campaign {
@@ -21,13 +38,14 @@ namespace minjie::campaign {
 struct CorpusEntry
 {
     uint64_t seed = 0;          ///< campaign seed that found the failure
-    Engine engineA = Engine::Spike;
-    Engine engineB = Engine::Dromajo;
+    JobPlan plan;               ///< its job kind (the spec is not stored)
     std::string signature;      ///< divergence this entry reproduced
     std::string note;           ///< free-form provenance
     workload::ShrinkableProgram program;
 
     std::string serialize() const;
+    /** Parse v2 or v1 text. Unknown tags and job kinds, a missing job
+     *  line and a malformed program are rejected. */
     static bool deserialize(const std::string &text, CorpusEntry &out);
 
     /** Filesystem-safe default file name (signature + seed). */

@@ -34,7 +34,8 @@ bool parseEngine(const std::string &name, Engine &out);
  * self-test ("testing the tester", paper Section IV-C): after the
  * chosen side executes a matching instruction, its destination register
  * is XORed with @p xorMask. The campaign must catch, bucket and shrink
- * the resulting divergence.
+ * the resulting divergence. On a DiffTest job, checkJob() corrupts the
+ * DUT's first committed write of @p op instead, and @p side is unused.
  */
 struct BugInject
 {

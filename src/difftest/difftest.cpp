@@ -353,10 +353,10 @@ DiffTest::loadProgram(const workload::Program &prog)
     resetRefs(prog.entry);
 }
 
-Cycle
+xs::Soc::RunResult
 DiffTest::run(Cycle maxCycles)
 {
-    return dut_.runWhile(maxCycles, [this](Cycle) { return ok(); }).cycles;
+    return dut_.runWhile(maxCycles, [this](Cycle) { return ok(); });
 }
 
 } // namespace minjie::difftest

@@ -138,9 +138,10 @@ class DiffTest
 
     /**
      * Run the DUT under co-simulation until completion or a mismatch.
-     * @return cycles simulated
+     * @return cycles simulated, and whether every core drained (false
+     *         on a mismatch or when @p maxCycles ran out)
      */
-    Cycle run(Cycle maxCycles);
+    xs::Soc::RunResult run(Cycle maxCycles);
 
     /** Access a REF (e.g. for final-state assertions in tests). */
     nemu::Nemu &ref(HartId hart) { return *refs_[hart]; }

@@ -27,10 +27,9 @@ enum class IssuePolicy : uint8_t {
  * runs on the host, never what it computes: every combination is
  * cycle-exact against the reference scan-based path (byte-identical
  * PerfCounters and commit-probe streams — enforced by
- * tests/xiangshan/sched_diff_test.cpp). Each knob is independently
- * ablatable via `--xs-no-bitset` / `--xs-no-skip` (mirroring the NEMU
- * `--nemu-no-*` flags) so the reference path stays alive as the oracle
- * of the differential rig.
+ * tests/xiangshan/sched_diff_test.cpp). No tool flag sets them: only
+ * tests and bench/core_fastpath turn a knob off, so the reference path
+ * stays alive as the oracle of the differential rig.
  */
 struct ModelOpts
 {

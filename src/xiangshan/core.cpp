@@ -1103,7 +1103,8 @@ Core::doCommit()
             faultMask_ = 0;
         }
 
-        if (commitFaultMask_ && rec.probe.rdWritten) {
+        if (commitFaultMask_ && rec.probe.rdWritten &&
+            (!commitFaultOp_ || rec.di.op == *commitFaultOp_)) {
             // Test-only fault hook: the DUT-visible committed register
             // value is corrupted; the oracle stays correct, so DiffTest
             // must flag this very commit.

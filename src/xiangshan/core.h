@@ -24,6 +24,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/zeroed_array.h"
@@ -175,7 +176,7 @@ class Core
     }
 
     /** Idle cycles fast-forwarded by event-driven skip-ahead (a subset
-     *  of perf().cycles; 0 with `--xs-no-skip`). */
+     *  of perf().cycles; 0 with ModelOpts::skipAhead off). */
     Cycle skippedCycles() const { return skippedCycles_; }
     /** Number of skip jumps taken (each covers >= 1 idle cycle). */
     uint64_t skipJumps() const { return skipJumps_; }
@@ -191,13 +192,17 @@ class Core
     void injectLoadFault(uint64_t xorMask) { faultMask_ = xorMask; }
 
     /**
-     * Test-only fault hook: flip bits of the next committed register
-     * write (the DUT-visible probe value), modeling a datapath bug the
-     * checkers must catch at that very commit.
+     * Test-only fault hook: flip bits of the next committed integer
+     * register write (the DUT-visible probe value), or with @p op of
+     * the next one by an @p op instruction, modeling a datapath bug
+     * the checkers must catch at that very commit. The campaign's
+     * `--inject-bug` arms it on DiffTest jobs.
      */
-    void injectCommitFault(uint64_t xorMask)
+    void injectCommitFault(uint64_t xorMask,
+                           std::optional<isa::Op> op = std::nullopt)
     {
         commitFaultMask_ = xorMask;
+        commitFaultOp_ = op;
     }
 
     /**
@@ -543,6 +548,7 @@ class Core
     uint64_t faultMask_ = 0;
     bool injectPageFault_ = false;
     uint64_t commitFaultMask_ = 0;
+    std::optional<isa::Op> commitFaultOp_; ///< unset: any op
     bool dropStorePending_ = false;
     obs::TraceBuffer *trace_ = nullptr;
 

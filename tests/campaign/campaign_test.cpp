@@ -147,8 +147,7 @@ TEST(Campaign, ShrinkerConvergesOnInjectedBug)
     Rng rng(b.repSeed);
     wl::ShrinkableProgram sp = wl::randomShrinkable(rng, plan.spec);
     SignatureFn sig = [&cfg, &plan](const wl::Program &p) {
-        auto r = runLockstep(plan.a, plan.b, p, cfg.maxSteps, &cfg.bug);
-        return r.div.diverged() ? r.div.signature() : std::string();
+        return checkJob(cfg, plan, p).signature;
     };
     ShrinkResult sr = shrinkProgram(sp, b.signature, sig);
     EXPECT_EQ(sig(sr.program.assemble()), b.signature);
@@ -157,25 +156,65 @@ TEST(Campaign, ShrinkerConvergesOnInjectedBug)
 
 TEST(Campaign, ResultsAreInvariantUnderWorkerCount)
 {
-    CampaignConfig one = buggyConfig(120, 1);
-    CampaignConfig eight = buggyConfig(120, 8);
-    CampaignReport a = runCampaign(one);
-    CampaignReport b = runCampaign(eight);
+    // Lockstep jobs only, and half of them DiffTest jobs whose DUT
+    // carries the bug.
+    for (unsigned difftestPct : {0u, 50u}) {
+        SCOPED_TRACE(::testing::Message() << "difftest " << difftestPct);
+        CampaignConfig one = buggyConfig(120, 1);
+        CampaignConfig eight = buggyConfig(120, 8);
+        one.difftestPct = eight.difftestPct = difftestPct;
+        CampaignReport a = runCampaign(one);
+        CampaignReport b = runCampaign(eight);
 
-    ASSERT_EQ(a.failures, b.failures);
-    ASSERT_GT(a.failures, 10u);
-    ASSERT_EQ(a.buckets.size(), b.buckets.size());
-    for (size_t i = 0; i < a.buckets.size(); ++i) {
-        EXPECT_EQ(a.buckets[i].signature, b.buckets[i].signature);
-        EXPECT_EQ(a.buckets[i].repSeed, b.buckets[i].repSeed);
-        EXPECT_EQ(a.buckets[i].seeds, b.buckets[i].seeds);
+        ASSERT_EQ(a.failures, b.failures);
+        ASSERT_GT(a.failures, 10u);
+        ASSERT_EQ(a.buckets.size(), b.buckets.size());
+        for (size_t i = 0; i < a.buckets.size(); ++i) {
+            EXPECT_EQ(a.buckets[i].signature, b.buckets[i].signature);
+            EXPECT_EQ(a.buckets[i].repSeed, b.buckets[i].repSeed);
+            EXPECT_EQ(a.buckets[i].repDetail, b.buckets[i].repDetail);
+            EXPECT_EQ(a.buckets[i].seeds, b.buckets[i].seeds);
+        }
+        ASSERT_EQ(a.results.size(), b.results.size());
+        for (size_t i = 0; i < a.results.size(); ++i) {
+            EXPECT_EQ(a.results[i].seed, b.results[i].seed);
+            EXPECT_EQ(a.results[i].failed, b.results[i].failed);
+            EXPECT_EQ(a.results[i].kind, b.results[i].kind);
+            EXPECT_EQ(a.results[i].signature, b.results[i].signature);
+            EXPECT_EQ(a.results[i].detail, b.results[i].detail);
+            EXPECT_EQ(a.results[i].steps, b.results[i].steps);
+        }
+        if (difftestPct) {
+            auto dut = [](const CampaignReport &r) {
+                return std::count_if(r.results.begin(), r.results.end(),
+                                     [](const JobResult &jr) {
+                                         return jr.failed &&
+                                                jr.kind == "difftest";
+                                     });
+            };
+            EXPECT_GT(dut(a), 10) << "the DUT's bug went unseen";
+        }
     }
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].seed, b.results[i].seed);
-        EXPECT_EQ(a.results[i].failed, b.results[i].failed);
-        EXPECT_EQ(a.results[i].signature, b.results[i].signature);
+}
+
+TEST(Campaign, JobsOutOfBudgetTimeOut)
+{
+    // A job cut short is not a pass, whether a lockstep pair runs out of
+    // steps or the DiffTest DUT does not drain.
+    CampaignConfig cfg;
+    cfg.maxSteps = 50;
+    cfg.difftestMaxCycles = 300;
+    for (unsigned pct : {0u, 100u}) {
+        cfg.difftestPct = pct;
+        JobResult jr = runJob(cfg, 1);
+        EXPECT_EQ(jr.kind == "difftest", pct == 100);
+        EXPECT_TRUE(jr.failed) << jr.kind;
+        EXPECT_EQ(jr.signature, "timeout") << jr.kind;
+        EXPECT_FALSE(jr.detail.empty());
     }
+    cfg = CampaignConfig{};
+    cfg.difftestPct = 100;
+    EXPECT_FALSE(runJob(cfg, 1).failed);
 }
 
 TEST(Campaign, CleanCampaignFindsNoFailures)

@@ -261,6 +261,8 @@ TEST(Mutation, Mjt)
 
 TEST(Mutation, CorpusEntry)
 {
+    // A v2 DiffTest entry, a v2 lockstep entry, and the lockstep one as
+    // v1 text with a `pair` line.
     Rng rng(7);
     wl::RandomSpec spec;
     spec.nInsts = 120;
@@ -268,21 +270,39 @@ TEST(Mutation, CorpusEntry)
     spec.withRvc = true;
     campaign::CorpusEntry e;
     e.seed = 7;
+    e.plan.a = campaign::Engine::Nemu;
+    e.plan.b = campaign::Engine::Tci;
     e.signature = "xreg:alu:xor";
     e.note = "mutation harness";
     e.program = wl::randomShrinkable(rng, spec);
-    const std::string good = e.serialize();
-    campaign::CorpusEntry back;
-    ASSERT_TRUE(campaign::CorpusEntry::deserialize(good, back));
+    campaign::CorpusEntry dut = e;
+    dut.plan.difftest = true;
+    std::string v1 = e.serialize();
+    v1.replace(v1.find("job nemu-vs-tci"), 15, "pair nemu tci");
+    v1.replace(0, 16, "minjie-corpus v1");
 
-    for (size_t len : cuts(good.size())) {
-        campaign::CorpusEntry r;
-        campaign::CorpusEntry::deserialize(prefix(good, len), r);
+    uint64_t flipSeed = 8;
+    for (const std::string &good : {dut.serialize(), e.serialize(), v1}) {
+        campaign::CorpusEntry back;
+        ASSERT_TRUE(campaign::CorpusEntry::deserialize(good, back)) << good;
+        EXPECT_EQ(back.plan.difftest, good == dut.serialize());
+        EXPECT_EQ(campaign::jobKind(back.plan),
+                  good == dut.serialize() ? "difftest" : "nemu-vs-tci");
+
+        for (size_t len : cuts(good.size())) {
+            campaign::CorpusEntry r;
+            campaign::CorpusEntry::deserialize(prefix(good, len), r);
+        }
+        // A flip may leave a well-formed entry, but never one whose job
+        // line reads as a different job.
+        forEachFlip(good, 4000, flipSeed++, [&](const std::string &m) {
+            campaign::CorpusEntry r;
+            if (campaign::CorpusEntry::deserialize(m, r)) {
+                EXPECT_EQ(campaign::jobKind(r.plan),
+                          campaign::jobKind(back.plan));
+            }
+        });
     }
-    forEachFlip(good, 4000, 8, [&](const std::string &m) {
-        campaign::CorpusEntry r;
-        campaign::CorpusEntry::deserialize(m, r);
-    });
 }
 
 } // namespace

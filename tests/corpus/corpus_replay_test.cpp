@@ -1,8 +1,10 @@
 /**
  * Replays every committed corpus entry (.mjc files in tests/corpus/)
- * on the recorded engine pair. Entries are minimized programs that once
- * exposed a divergence; on healthy engines they must run to completion
- * in full agreement, so a regression of a previously-fixed (or
+ * as the job it records (an engine pair in lockstep, or DiffTest),
+ * through campaign::checkJob with the campaign's default budgets.
+ * Entries are minimized programs that once exposed a divergence; on
+ * healthy engines and a healthy DUT they must run to completion in full
+ * agreement, so a regression of a previously-fixed (or
  * previously-injected) bug fails exactly the test named after its file.
  *
  * MINJIE_CORPUS_DIR is injected by CMake and points at this source
@@ -14,8 +16,8 @@
 
 #include <filesystem>
 
+#include "campaign/campaign.h"
 #include "campaign/corpus.h"
-#include "campaign/lockstep.h"
 
 namespace {
 
@@ -30,12 +32,11 @@ TEST_P(CorpusReplay, EnginesAgreeOnMinimizedProgram)
         << "unreadable corpus file " << GetParam();
     EXPECT_FALSE(e.signature.empty());
 
-    auto prog = e.program.assemble();
-    auto r = runLockstep(e.engineA, e.engineB, prog, 1'000'000);
-    EXPECT_FALSE(r.div.diverged())
-        << "corpus regression (" << e.signature
-        << " is back): " << r.div.describe();
-    EXPECT_TRUE(r.exited);
+    JobResult r = checkJob(CampaignConfig{}, e.plan, e.program.assemble());
+    EXPECT_FALSE(r.failed) << r.kind << ": corpus regression ("
+                           << e.signature << " is back): " << r.signature
+                           << ": " << r.detail;
+    EXPECT_GT(r.steps, 0u);
 }
 
 std::string

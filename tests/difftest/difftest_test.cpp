@@ -16,7 +16,7 @@ TEST(DiffTest, CleanRunPasses)
     xs::Soc soc(xs::CoreConfig::nh());
     DiffTest dt(soc);
     dt.loadProgram(wl::sumProgram(500));
-    dt.run(2'000'000);
+    EXPECT_TRUE(dt.run(2'000'000).completed);
     EXPECT_TRUE(dt.ok()) << dt.failures().front();
     EXPECT_GT(dt.stats().commitsChecked, 1500u);
     // The SimCtrl exit store is MMIO: skip rule must have fired.
@@ -124,10 +124,11 @@ TEST(DiffTest, AbortsAtFirstMismatch)
     DiffTest dt(soc);
     dt.loadProgram(wl::coremarkProxy(50));
     soc.core(0).injectLoadFault(0xdead);
-    Cycle cycles = dt.run(10'000'000);
+    xs::Soc::RunResult r = dt.run(10'000'000);
     ASSERT_FALSE(dt.ok());
     // The co-simulation stops early, well before program completion.
-    EXPECT_LT(cycles, 10'000'000u);
+    EXPECT_LT(r.cycles, 10'000'000u);
+    EXPECT_FALSE(r.completed);
     EXPECT_EQ(dt.failures().size(), 1u);
 }
 

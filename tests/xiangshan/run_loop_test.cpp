@@ -95,10 +95,9 @@ runOnce(const wl::Program &prog, unsigned nCores, Api api, Cycle maxCycles,
     else if (api == Api::UntilInstrs)
         out.result = soc.runUntilInstrs(instrs, maxCycles);
     else
-        out.result.cycles = dt->run(maxCycles);
+        out.result = dt->run(maxCycles);
     if (dt) {
         EXPECT_TRUE(dt->ok()) << dt->failures().front();
-        out.result.completed = false; // DiffTest::run reports cycles only
     }
     out.mtime = soc.system().clint.mtime();
     for (unsigned c = 0; c < nCores; ++c)

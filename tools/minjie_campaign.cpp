@@ -48,7 +48,8 @@ usage()
         "                   dromajo, tci, nemu)\n"
         "  --inject-bug OP[:MASK]\n"
         "                   self-test: corrupt OP's destination on one\n"
-        "                   engine (e.g. xor, add:0x80000000)\n"
+        "                   engine (e.g. xor, add:0x80000000); on DiffTest\n"
+        "                   jobs the DUT is the corrupted side\n"
         "  --perf           per-job DUT counters of DiffTest jobs and their\n"
         "                   merged top-down aggregate in the JSON report\n"
         "  --no-shrink      skip delta-debugging of failures\n"
@@ -190,7 +191,7 @@ main(int argc, char **argv)
                                                 cfg.seedCount));
     if (cfg.bug.enabled)
         std::printf("campaign: self-test bug injected on %s side %d "
-                    "(mask 0x%llx)\n",
+                    "of pairs and the DUT (mask 0x%llx)\n",
                     isa::opName(cfg.bug.op), cfg.bug.side,
                     static_cast<unsigned long long>(cfg.bug.xorMask));
 
